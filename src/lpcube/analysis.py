@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .complexes import CubeComplex, Point, point_from_obj, point_to_obj
+from .complexes import CubeComplex, Point, point_from_ambient, point_from_obj, point_to_obj
 from .errors import InsufficientDiameter
 from .geometry import check_p, distance_lower_bound, lp_norm
 from .solver import DEFAULT_TOL, PiecewisePath, distance, geodesic
@@ -75,11 +75,6 @@ def sample_point(complex: CubeComplex, rng: np.random.Generator,
         if ref.mask >> i & 1:
             coords[i] = float(rng.uniform(margin, 1.0 - margin))
     return Point.make(ref.corner, coords)
-
-
-def _far_bound(complex: CubeComplex, a: Point, b: Point, p: float) -> float:
-    """Admissible lower bound used to certify that sampled pairs are far."""
-    return distance_lower_bound(complex, a, b, p)
 
 
 def _worst(report_state: dict, margin: float, witness: dict) -> None:
@@ -212,7 +207,6 @@ def _diameter_lower_bound(complex: CubeComplex, p: float) -> float:
 def _nearby_point(complex: CubeComplex, rng: np.random.Generator, center: Point,
                   radius: float, p: float) -> Point:
     """A point within lp distance radius of center, inside one of its cubes."""
-    ref = None
     cubes = [c for c in complex.maximal_cubes()
              if c.contains_cube(center.minimal_cube())]
     ref = cubes[int(rng.integers(len(cubes)))]
@@ -225,7 +219,6 @@ def _nearby_point(complex: CubeComplex, rng: np.random.Generator, center: Point,
         delta *= rng.uniform(0.0, radius * 0.99) / nrm
     for j, i in enumerate(free):
         vec[i] = min(max(vec[i] + delta[j], 0.0), 1.0)
-    from .complexes import point_from_ambient
     return point_from_ambient(vec, ref)
 
 
@@ -248,7 +241,7 @@ def uniform_smoothness_suite(complex: CubeComplex, p: float, C: Optional[float],
         for _ in range(MAX_REJECTS):
             y = sample_point(complex, rng)
             z = sample_point(complex, rng)
-            if _far_bound(complex, y, z, p) >= R:
+            if distance_lower_bound(complex, y, z, p) >= R:
                 break
         else:
             raise InsufficientDiameter("could not sample a pair at distance R")
@@ -289,11 +282,11 @@ def bolicity_b1_suite(complex: CubeComplex, p: float, delta: float, r: float,
         for _ in range(MAX_REJECTS):
             a = sample_point(complex, rng)
             b = sample_point(complex, rng)
-            if _far_bound(complex, a, b, p) < R + 2 * r:
+            if distance_lower_bound(complex, a, b, p) < R + 2 * r:
                 continue
             a2 = _nearby_point(complex, rng, a, r, p)
             b2 = _nearby_point(complex, rng, b, r, p)
-            if all(_far_bound(complex, u, w, p) >= R
+            if all(distance_lower_bound(complex, u, w, p) >= R
                    for u, w in ((a, b), (a2, b2), (a, b2), (a2, b))):
                 found = True
                 break
@@ -339,11 +332,11 @@ def bolicity_b2_suite(complex: CubeComplex, p: float, k: Optional[float],
         for _ in range(MAX_REJECTS):
             y = sample_point(complex, rng)
             z = sample_point(complex, rng)
-            if _far_bound(complex, y, z, p) <= N:
+            if distance_lower_bound(complex, y, z, p) <= N:
                 continue
             x = sample_point(complex, rng)
-            if _far_bound(complex, x, y, p) > N or \
-               _far_bound(complex, x, z, p) > N:
+            if distance_lower_bound(complex, x, y, p) > N or \
+               distance_lower_bound(complex, x, z, p) > N:
                 continue
             if distance(complex, x, y, p) <= N and distance(complex, x, z, p) <= N:
                 found = True

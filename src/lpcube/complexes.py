@@ -377,9 +377,6 @@ class CubeComplex:
 
     # -- misc ---------------------------------------------------------------
 
-    def ambient_vertex(self, v: int) -> np.ndarray:
-        return np.array([(v >> i) & 1 for i in range(len(self.hyperplanes))], dtype=float)
-
     def __repr__(self) -> str:
         return (f"CubeComplex({len(self.hyperplanes)} hyperplanes, "
                 f"{len(self.vertices)} vertices)")

@@ -259,9 +259,10 @@ def embed_in_wedge_product(complex: CubeComplex, dec: Decomposition,
 def amgm_check(a: float, b: float, c: float, d: float, p: float) -> bool:
     """Whether a/b < c/d implies the p-combined ratio stays below c/d.
 
-    Used by the factor-merging step: combining two factors whose ratios are
-    ordered produces a ratio strictly between them, so merged chains stay
-    monotone.  Vacuously true when the premise fails.
+    The inequality behind merging factors: combining two factors whose ratios
+    are ordered produces a ratio strictly between them, so merged chains stay
+    monotone.  The decomposition does not call it; it is a check for tests.
+    Vacuously true when the premise fails.
     """
     p = check_p(p, finite=True)
     if not all(t > 0 for t in (a, b, c, d)):

@@ -8,7 +8,7 @@ by the sweep operations.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -42,18 +42,6 @@ def lp_norm(v, p: PValue) -> float:
     if p == 2.0:
         return float(np.sqrt(np.dot(a, a)))
     return m * float(np.sum((a / m) ** p)) ** (1.0 / p)
-
-
-def lp_norm_grad(v: np.ndarray, p: float, norm: Optional[float] = None) -> np.ndarray:
-    """Gradient of the lp norm at v != 0 (p in (1, inf))."""
-    if norm is None:
-        norm = lp_norm(v, p)
-    if norm == 0.0:
-        raise ZeroDivisionError("lp norm gradient is undefined at 0")
-    if p == 2.0:
-        return v / norm
-    u = np.abs(v) / norm
-    return np.sign(v) * u ** (p - 1.0)
 
 
 def cube_distance(complex: CubeComplex, x: Point, y: Point, p: PValue) -> float:

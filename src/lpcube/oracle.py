@@ -20,7 +20,7 @@ import numpy as np
 
 from .complexes import CubeComplex, Point, cube_intersection
 from .errors import ScaleExceeded
-from .geometry import check_p
+from .geometry import check_p, lp_norm
 from .solver import DEFAULT_TOL, PiecewisePath, geodesic
 
 NODE_CAP = 200_000
@@ -171,7 +171,6 @@ def oracle_distance(complex: CubeComplex, x: Point, y: Point, p: float,
     pair = complex.minimal_cube_pair(x, y)
     if pair is not None:
         n = len(complex.hyperplanes)
-        from .geometry import lp_norm
         return lp_norm(x.ambient(n) - y.ambient(n), p)
     net = build_net(complex, x, y, eps)
     return _dijkstra(net, p)

@@ -17,10 +17,18 @@ whose sides form the active set.  The length has a kink where two consecutive
 breaks coincide: breaks that coalesce are merged by dropping the cube between
 them, and the merge is kept only if a subgradient test at the merged break
 shows that pulling them apart cannot shorten the path; otherwise they are split
-along the descent direction the test yields.  geodesic() screens the galleries
-with a few Newton steps, which give an upper bound (the length) and a lower
-bound (the Hoelder dual bound at those breaks), and solves in full only the
-galleries that can still be optimal.
+along the descent direction the test yields.
+
+geodesic() searches the galleries for a certified path.  It takes them in
+order of a lower bound from the faces, screens each with a few Newton steps,
+which give an upper bound (the length) and a lower bound (the Hoelder dual
+bound at those breaks), and solves in full the galleries that can still be
+optimal.  A solved path that passes the zero-tension and no-shortcut
+conditions is a local geodesic, hence by Busemann convexity the geodesic, and
+ends the search.  A path that fails no-shortcut is shortened through its
+most violated corner cube, so the next gallery tried is the first one that
+contains that cube.  If no path certifies, the shortest converged one is
+taken, and tied galleries must agree.
 """
 
 from __future__ import annotations
@@ -101,10 +109,6 @@ class PiecewisePath:
     @property
     def length(self) -> float:
         return float(self.segment_lengths().sum())
-
-    @property
-    def speed(self) -> float:
-        return self.length
 
     def evaluate(self, t: float) -> Point:
         """Point at arclength t * length along the path."""
@@ -589,6 +593,8 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float,
     galleries = enumerate_galleries(complex, x, y)
     if not galleries:
         raise ValueError("no gallery connects the two points")
+    if len(galleries) == 1:
+        return _select([optimize_breakpoints(complex, galleries[0], x, y, p, tol)], tol)
     n = len(complex.hyperplanes)
     xa = x.ambient(n)
     ya = y.ambient(n)
@@ -615,51 +621,68 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float,
         return lb
 
     margin = max(tol, UNIQUENESS_SUP)
-    # screening pass: a few Newton steps per gallery give an upper bound (the
-    # length) and a lower bound (the dual bound at those breaks); with them,
-    # galleries that cannot be optimal are pruned.  A lone gallery needs none.
-    screened: list[tuple[float, Gallery, Optional[list[np.ndarray]]]] = []
+    lb0 = distance_lower_bound(complex, x, y, p)
+    bounds = {g.key(): lower_bound(g, lb0) for g in galleries}
+    untried = sorted(galleries, key=lambda g: (bounds[g.key()], g.key()))
+    # a certified path ends the search; one that fails no-shortcut can be
+    # shortened through its most violated corner cube, which picks the next
+    # candidate (see the module docstring)
+    results: list[PiecewisePath] = []
     upper = math.inf
-    if len(galleries) == 1:
-        bounds = {galleries[0].key(): 0.0}
-        screened.append((0.0, galleries[0], None))
-    else:
-        lb0 = distance_lower_bound(complex, x, y, p)
-        bounds = {g.key(): lower_bound(g, lb0) for g in galleries}
-        for g in sorted(galleries, key=lambda g: (bounds[g.key()], g.key())):
-            key = g.key()
-            if bounds[key] > upper + margin:
-                continue
-            rough = optimize_breakpoints(complex, g, x, y, p, tol, max_sweeps=3)
-            pts = rough.ambient_breaks()
-            if len(pts) == len(g.cubes) + 1:
-                bounds[key] = max(bounds[key], _dual_bound(pts, g.faces(), p))
-            screened.append((rough.length, g, [v.copy() for v in pts[1:-1]]))
-            upper = min(upper, rough.length)
-    results: list[tuple[float, PiecewisePath]] = []
-    best_len = math.inf
-    for _, g, init in sorted(screened, key=lambda it: (it[0], it[1].key())):
-        if bounds[g.key()] > min(best_len, upper) + margin:
+    corner = None
+    while untried:
+        g = untried[0]
+        if corner is not None:
+            g = next((h for h in untried if any(c.contains_cube(corner) for c in h.cubes)), g)
+        untried.remove(g)
+        bound = bounds[g.key()]
+        if bound > upper + margin:
             continue
-        path = optimize_breakpoints(complex, g, x, y, p, tol, init=init)
-        results.append((path.length, path))
-        best_len = min(best_len, path.length)
-    # deterministic selection: shortest, preferring fully converged paths, then
-    # the lexicographically smallest gallery encoding among ties
-    def rank(item: tuple[float, PiecewisePath]) -> tuple:
-        length, path = item
-        tied = length <= best_len + tol
-        return (not (tied and path.converged), length, path.gallery.key())
+        rough = optimize_breakpoints(complex, g, x, y, p, tol, max_sweeps=3)
+        pts = rough.ambient_breaks()
+        if len(pts) == len(g.cubes) + 1:
+            bound = max(bound, _dual_bound(pts, g.faces(), p))
+        upper = min(upper, rough.length)
+        if bound > upper + margin:
+            continue
+        path = optimize_breakpoints(complex, g, x, y, p, tol,
+                                    init=[v.copy() for v in pts[1:-1]])
+        results.append(path)
+        upper = min(upper, path.length)
+        corner = None
+        if path.converged:
+            data = _interior_data(complex, path)
+            if max(_tension_residuals(path, data), default=0.0) <= RESIDUAL_TOL:
+                least, corner = min(_no_shortcut_margins(complex, path, data),
+                                    key=lambda m: m[0], default=(0.0, None))
+                if least >= -RESIDUAL_TOL:
+                    return path
+    return _select(results, tol)
 
-    results.sort(key=rank)
-    best = results[0][1]
-    best_len = results[0][0]
+
+def _select(results: list[PiecewisePath], tol: float) -> PiecewisePath:
+    """The shortest solved path, for a lone gallery or when none certified.
+
+    Prefers fully converged paths, then the lexicographically smallest gallery
+    encoding among ties; raises if nothing converged or if tied converged
+    paths disagree.
+    """
+    best_len = min(path.length for path in results)
+
+    def rank(path: PiecewisePath) -> tuple:
+        tied = path.length <= best_len + tol
+        return (not (tied and path.converged), path.length, path.gallery.key())
+
+    results = sorted(results, key=rank)
+    best = results[0]
+    best_len = best.length
     if not best.converged:
         # prefer a converged path unless the unconverged one is materially better
-        converged = [(ln, pa) for ln, pa in results if pa.converged]
+        converged = [pa for pa in results if pa.converged]
         allowance = max(10 * tol, 1e-8)
-        if converged and min(ln for ln, _ in converged) <= best_len + allowance:
-            best_len, best = min(converged, key=lambda it: (it[0], it[1].gallery.key()))
+        if converged and min(pa.length for pa in converged) <= best_len + allowance:
+            best = min(converged, key=lambda pa: (pa.length, pa.gallery.key()))
+            best_len = best.length
         else:
             raise NoConvergence(
                 "no gallery optimization converged at the requested tolerance",
@@ -668,11 +691,11 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float,
     # distinct galleries routinely have genuinely different optima separated by
     # less than tol in length when the valley between routes is flat
     tie = max(tol / 100.0, 1e-12)
-    for length, path in results[1:]:
-        if length <= best_len + tie and path.converged:
+    for path in results[1:]:
+        if path.length <= best_len + tie and path.converged:
             if path_sup_distance(path, best) > UNIQUENESS_SUP:
                 raise UniquenessViolation(
-                    f"two optimal galleries disagree: lengths {length} vs {best_len}, "
+                    f"two optimal galleries disagree: lengths {path.length} vs {best_len}, "
                     f"sup distance {path_sup_distance(path, best)}")
     return best
 
@@ -717,35 +740,81 @@ def _interior_data(complex: CubeComplex, path: PiecewisePath):
     return out
 
 
+def _tension_residuals(path: PiecewisePath, data) -> list[float]:
+    """Zero-tension residual at each interior break (0 where it is vacuous)."""
+    pts = path.ambient_breaks()
+    segs = path.segment_lengths()
+    out = []
+    for i, c_prev, c_next, d in data:
+        idx = [b for b in range(pts.shape[1]) if d.mask >> b & 1]
+        if not idx or segs[i - 1] == 0.0 or segs[i] == 0.0:
+            out.append(0.0)
+            continue
+        r = (pts[i - 1][idx] - pts[i][idx]) / segs[i - 1] \
+            + (pts[i + 1][idx] - pts[i][idx]) / segs[i]
+        out.append(float(np.sqrt(np.dot(r, r))))
+    return out
+
+
 def check_zero_tension(complex: CubeComplex, path: PiecewisePath,
                        tol: float = RESIDUAL_TOL) -> ConditionReport:
     """Balance of normalized displacement projections on each shared face."""
     check_p(path.p, smooth=True)
+    res = _tension_residuals(path, _interior_data(complex, path))
+    return ConditionReport(zero_tension_ok=tuple(r <= tol for r in res),
+                           worst_residual=max(res, default=0.0))
+
+
+def _submask_norms(vec: np.ndarray, mask: int, p: float) -> dict[int, float]:
+    """lp norm of ``vec`` restricted to each submask of ``mask``.
+
+    Plain float arithmetic, scaled by the largest entry as ``lp_norm`` is:
+    the supports have a few coordinates, where numpy calls cost more than
+    the sums.
+    """
+    parts: dict[int, list[float]] = {0: []}
+    for b in range(len(vec)):
+        if mask >> b & 1:
+            t = abs(float(vec[b]))
+            parts.update({s | 1 << b: a + [t] for s, a in list(parts.items())})
+    out = {}
+    for s, a in parts.items():
+        m = max(a, default=0.0)
+        out[s] = m * sum((t / m) ** p for t in a) ** (1.0 / p) if m > 0.0 else 0.0
+    return out
+
+
+def _no_shortcut_margins(complex: CubeComplex, path: PiecewisePath,
+                         data) -> list[tuple[float, CubeRef]]:
+    """Least no-shortcut margin at each interior break, with its corner cube.
+
+    At a break whose previous/next minimal cubes C, C' share the cube D, the
+    margin of a bipartition C = D x A1 x A2, C' = D x B1 x B2 is
+    |dx|_A1 |dy|_B2 - |dx|_A2 |dy|_B1, taken over the bipartitions whose
+    corner cube D x B1 x A2 is a cube of the complex.  A negative margin means
+    the path can be shortened through that corner cube.
+    """
+    p = path.p
     pts = path.ambient_breaks()
-    segs = path.segment_lengths()
-    oks = []
-    worst = 0.0
-    for i, c_prev, c_next, d in _interior_data(complex, path):
-        idx = [b for b in range(pts.shape[1]) if d.mask >> b & 1]
-        if not idx or segs[i - 1] == 0.0 or segs[i] == 0.0:
-            oks.append(True)
-            continue
-        r = (pts[i - 1][idx] - pts[i][idx]) / segs[i - 1] \
-            + (pts[i + 1][idx] - pts[i][idx]) / segs[i]
-        residual = float(np.sqrt(np.dot(r, r)))
-        worst = max(worst, residual)
-        oks.append(residual <= tol)
-    return ConditionReport(zero_tension_ok=tuple(oks), worst_residual=worst)
-
-
-def _submasks(bits: list[int]):
-    m = len(bits)
-    for s in range(1 << m):
-        mask = 0
-        for j in range(m):
-            if s >> j & 1:
-                mask |= 1 << bits[j]
-        yield mask
+    out = []
+    for i, c_prev, c_next, d in data:
+        ea = c_prev.mask & ~d.mask
+        eb = c_next.mask & ~d.mask
+        nx = _submask_norms(pts[i - 1] - pts[i], ea, p)
+        ny = _submask_norms(pts[i + 1] - pts[i], eb, p)
+        worst = (math.inf, d)
+        for a2, na2 in nx.items():
+            na1 = nx[ea & ~a2]
+            for b1, nb1 in ny.items():
+                corner_mask = d.mask | b1 | a2
+                corner = CubeRef(d.corner & ~corner_mask, corner_mask)
+                if not complex.is_cube(corner):
+                    continue
+                margin = na1 * ny[eb & ~b1] - na2 * nb1
+                if margin < worst[0]:
+                    worst = (margin, corner)
+        out.append(worst)
+    return out
 
 
 def check_no_shortcut(complex: CubeComplex, path: PiecewisePath,
@@ -758,41 +827,9 @@ def check_no_shortcut(complex: CubeComplex, path: PiecewisePath,
     cube of the complex.
     """
     check_p(path.p, smooth=True)
-    p = path.p
-    pts = path.ambient_breaks()
-    oks = []
-    worst = 0.0
-    for i, c_prev, c_next, d in _interior_data(complex, path):
-        dx = pts[i - 1] - pts[i]
-        dy = pts[i + 1] - pts[i]
-        pa = [b for b in range(pts.shape[1]) if (c_prev.mask & ~d.mask) >> b & 1]
-        pb = [b for b in range(pts.shape[1]) if (c_next.mask & ~d.mask) >> b & 1]
-        ok = True
-        for a2 in _submasks(pa):
-            a1 = (c_prev.mask & ~d.mask) & ~a2
-            for b1 in _submasks(pb):
-                b2 = (c_next.mask & ~d.mask) & ~b1
-                corner_mask = d.mask | b1 | a2
-                corner = CubeRef(d.corner & ~corner_mask, corner_mask)
-                if not complex.is_cube(corner):
-                    continue
-                na1 = _mask_norm(dx, a1, p)
-                na2 = _mask_norm(dx, a2, p)
-                nb1 = _mask_norm(dy, b1, p)
-                nb2 = _mask_norm(dy, b2, p)
-                margin = na1 * nb2 - na2 * nb1
-                if margin < -tol:
-                    ok = False
-                worst = max(worst, max(0.0, -margin))
-        oks.append(ok)
-    return ConditionReport(no_shortcut_ok=tuple(oks), worst_residual=worst)
-
-
-def _mask_norm(vec: np.ndarray, mask: int, p: float) -> float:
-    idx = [b for b in range(len(vec)) if mask >> b & 1]
-    if not idx:
-        return 0.0
-    return lp_norm(vec[idx], p)
+    margins = [m for m, _ in _no_shortcut_margins(complex, path, _interior_data(complex, path))]
+    return ConditionReport(no_shortcut_ok=tuple(m >= -tol for m in margins),
+                           worst_residual=max([0.0] + [-m for m in margins]))
 
 
 def check_local_geodesic(complex: CubeComplex, path: PiecewisePath,

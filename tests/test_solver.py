@@ -182,6 +182,36 @@ class TestGeodesic:
         upper = orc.oracle_distance(corner, x, y, 16.0, 0.05)
         assert path.length - 1e-9 <= upper <= path.length + 0.05
 
+    def test_large_p_near_tie_returns_the_certified_path(self, grid222):
+        # at p = 16 two galleries' optima lie 2e-12 apart, inside the tie
+        # window, and only the shorter passes no-shortcut; comparing the two
+        # raised UniquenessViolation, the certificate picks the geodesic
+        rng = np.random.default_rng([9, 8])
+        x = an.sample_point(grid222, rng)
+        y = an.sample_point(grid222, rng)
+        path = sv.geodesic(grid222, x, y, 16.0)
+        assert path.length == pytest.approx(1.12942158698474, abs=1e-13)
+        assert sv.check_local_geodesic(grid222, path, tol=1e-8).all_ok
+
+    def test_first_certified_candidate_ends_the_search(self, grid222, monkeypatch):
+        # corner to corner of grid(2,2,2): 13 galleries, all optimal.  Solving
+        # every candidate took 13 full chain solves; the first one certifies.
+        x, y = Point.make(0), Point.make(0b111111)
+        assert len(sv.enumerate_galleries(grid222, x, y)) == 13
+        calls = {"full": 0, "screen": 0}
+        solve = sv.optimize_breakpoints
+
+        def counted(*args, **kwargs):
+            calls["screen" if kwargs.get("max_sweeps") is not None else "full"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sv, "optimize_breakpoints", counted)
+        for p in (1.5, 2.0, 3.0):
+            calls.update(full=0, screen=0)
+            path = sv.geodesic(grid222, x, y, p)
+            assert path.length == pytest.approx(2 * 3 ** (1 / p), abs=1e-12)
+            assert calls == {"full": 1, "screen": 1}
+
     def test_hyperplane_discipline(self, grid222, corner):
         # the chosen gallery never re-enters a dropped hyperplane
         rng = np.random.default_rng(50)
@@ -321,6 +351,22 @@ class TestNoShortcut:
             should_pass = ax2 ** p + by1 ** p <= 1.0
             assert all(rep.no_shortcut_ok) == should_pass, (ax2, by1)
 
+    @pytest.mark.parametrize("p", [1.05, 2.0, 3.0, 64.0])
+    def test_submask_norms_match_lp_norm(self, p):
+        # the margins take the factor norms in float arithmetic; lp_norm on
+        # the sub-vector is the reference, equal up to summation order
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            vec = rng.uniform(-1.0, 1.0, size=6) * 10.0 ** rng.integers(-8, 1, size=6)
+            mask = int(rng.integers(64))
+            norms = sv._submask_norms(vec, mask, p)
+            assert len(norms) == 2 ** bin(mask).count("1")
+            for sub, value in norms.items():
+                assert not sub & ~mask
+                idx = [b for b in range(6) if sub >> b & 1]
+                assert value == pytest.approx(sv.lp_norm(vec[idx], p) if idx else 0.0,
+                                              rel=8 * np.finfo(float).eps, abs=0.0)
+
     def test_solver_outputs_pass(self, corner, grid222, scb):
         rng = np.random.default_rng(70)
         count = 0
@@ -385,12 +431,56 @@ class TestUniquenessAndLocality:
                 assert sv.path_sup_distance(path, ref) < 1e-7
             assert max(lengths) - min(lengths) < 1e-9
 
-    def test_optimal_galleries_agree(self, grid222):
-        rng = np.random.default_rng(91)
-        for _ in range(10):
-            x = random_point(grid222, rng)
-            y = random_point(grid222, rng)
-            sv.geodesic(grid222, x, y, 2.0)  # raises UniquenessViolation on failure
+    @staticmethod
+    def _pairs():
+        # fixed-seed pairs joined by more than one gallery on every fixture
+        # that has them, a third of the endpoints vertices
+        fixtures = (cc.hypercube(2), cc.hypercube(3), cc.corner_complex(),
+                    cc.square_cube_book(), cc.grid(2, 2, 2), cc.grid(12, 1, 0),
+                    cc.book_of_squares(2))
+        for j, cx in enumerate(fixtures):
+            rng = np.random.default_rng([91, j])
+            verts = sorted(cx.vertices)
+            kept = 0
+            for _ in range(400):
+                x, y = (Point.make(verts[int(rng.integers(len(verts)))])
+                        if rng.random() < 1 / 3 else random_point(cx, rng)
+                        for _ in range(2))
+                if cx.minimal_cube_pair(x, y) is None and \
+                        len(sv.enumerate_galleries(cx, x, y)) > 1:
+                    yield cx, x, y, (1.5, 2.0, 3.0)[kept % 3]
+                    kept += 1
+                    if kept == 24:
+                        break
+
+    def test_optimal_galleries_agree(self):
+        # the search stops at the first certified path, so compare it here
+        # with the optimum of every gallery: it is the least, and every
+        # gallery tied with it is the same path
+        pairs = 0
+        for cx, x, y, p in self._pairs():
+            path = sv.geodesic(cx, x, y, p)
+            assert sv.check_local_geodesic(cx, path, tol=1e-8).all_ok, (x, y, p)
+            solved = [sv.optimize_breakpoints(cx, g, x, y, p)
+                      for g in sv.enumerate_galleries(cx, x, y)]
+            least = min(s.length for s in solved)
+            assert abs(path.length - least) <= 1e-12, (x, y, p)
+            for s in solved:
+                if s.converged and s.length <= least + 1e-11:
+                    assert sv.path_sup_distance(s, path) <= sv.UNIQUENESS_SUP, (x, y, p)
+            pairs += 1
+        assert pairs >= 30
+
+    def test_uncertified_search_returns_the_same_length(self, monkeypatch):
+        # with every no-shortcut margin failing, no candidate certifies and the
+        # search falls back to ranking every gallery it could not prune
+        certified = {(x, y, p): sv.geodesic(cx, x, y, p).length for cx, x, y, p in self._pairs()}
+        margins = sv._no_shortcut_margins
+        monkeypatch.setattr(sv, "_no_shortcut_margins", lambda cx, path, data: [
+            (m - 1.0, c) for m, c in margins(cx, path, data)])
+        for cx, x, y, p in self._pairs():
+            length = sv.geodesic(cx, x, y, p).length
+            assert abs(length - certified[x, y, p]) <= 1e-12, (x, y, p)
 
     def test_fault_injection_longer_or_fails(self, grid222):
         rng = np.random.default_rng(92)
