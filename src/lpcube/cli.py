@@ -208,7 +208,7 @@ def cmd_oracle(args) -> int:
     y = _parse_point(cx, args.to)
     path = solver.geodesic(cx, x, y, p, args.tol)
     upper = oracle.oracle_distance(cx, x, y, p, args.eps)
-    certified = oracle.certify_path(cx, path, args.eps)
+    certified = oracle.upper_bound_agrees(path, upper, args.eps)
     obj = {"p": p, "eps": args.eps, "oracle": upper, "solver": path.length,
            "gap": upper - path.length, "certified": certified}
     _emit(args, obj,

@@ -53,7 +53,7 @@ from .errors import (
     ScaleExceeded,
     UniquenessViolation,
 )
-from .geometry import box_clamp_distance, check_p, distance_lower_bound, lp_norm
+from .geometry import check_p, distance_lower_bound, lp_norm
 
 GALLERY_CAP = 100_000
 MERGE_TOL = 1e-12           # segments shorter than this are collapsed
@@ -581,6 +581,35 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
 # -- the geodesic -------------------------------------------------------------
 
 
+def _face_bounds(complex: CubeComplex, galleries: Sequence[Gallery], x: Point,
+                 y: Point, p: float) -> dict[tuple, float]:
+    """Per gallery key: a lower bound on the length of its paths.
+
+    A path through a face is at least as long as the lp distances of x and y
+    to that face, and, as in ``distance_lower_bound``, as their l1 distances
+    over d_max^(1 - 1/p).  The endpoints lie in [0, 1]^n, so a distance to a
+    face comes from the face's fixed axes alone.  Each distinct face is
+    measured once.
+    """
+    n = len(complex.hyperplanes)
+    ends = np.stack((x.ambient(n), y.ambient(n)))
+    dmax = max((q.dim for q in complex.maximal_cubes()), default=1)
+    l1_factor = 1.0 if dmax <= 1 else dmax ** (1.0 - 1.0 / p)
+    gallery_faces = [g.faces() for g in galleries]
+    faces = list({f for fs in gallery_faces for f in fs})
+    free = np.array([[f.mask >> i & 1 for i in range(n)] for f in faces],
+                    dtype=bool).reshape(len(faces), n)
+    sides = np.array([[f.corner >> i & 1 for i in range(n)] for f in faces],
+                     dtype=float).reshape(len(faces), n)
+    gaps = np.where(free, 0.0, np.abs(ends[:, None, :] - sides))     # endpoint x face x axis
+    l1 = (np.cumsum(gaps, axis=2)[:, :, -1].sum(axis=0) / l1_factor).tolist()  # axis order
+    bound = {f: max(lp_norm(gx, p) + lp_norm(gy, p), b)
+             for f, gx, gy, b in zip(faces, gaps[0], gaps[1], l1)}
+    lb0 = distance_lower_bound(complex, x, y, p)
+    return {g.key(): max([lb0] + [bound[f] for f in fs])
+            for g, fs in zip(galleries, gallery_faces)}
+
+
 def geodesic(complex: CubeComplex, x: Point, y: Point, p: float,
              tol: float = DEFAULT_TOL) -> PiecewisePath:
     """The unique lp geodesic from x to y, as a constant-speed piecewise path."""
@@ -595,34 +624,8 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float,
         raise ValueError("no gallery connects the two points")
     if len(galleries) == 1:
         return _select([optimize_breakpoints(complex, galleries[0], x, y, p, tol)], tol)
-    n = len(complex.hyperplanes)
-    xa = x.ambient(n)
-    ya = y.ambient(n)
-
-    dmax = max((q.dim for q in complex.maximal_cubes()), default=1)
-    l1_factor = 1.0 if dmax <= 1 else dmax ** (1.0 - 1.0 / p)
-
-    def face_gap(vec: np.ndarray, f: CubeRef) -> tuple[float, float]:
-        lp_gap = box_clamp_distance(vec, f, n, p)
-        l1_gap = 0.0
-        for i in range(n):
-            bit = 1 << i
-            if f.mask & bit:
-                continue
-            side = 1.0 if f.corner & bit else 0.0
-            l1_gap += abs(vec[i] - side)
-        return lp_gap, l1_gap
-
-    def lower_bound(g: Gallery, lb: float) -> float:
-        for f in g.faces():
-            xa_lp, xa_l1 = face_gap(xa, f)
-            ya_lp, ya_l1 = face_gap(ya, f)
-            lb = max(lb, xa_lp + ya_lp, (xa_l1 + ya_l1) / l1_factor)
-        return lb
-
     margin = max(tol, UNIQUENESS_SUP)
-    lb0 = distance_lower_bound(complex, x, y, p)
-    bounds = {g.key(): lower_bound(g, lb0) for g in galleries}
+    bounds = _face_bounds(complex, galleries, x, y, p)
     untried = sorted(galleries, key=lambda g: (bounds[g.key()], g.key()))
     # a certified path ends the search; one that fails no-shortcut can be
     # shortened through its most violated corner cube, which picks the next

@@ -40,14 +40,6 @@ def book2():
     return cc.book_of_squares(2)
 
 
-def random_point(cx: CubeComplex, rng: np.random.Generator, margin=0.02) -> Point:
-    cubes = cx.maximal_cubes()
-    ref = cubes[int(rng.integers(len(cubes)))]
-    coords = {i: float(rng.uniform(margin, 1 - margin))
-              for i in range(len(cx.hyperplanes)) if ref.mask >> i & 1}
-    return Point.make(ref.corner, coords)
-
-
 def build_wedge_instance(seed: int):
     """Seeded random staircase wedge: (complex, x, v=0, y, k_built).
 

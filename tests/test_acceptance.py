@@ -16,10 +16,11 @@ from lpcube import complexes as cc
 from lpcube import decomposition as dc
 from lpcube import oracle as orc
 from lpcube import solver as sv
+from lpcube.analysis import sample_point
 from lpcube.complexes import Point
 from lpcube.geometry import power_map
 
-from conftest import build_wedge_instance, random_point
+from conftest import build_wedge_instance
 
 P_CYCLE = (1.5, 2.0, 3.0)
 
@@ -140,8 +141,8 @@ def test_criterion_05_local_condition_soundness(wedge_geodesics):
     g = cc.grid(2, 2, 2)
     for trial in range(40):
         trng = np.random.default_rng([77, trial])
-        x = random_point(g, trng)
-        y = random_point(g, trng)
+        x = sample_point(g, trng)
+        y = sample_point(g, trng)
         path = sv.geodesic(g, x, y, 2.0)
         if len(path.breaks) < 3 or not path.breaks[1].coords:
             continue
@@ -169,16 +170,16 @@ def test_criterion_06_uniqueness(scb, corner, grid222, book2, cube3, rect):
     solves = 0
     for cx in (scb, corner, grid222, book2, cube3, rect):
         for _ in range(12):
-            x = random_point(cx, rng)
-            y = random_point(cx, rng)
+            x = sample_point(cx, rng)
+            y = sample_point(cx, rng)
             path = sv.geodesic(cx, x, y, float(rng.choice(P_CYCLE)))
             assert sv.check_local_geodesic(cx, path, tol=1e-8).all_ok
             solves += 1
     # (b) three-cube configurations: restarts converge to one optimum
     rng = np.random.default_rng(512)
     for p in P_CYCLE:
-        x = random_point(scb, rng)
-        y = random_point(scb, rng)
+        x = sample_point(scb, rng)
+        y = sample_point(scb, rng)
         ref = sv.geodesic(scb, x, y, p)
         n = len(scb.hyperplanes)
         for _ in range(10):

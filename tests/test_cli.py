@@ -5,6 +5,7 @@ import pytest
 
 from lpcube import cli
 from lpcube import complexes as cc
+from lpcube import oracle as orc
 from lpcube import solver as sv
 from lpcube.complexes import point_from_obj
 
@@ -130,15 +131,28 @@ class TestSuiteCommand:
 
 
 class TestOracleCommand:
+    ARGV = ["oracle", "--p", "2", "--eps", "0.05", "--json",
+            "--from", "0:a1=0.5,a2=0.5", "--to", "0:b1=0.5,b2=0.5"]
+
     def test_certifies(self, fx_dir, capsys):
-        code, out = run(capsys, ["oracle", "--p", "2", "--eps", "0.05", "--json",
-                                 "--from", "0:a1=0.5,a2=0.5",
-                                 "--to", "0:b1=0.5,b2=0.5",
-                                 str(fx_dir / "corner_complex.json")])
+        code, out = run(capsys, self.ARGV + [str(fx_dir / "corner_complex.json")])
         assert code == 0
         obj = json.loads(out)
         assert obj["certified"]
         assert obj["gap"] >= -1e-9
+
+    def test_builds_one_net(self, fx_dir, capsys, monkeypatch):
+        built = []
+        build_net = orc.build_net
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return build_net(*args, **kwargs)
+
+        monkeypatch.setattr(orc, "build_net", counting)
+        code, _ = run(capsys, self.ARGV + [str(fx_dir / "corner_complex.json")])
+        assert code == 0
+        assert len(built) == 1
 
 
 class TestDecomposeCommand:

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from lpcube import complexes as cc
+from lpcube.analysis import sample_point
 from lpcube.complexes import CubeComplex, CubeRef, Point, cube_intersection, median_of
 from lpcube.errors import Disconnected, NotMedian, ParseError, ScaleExceeded
 from lpcube.geometry import lp_norm
-
-from conftest import random_point
 
 
 def brute_median_closed(vertices):
@@ -129,8 +128,8 @@ class TestCubes:
             rng = np.random.default_rng(11)
             cubes = cx.all_cubes()
             for _ in range(60):
-                x = random_point(cx, rng)
-                y = random_point(cx, rng)
+                x = sample_point(cx, rng)
+                y = sample_point(cx, rng)
                 got = cx.minimal_cube_pair(x, y)
                 containing = [q for q in cubes
                               if q.contains_cube(x.minimal_cube())
@@ -177,8 +176,8 @@ class TestHulls:
         rng = np.random.default_rng(5)
         for cx in (corner, grid222, scb):
             for _ in range(12):
-                x = random_point(cx, rng)
-                y = random_point(cx, rng)
+                x = sample_point(cx, rng)
+                y = sample_point(cx, rng)
                 seeds = set(x.minimal_cube().corners()) | set(y.minimal_cube().corners())
                 expected = brute_interval_hull(cx.vertices, seeds)
                 got = cx.convex_hull_vertices(seeds)
@@ -187,7 +186,7 @@ class TestHulls:
     def test_closure_operator(self, grid222):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            pts = [random_point(grid222, rng) for _ in range(2)]
+            pts = [sample_point(grid222, rng) for _ in range(2)]
             sub = grid222.hull_restriction(pts)
             seeds1 = set()
             for p in pts:
@@ -198,7 +197,7 @@ class TestHulls:
             # extensive
             assert seeds1 <= h1
             # monotone: adding a seed point can only grow the hull
-            extra = random_point(grid222, rng)
+            extra = sample_point(grid222, rng)
             seeds2 = seeds1 | set(extra.minimal_cube().corners())
             assert h1 <= grid222.convex_hull_vertices(seeds2)
 
@@ -240,8 +239,8 @@ class TestSplitHull:
         n = len(book2.hyperplanes)
         for p in (1.5, 2.0, 3.0, 64.0):
             for _ in range(8):
-                a = random_point(book2, rng)
-                b = random_point(book2, rng)
+                a = sample_point(book2, rng)
+                b = sample_point(book2, rng)
                 total = sv.distance(book2, a, b, p)
                 da = np.abs(a.ambient(n)[0] - b.ambient(n)[0])  # spine coordinate
                 ya = y.project_point(a)
@@ -302,7 +301,7 @@ class TestPoints:
     def test_ambient_round_trip(self, scb):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            p = random_point(scb, rng)
+            p = sample_point(scb, rng)
             vec = p.ambient(len(scb.hyperplanes))
             back = cc.point_from_ambient(vec, p.minimal_cube())
             assert back == p

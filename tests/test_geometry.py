@@ -8,8 +8,6 @@ from lpcube import geometry as geo
 from lpcube.complexes import Point
 from lpcube.errors import NoCommonCube
 
-from conftest import random_point
-
 
 class TestLpNorm:
     def test_345(self):

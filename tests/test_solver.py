@@ -6,10 +6,12 @@ import pytest
 from lpcube import analysis as an
 from lpcube import complexes as cc
 from lpcube import solver as sv
+from lpcube.analysis import sample_point
 from lpcube.complexes import CubeRef, Point
 from lpcube.errors import ScaleExceeded
+from lpcube.geometry import box_clamp_distance, distance_lower_bound
 
-from conftest import build_wedge_instance, random_point
+from conftest import build_wedge_instance
 
 
 def scb_break_root(p):
@@ -64,8 +66,8 @@ class TestEnumerateGalleries:
     def test_gallery_invariants(self, grid222):
         rng = np.random.default_rng(17)
         for _ in range(10):
-            x = random_point(grid222, rng)
-            y = random_point(grid222, rng)
+            x = sample_point(grid222, rng)
+            y = sample_point(grid222, rng)
             for g in sv.enumerate_galleries(grid222, x, y):
                 assert g.cubes[0].contains_cube(x.minimal_cube())
                 assert g.cubes[-1].contains_cube(y.minimal_cube())
@@ -138,8 +140,8 @@ class TestGeodesic:
     def test_affine_in_one_cube(self, cube3):
         rng = np.random.default_rng(40)
         for p in (1.5, 2.0, 3.0):
-            x = random_point(cube3, rng)
-            y = random_point(cube3, rng)
+            x = sample_point(cube3, rng)
+            y = sample_point(cube3, rng)
             path = sv.geodesic(cube3, x, y, p)
             assert len(path.breaks) == 2
             n = 3
@@ -212,13 +214,40 @@ class TestGeodesic:
             assert path.length == pytest.approx(2 * 3 ** (1 / p), abs=1e-12)
             assert calls == {"full": 1, "screen": 1}
 
+    def test_face_bounds_match_box_clamping(self, grid222):
+        # the candidate-ordering bounds equal, to the last bit, the per-face,
+        # per-coordinate box clamping and l1 sums they are computed from
+        rng = np.random.default_rng(61)
+        n = len(grid222.hyperplanes)
+        multi = 0
+        for _ in range(12):
+            x = sample_point(grid222, rng)
+            y = sample_point(grid222, rng)
+            galleries = sv.enumerate_galleries(grid222, x, y)
+            multi += len(galleries) > 1
+            for p in (1.5, 2.0, 3.0):
+                bounds = sv._face_bounds(grid222, galleries, x, y, p)
+                for g in galleries:
+                    want = distance_lower_bound(grid222, x, y, p)
+                    for f in g.faces():
+                        lp, l1 = [], []
+                        for vec in (x.ambient(n), y.ambient(n)):
+                            lp.append(box_clamp_distance(vec, f, n, p))
+                            l1.append(0.0)
+                            for i in range(n):
+                                if not f.mask >> i & 1:
+                                    l1[-1] += abs(vec[i] - float(f.corner >> i & 1))
+                        want = max(want, lp[0] + lp[1], (l1[0] + l1[1]) / 3 ** (1 - 1 / p))
+                    assert bounds[g.key()] == want
+        assert multi >= 3
+
     def test_hyperplane_discipline(self, grid222, corner):
         # the chosen gallery never re-enters a dropped hyperplane
         rng = np.random.default_rng(50)
         for cx in (grid222, corner):
             for _ in range(15):
-                x = random_point(cx, rng)
-                y = random_point(cx, rng)
+                x = sample_point(cx, rng)
+                y = sample_point(cx, rng)
                 path = sv.geodesic(cx, x, y, 2.0)
                 dropped = 0
                 prev = None
@@ -282,8 +311,8 @@ class TestBicombing:
         for cx in (corner, grid222):
             n = len(cx.hyperplanes)
             for _ in range(8):
-                x = random_point(cx, rng)
-                y = random_point(cx, rng)
+                x = sample_point(cx, rng)
+                y = sample_point(cx, rng)
                 for t in (0.25, 0.5, 0.8):
                     a = sv.bicombing(cx, x, y, t, 2.0)
                     b = sv.bicombing(cx, y, x, 1.0 - t, 2.0)
@@ -372,8 +401,8 @@ class TestNoShortcut:
         count = 0
         for cx in (corner, grid222, scb):
             for _ in range(34):
-                x = random_point(cx, rng)
-                y = random_point(cx, rng)
+                x = sample_point(cx, rng)
+                y = sample_point(cx, rng)
                 p = float(rng.choice([1.5, 2.0, 3.0]))
                 path = sv.geodesic(cx, x, y, p)
                 # both local conditions: a break pair merged although pulling
@@ -393,8 +422,8 @@ class TestUniquenessAndLocality:
         d, ysub = book2.split_hull(sq1, sq2)
         rng = np.random.default_rng(80)
         for p in (1.5, 2.0, 3.0):
-            x = random_point(book2, rng)
-            y = random_point(book2, rng)
+            x = sample_point(book2, rng)
+            y = sample_point(book2, rng)
             path = sv.geodesic(book2, x, y, p)
             # Y-projection: polyline through the projected breaks
             ybreaks = [ysub.project_point(b) for b in path.breaks]
@@ -409,8 +438,8 @@ class TestUniquenessAndLocality:
         # strict convexity: random restarts converge to one optimum
         rng = np.random.default_rng(90)
         for p in (1.5, 2.0, 3.0):
-            x = random_point(scb, rng)
-            y = random_point(scb, rng)
+            x = sample_point(scb, rng)
+            y = sample_point(scb, rng)
             ref = sv.geodesic(scb, x, y, p)
             gallery = ref.gallery
             lengths = []
@@ -444,7 +473,7 @@ class TestUniquenessAndLocality:
             kept = 0
             for _ in range(400):
                 x, y = (Point.make(verts[int(rng.integers(len(verts)))])
-                        if rng.random() < 1 / 3 else random_point(cx, rng)
+                        if rng.random() < 1 / 3 else sample_point(cx, rng)
                         for _ in range(2))
                 if cx.minimal_cube_pair(x, y) is None and \
                         len(sv.enumerate_galleries(cx, x, y)) > 1:
@@ -486,8 +515,8 @@ class TestUniquenessAndLocality:
         rng = np.random.default_rng(92)
         hits = 0
         for _ in range(10):
-            x = random_point(grid222, rng)
-            y = random_point(grid222, rng)
+            x = sample_point(grid222, rng)
+            y = sample_point(grid222, rng)
             path = sv.geodesic(grid222, x, y, 2.0)
             if len(path.breaks) < 3:
                 continue
