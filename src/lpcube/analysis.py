@@ -1,9 +1,13 @@
 """Sampled verification suites for the metric inequalities, p-sweeps, and the
 two closed-form worked examples (rank-4 lattice minimizer, decagon angle).
 
-Every suite is deterministic given (seed, n_samples): sample i draws from the
-substream default_rng([seed, i]) regardless of evaluation order, and the worst
-witness is serialized so it can be replayed to the same margin.
+Each suite is a sampler and a margin.  The sampler draws named points from an
+rng (rejection sampling included); the margin evaluates the inequality's slack
+on those points, negative when it fails.  One driver runs a suite: sample i
+draws from the substream default_rng([seed, i]) regardless of evaluation
+order, and the first strictly worst sample is serialized as the witness.
+``replay_witness`` calls the same margin on the deserialized points, so a
+replay reproduces the run's margin exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .complexes import CubeComplex, Point, point_from_ambient, point_from_obj, point_to_obj
-from .errors import InsufficientDiameter
+from .errors import InsufficientDiameter, PreconditionViolated
 from .geometry import check_p, distance_lower_bound, lp_norm
 from .solver import DEFAULT_TOL, PiecewisePath, distance, geodesic
 from .solver import bicombing as _bicombing
@@ -57,7 +61,7 @@ def default_convexity_constant(p: float) -> float:
 
 def default_smoothness_constant(p: float) -> float:
     if p < 2.0:
-        raise ValueError("the smoothness constant (p-1)^2/4 requires p >= 2")
+        raise PreconditionViolated("the smoothness constant (p-1)^2/4 requires p >= 2")
     return (p - 1.0) ** 2 / 4.0
 
 
@@ -77,77 +81,111 @@ def sample_point(complex: CubeComplex, rng: np.random.Generator,
     return Point.make(ref.corner, coords)
 
 
-def _worst(report_state: dict, margin: float, witness: dict) -> None:
-    if margin < report_state["worst"]:
-        report_state["worst"] = margin
-        report_state["witness"] = witness
+def _check_constants(p: float, n_samples: int, *, r: float = None, R: float = None,
+                     delta: float = None, k: float = None) -> None:
+    """Reject a suite's arguments before any sampling or derived constant."""
+    check_p(p, smooth=True)
+    if n_samples < 1:
+        raise PreconditionViolated(f"need at least one sample, got {n_samples}")
+    if r is not None and not r > 0:
+        raise PreconditionViolated(f"r must be positive, got {r}")
+    if delta is not None and not delta > 0:
+        raise PreconditionViolated(f"delta must be positive, got {delta}")
+    if k is not None and not 0 < k < 1:
+        raise PreconditionViolated(f"k must lie in (0, 1), got {k}")
+    if R is not None and not R >= 2 * r:
+        raise PreconditionViolated(f"R must be at least 2r = {2 * r}, got {R}")
 
 
-def _finish(name: str, n: int, state: dict, tol: float, constants: dict) -> CheckReport:
-    worst = state["worst"] if state["worst"] != math.inf else 0.0
-    return CheckReport(name, n, state["violations"], worst, state["witness"], constants)
+def _drive(complex: CubeComplex, name: str, sample: Callable, margin: Callable,
+           n_samples: int, c: dict, witness_keys: Sequence[str]) -> CheckReport:
+    """Run one suite and keep the first strictly worst sample as the witness.
+
+    ``c`` is the report's constants_used, with "tol" and "seed".
+    ``sample(complex, rng, c)`` returns the named points and
+    ``margin(complex, c, **points)`` their margin, or for Busemann a (margin,
+    extra witness entries) pair.  The witness holds the suite name, the
+    constants named by ``witness_keys``, the sample index and the points.
+    """
+    violations, worst, witness = 0, math.inf, None
+    for i in range(n_samples):
+        points = sample(complex, _rng(c["seed"], i), c)
+        value = margin(complex, c, **points)
+        value, extra = value if isinstance(value, tuple) else (value, {})
+        if value < -c["tol"]:
+            violations += 1
+        if value < worst:
+            worst = value
+            witness = {"suite": name, **{key: c[key] for key in witness_keys}, "index": i,
+                       **extra, **{key: point_to_obj(complex, pt) for key, pt in points.items()}}
+    return CheckReport(name, n_samples, violations, worst if worst != math.inf else 0.0,
+                       witness, c)
+
+
+def _uniform_points(*names: str) -> Callable:
+    """Sampler drawing each named point with sample_point, in order."""
+    return lambda complex, rng, c: {key: sample_point(complex, rng) for key in names}
 
 
 # -- convexity-style suites ----------------------------------------------------
+
+
+def _midpoint_margin(complex: CubeComplex, c: dict, x: Point, y: Point,
+                     y2: Point) -> float:
+    p = c["p"]
+    m1 = _bicombing(complex, x, y, 0.5, p)
+    m2 = _bicombing(complex, x, y2, 0.5, p)
+    return c["scale"] * (0.5 * distance(complex, y, y2, p) - distance(complex, m1, m2, p))
 
 
 def midpoint_convexity_suite(complex: CubeComplex, p: float, n_samples: int,
                              seed: int, tol: float = SUITE_TOL,
                              scale: float = 1.0) -> CheckReport:
     """d(mid(x,y), mid(x,y')) <= d(y,y')/2 on sampled triples."""
-    check_p(p, smooth=True)
-    state = {"worst": math.inf, "witness": None, "violations": 0}
-    for i in range(n_samples):
-        rng = _rng(seed, i)
-        x, y, y2 = (sample_point(complex, rng) for _ in range(3))
-        m1 = _bicombing(complex, x, y, 0.5, p)
-        m2 = _bicombing(complex, x, y2, 0.5, p)
-        margin = scale * (0.5 * distance(complex, y, y2, p)
-                          - distance(complex, m1, m2, p))
-        if margin < -tol:
-            state["violations"] += 1
-        _worst(state, margin, {
-            "suite": "midpoint", "p": p, "scale": scale, "index": i,
-            "x": point_to_obj(complex, x), "y": point_to_obj(complex, y),
-            "y2": point_to_obj(complex, y2),
-        })
-    return _finish("midpoint", n_samples, state, tol,
-                   {"p": p, "tol": tol, "scale": scale, "seed": seed})
+    _check_constants(p, n_samples)
+    return _drive(complex, "midpoint", _uniform_points("x", "y", "y2"), _midpoint_margin,
+                  n_samples, {"p": p, "tol": tol, "scale": scale, "seed": seed},
+                  ("p", "scale"))
+
+
+def _busemann_margin(complex: CubeComplex, c: dict, x: Point, y: Point, x2: Point,
+                     y2: Point) -> tuple[float, dict]:
+    """The worst margin over c["t_values"], with the t that attains it."""
+    p = c["p"]
+    s1 = geodesic(complex, x, y, p)
+    s2 = geodesic(complex, x2, y2, p)
+    dx = distance(complex, x, x2, p)
+    dy = distance(complex, y, y2, p)
+    worst, worst_t = math.inf, None
+    for t in c["t_values"]:
+        bound = (1 - t) * dx + t * dy
+        m = c["scale"] * (bound - distance(complex, s1.evaluate(t), s2.evaluate(t), p))
+        if m < worst:
+            worst, worst_t = m, t
+    return worst, {"t": worst_t}
 
 
 def busemann_suite(complex: CubeComplex, p: float, n_samples: int, seed: int,
                    tol: float = SUITE_TOL, t_values: Sequence[float] = None,
                    scale: float = 1.0) -> CheckReport:
     """d(s1(t), s2(t)) <= (1-t) d(x,x') + t d(y,y') on sampled quadruples."""
-    check_p(p, smooth=True)
+    _check_constants(p, n_samples)
     if t_values is None:
         t_values = [i / 10 for i in range(1, 10)]
-    state = {"worst": math.inf, "witness": None, "violations": 0}
-    for i in range(n_samples):
-        rng = _rng(seed, i)
-        x, y, x2, y2 = (sample_point(complex, rng) for _ in range(4))
-        s1 = geodesic(complex, x, y, p)
-        s2 = geodesic(complex, x2, y2, p)
-        dx = distance(complex, x, x2, p)
-        dy = distance(complex, y, y2, p)
-        sample_worst = math.inf
-        worst_t = None
-        for t in t_values:
-            bound = (1 - t) * dx + t * dy
-            val = distance(complex, s1.evaluate(t), s2.evaluate(t), p)
-            m = scale * (bound - val)
-            if m < sample_worst:
-                sample_worst, worst_t = m, t
-        if sample_worst < -tol:
-            state["violations"] += 1
-        _worst(state, sample_worst, {
-            "suite": "busemann", "p": p, "scale": scale, "index": i, "t": worst_t,
-            "x": point_to_obj(complex, x), "y": point_to_obj(complex, y),
-            "x2": point_to_obj(complex, x2), "y2": point_to_obj(complex, y2),
-        })
-    return _finish("busemann", n_samples, state, tol,
-                   {"p": p, "tol": tol, "scale": scale, "seed": seed,
-                    "t_values": list(t_values)})
+    return _drive(complex, "busemann", _uniform_points("x", "y", "x2", "y2"),
+                  _busemann_margin, n_samples,
+                  {"p": p, "tol": tol, "scale": scale, "seed": seed,
+                   "t_values": list(t_values)}, ("p", "scale"))
+
+
+def _uniform_convexity_margin(complex: CubeComplex, c: dict, x: Point, y: Point,
+                              z: Point) -> float:
+    p, q = c["p"], c["q"]
+    m = _bicombing(complex, y, z, 0.5, p)
+    return c["scale"] ** q * (0.5 * distance(complex, x, y, p) ** q
+                              + 0.5 * distance(complex, x, z, p) ** q
+                              - c["k"] * distance(complex, y, z, p) ** q
+                              - distance(complex, x, m, p) ** q)
 
 
 def uniform_convexity_suite(complex: CubeComplex, p: float, k: Optional[float],
@@ -159,30 +197,13 @@ def uniform_convexity_suite(complex: CubeComplex, p: float, k: Optional[float],
     uniformly convex only for p >= 2 and power-type-2 below (no constant
     makes the p-power form true for p < 2, as the modulus is quadratic).
     """
-    check_p(p, smooth=True)
     if k is None:
         k = default_convexity_constant(p)
-    q = max(p, 2.0)
-    state = {"worst": math.inf, "witness": None, "violations": 0}
-    sq = scale ** q
-    for i in range(n_samples):
-        rng = _rng(seed, i)
-        x, y, z = (sample_point(complex, rng) for _ in range(3))
-        m = _bicombing(complex, y, z, 0.5, p)
-        margin = sq * (0.5 * distance(complex, x, y, p) ** q
-                       + 0.5 * distance(complex, x, z, p) ** q
-                       - k * distance(complex, y, z, p) ** q
-                       - distance(complex, x, m, p) ** q)
-        if margin < -tol:
-            state["violations"] += 1
-        _worst(state, margin, {
-            "suite": "uniform_convexity", "p": p, "k": k, "q": q, "scale": scale,
-            "index": i,
-            "x": point_to_obj(complex, x), "y": point_to_obj(complex, y),
-            "z": point_to_obj(complex, z),
-        })
-    return _finish("uniform_convexity", n_samples, state, tol,
-                   {"p": p, "k": k, "q": q, "tol": tol, "scale": scale, "seed": seed})
+    _check_constants(p, n_samples, k=k)
+    return _drive(complex, "uniform_convexity", _uniform_points("x", "y", "z"),
+                  _uniform_convexity_margin, n_samples,
+                  {"p": p, "k": k, "q": max(p, 2.0), "tol": tol, "scale": scale,
+                   "seed": seed}, ("p", "k", "q", "scale"))
 
 
 # -- smoothness / bolicity suites ----------------------------------------------
@@ -222,42 +243,39 @@ def _nearby_point(complex: CubeComplex, rng: np.random.Generator, center: Point,
     return point_from_ambient(vec, ref)
 
 
+def _smoothness_sample(complex: CubeComplex, rng: np.random.Generator,
+                       c: dict) -> dict:
+    """A pair y, z at distance at least R and x within r of y."""
+    p = c["p"]
+    for _ in range(MAX_REJECTS):
+        y = sample_point(complex, rng)
+        z = sample_point(complex, rng)
+        if distance_lower_bound(complex, y, z, p) >= c["R"]:
+            return {"x": _nearby_point(complex, rng, y, c["r"], p), "y": y, "z": z}
+    raise InsufficientDiameter("could not sample a pair at distance R")
+
+
+def _smoothness_margin(complex: CubeComplex, c: dict, x: Point, y: Point,
+                       z: Point) -> float:
+    p = c["p"]
+    allowance = c["C"] * c["r"] * c["r"] / c["R"]
+    m = _bicombing(complex, y, z, 0.5, p)
+    return (distance(complex, x, z, p) - 0.5 * distance(complex, y, z, p)
+            + allowance - distance(complex, x, m, p))
+
+
 def uniform_smoothness_suite(complex: CubeComplex, p: float, C: Optional[float],
                              r: float, R: float, n_samples: int, seed: int,
                              tol: float = SUITE_TOL) -> CheckReport:
     """d(x, mid(y,z)) <= d(x,z) - d(y,z)/2 + C r^2 / R over stretched triples."""
-    check_p(p, smooth=True)
+    _check_constants(p, n_samples, r=r, R=R)
     if C is None:
         C = default_smoothness_constant(p)
-    if R < 2 * r:
-        raise ValueError("R must be at least 2r")
     if _diameter_lower_bound(complex, p) < R:
         raise InsufficientDiameter(f"complex cannot realize d(y,z) >= {R}")
-    state = {"worst": math.inf, "witness": None, "violations": 0}
-    allowance = C * r * r / R
-    for i in range(n_samples):
-        rng = _rng(seed, i)
-        y = z = None
-        for _ in range(MAX_REJECTS):
-            y = sample_point(complex, rng)
-            z = sample_point(complex, rng)
-            if distance_lower_bound(complex, y, z, p) >= R:
-                break
-        else:
-            raise InsufficientDiameter("could not sample a pair at distance R")
-        x = _nearby_point(complex, rng, y, r, p)
-        m = _bicombing(complex, y, z, 0.5, p)
-        margin = (distance(complex, x, z, p) - 0.5 * distance(complex, y, z, p)
-                  + allowance - distance(complex, x, m, p))
-        if margin < -tol:
-            state["violations"] += 1
-        _worst(state, margin, {
-            "suite": "uniform_smoothness", "p": p, "C": C, "r": r, "R": R, "index": i,
-            "x": point_to_obj(complex, x), "y": point_to_obj(complex, y),
-            "z": point_to_obj(complex, z),
-        })
-    return _finish("uniform_smoothness", n_samples, state, tol,
-                   {"p": p, "C": C, "r": r, "R": R, "tol": tol, "seed": seed})
+    return _drive(complex, "uniform_smoothness", _smoothness_sample, _smoothness_margin,
+                  n_samples, {"p": p, "C": C, "r": r, "R": R, "tol": tol, "seed": seed},
+                  ("p", "C", "r", "R"))
 
 
 def b1_witness_radius(delta: float, r: float, C: float) -> float:
@@ -265,46 +283,44 @@ def b1_witness_radius(delta: float, r: float, C: float) -> float:
     return max(2.0 * C * r * r / delta, 2.0 * r)
 
 
+def _b1_sample(complex: CubeComplex, rng: np.random.Generator, c: dict) -> dict:
+    """a, b at distance at least R + 2r and a2, b2 within r of them, with every
+    cross pair at distance at least R."""
+    p, r, R = c["p"], c["r"], c["R"]
+    for _ in range(MAX_REJECTS):
+        a = sample_point(complex, rng)
+        b = sample_point(complex, rng)
+        if distance_lower_bound(complex, a, b, p) < R + 2 * r:
+            continue
+        a2 = _nearby_point(complex, rng, a, r, p)
+        b2 = _nearby_point(complex, rng, b, r, p)
+        if all(distance_lower_bound(complex, u, w, p) >= R
+               for u, w in ((a, b), (a2, b2), (a, b2), (a2, b))):
+            return {"a": a, "b": b, "a2": a2, "b2": b2}
+    raise InsufficientDiameter("could not sample a B1 quadruple at scale R")
+
+
+def _b1_margin(complex: CubeComplex, c: dict, a: Point, b: Point, a2: Point,
+               b2: Point) -> float:
+    p = c["p"]
+    excess = (distance(complex, a, b, p) + distance(complex, a2, b2, p)
+              - distance(complex, a, b2, p) - distance(complex, a2, b, p))
+    return c["delta"] - excess
+
+
 def bolicity_b1_suite(complex: CubeComplex, p: float, delta: float, r: float,
                       n_samples: int, seed: int, C: Optional[float] = None,
                       tol: float = SUITE_TOL) -> CheckReport:
     """Four-point excess d(a,b)+d(a',b')-d(a,b')-d(a',b) <= delta at scale R."""
-    check_p(p, smooth=True)
+    _check_constants(p, n_samples, r=r, delta=delta)
     if C is None:
         C = default_smoothness_constant(p)
     R = b1_witness_radius(delta, r, C)
     if _diameter_lower_bound(complex, p) < R:
         raise InsufficientDiameter(f"complex cannot realize the scale R = {R}")
-    state = {"worst": math.inf, "witness": None, "violations": 0}
-    for i in range(n_samples):
-        rng = _rng(seed, i)
-        found = False
-        for _ in range(MAX_REJECTS):
-            a = sample_point(complex, rng)
-            b = sample_point(complex, rng)
-            if distance_lower_bound(complex, a, b, p) < R + 2 * r:
-                continue
-            a2 = _nearby_point(complex, rng, a, r, p)
-            b2 = _nearby_point(complex, rng, b, r, p)
-            if all(distance_lower_bound(complex, u, w, p) >= R
-                   for u, w in ((a, b), (a2, b2), (a, b2), (a2, b))):
-                found = True
-                break
-        if not found:
-            raise InsufficientDiameter("could not sample a B1 quadruple at scale R")
-        excess = (distance(complex, a, b, p) + distance(complex, a2, b2, p)
-                  - distance(complex, a, b2, p) - distance(complex, a2, b, p))
-        margin = delta - excess
-        if margin < -tol:
-            state["violations"] += 1
-        _worst(state, margin, {
-            "suite": "bolicity_b1", "p": p, "delta": delta, "r": r, "R": R, "index": i,
-            "a": point_to_obj(complex, a), "b": point_to_obj(complex, b),
-            "a2": point_to_obj(complex, a2), "b2": point_to_obj(complex, b2),
-        })
-    return _finish("bolicity_b1", n_samples, state, tol,
-                   {"p": p, "delta": delta, "r": r, "R": R, "C": C,
-                    "tol": tol, "seed": seed})
+    return _drive(complex, "bolicity_b1", _b1_sample, _b1_margin, n_samples,
+                  {"p": p, "delta": delta, "r": r, "R": R, "C": C, "tol": tol,
+                   "seed": seed}, ("p", "delta", "r", "R"))
 
 
 def b2_threshold(k: float, C: float, p: float) -> float:
@@ -315,91 +331,63 @@ def b2_threshold(k: float, C: float, p: float) -> float:
     return float(math.floor(n_min) + 1)
 
 
+def _b2_sample(complex: CubeComplex, rng: np.random.Generator, c: dict) -> dict:
+    """y, z farther apart than N and x within N of both."""
+    p, N = c["p"], c["N"]
+    for _ in range(MAX_REJECTS):
+        y = sample_point(complex, rng)
+        z = sample_point(complex, rng)
+        if distance_lower_bound(complex, y, z, p) <= N:
+            continue
+        x = sample_point(complex, rng)
+        if distance_lower_bound(complex, x, y, p) > N or \
+           distance_lower_bound(complex, x, z, p) > N:
+            continue
+        if distance(complex, x, y, p) <= N and distance(complex, x, z, p) <= N:
+            return {"x": x, "y": y, "z": z}
+    raise InsufficientDiameter("could not sample a B2 triple around N")
+
+
+def _b2_margin(complex: CubeComplex, c: dict, x: Point, y: Point, z: Point) -> float:
+    m = _bicombing(complex, y, z, 0.5, c["p"])
+    return (c["N"] - c["C"]) - distance(complex, x, m, c["p"])
+
+
 def bolicity_b2_suite(complex: CubeComplex, p: float, k: Optional[float],
                       C: float, n_samples: int, seed: int,
                       tol: float = SUITE_TOL) -> CheckReport:
     """d(x, mid(y,z)) < N - C whenever d(x,y), d(x,z) <= N < d(y,z)."""
-    check_p(p, smooth=True)
     if k is None:
         k = default_convexity_constant(p)
+    _check_constants(p, n_samples, k=k)
     N = b2_threshold(k, C, max(p, 2.0))  # exponent of the convexity type in use
     if _diameter_lower_bound(complex, p) <= N:
         raise InsufficientDiameter(f"complex diameter does not exceed N = {N}")
-    state = {"worst": math.inf, "witness": None, "violations": 0}
-    for i in range(n_samples):
-        rng = _rng(seed, i)
-        found = False
-        for _ in range(MAX_REJECTS):
-            y = sample_point(complex, rng)
-            z = sample_point(complex, rng)
-            if distance_lower_bound(complex, y, z, p) <= N:
-                continue
-            x = sample_point(complex, rng)
-            if distance_lower_bound(complex, x, y, p) > N or \
-               distance_lower_bound(complex, x, z, p) > N:
-                continue
-            if distance(complex, x, y, p) <= N and distance(complex, x, z, p) <= N:
-                found = True
-                break
-        if not found:
-            raise InsufficientDiameter("could not sample a B2 triple around N")
-        m = _bicombing(complex, y, z, 0.5, p)
-        margin = (N - C) - distance(complex, x, m, p)
-        if margin < -tol:
-            state["violations"] += 1
-        _worst(state, margin, {
-            "suite": "bolicity_b2", "p": p, "k": k, "C": C, "N": N, "index": i,
-            "x": point_to_obj(complex, x), "y": point_to_obj(complex, y),
-            "z": point_to_obj(complex, z),
-        })
-    return _finish("bolicity_b2", n_samples, state, tol,
-                   {"p": p, "k": k, "C": C, "N": N, "tol": tol, "seed": seed})
+    return _drive(complex, "bolicity_b2", _b2_sample, _b2_margin, n_samples,
+                  {"p": p, "k": k, "C": C, "N": N, "tol": tol, "seed": seed},
+                  ("p", "k", "C", "N"))
+
+
+_MARGINS = {
+    "midpoint": _midpoint_margin,
+    "busemann": _busemann_margin,
+    "uniform_convexity": _uniform_convexity_margin,
+    "uniform_smoothness": _smoothness_margin,
+    "bolicity_b1": _b1_margin,
+    "bolicity_b2": _b2_margin,
+}
 
 
 def replay_witness(complex: CubeComplex, witness: dict) -> float:
-    """Recompute a witness's margin from its serialization."""
+    """Recompute a witness's margin from its serialization, with the suite's margin."""
     suite = witness["suite"]
-    p = witness["p"]
-    pt = lambda key: point_from_obj(complex, witness[key])
-    if suite == "midpoint":
-        x, y, y2 = pt("x"), pt("y"), pt("y2")
-        m1 = _bicombing(complex, x, y, 0.5, p)
-        m2 = _bicombing(complex, x, y2, 0.5, p)
-        return witness["scale"] * (0.5 * distance(complex, y, y2, p)
-                                   - distance(complex, m1, m2, p))
-    if suite == "busemann":
-        x, y, x2, y2 = pt("x"), pt("y"), pt("x2"), pt("y2")
-        t = witness["t"]
-        s1 = geodesic(complex, x, y, p)
-        s2 = geodesic(complex, x2, y2, p)
-        bound = (1 - t) * distance(complex, x, x2, p) + t * distance(complex, y, y2, p)
-        return witness["scale"] * (bound - distance(complex, s1.evaluate(t),
-                                                    s2.evaluate(t), p))
-    if suite == "uniform_convexity":
-        x, y, z = pt("x"), pt("y"), pt("z")
-        q = witness["q"]
-        m = _bicombing(complex, y, z, 0.5, p)
-        return witness["scale"] ** q * (
-            0.5 * distance(complex, x, y, p) ** q
-            + 0.5 * distance(complex, x, z, p) ** q
-            - witness["k"] * distance(complex, y, z, p) ** q
-            - distance(complex, x, m, p) ** q)
-    if suite == "uniform_smoothness":
-        x, y, z = pt("x"), pt("y"), pt("z")
-        m = _bicombing(complex, y, z, 0.5, p)
-        return (distance(complex, x, z, p) - 0.5 * distance(complex, y, z, p)
-                + witness["C"] * witness["r"] ** 2 / witness["R"]
-                - distance(complex, x, m, p))
-    if suite == "bolicity_b1":
-        a, b, a2, b2 = pt("a"), pt("b"), pt("a2"), pt("b2")
-        excess = (distance(complex, a, b, p) + distance(complex, a2, b2, p)
-                  - distance(complex, a, b2, p) - distance(complex, a2, b, p))
-        return witness["delta"] - excess
-    if suite == "bolicity_b2":
-        x, y, z = pt("x"), pt("y"), pt("z")
-        m = _bicombing(complex, y, z, 0.5, p)
-        return (witness["N"] - witness["C"]) - distance(complex, x, m, p)
-    raise ValueError(f"unknown suite {suite!r}")
+    if suite not in _MARGINS:
+        raise ValueError(f"unknown suite {suite!r}")
+    c = dict(witness, t_values=[witness["t"]]) if suite == "busemann" else witness
+    points = {key: point_from_obj(complex, obj) for key, obj in witness.items()
+              if isinstance(obj, dict)}
+    value = _MARGINS[suite](complex, c, **points)
+    return value[0] if isinstance(value, tuple) else value
 
 
 # -- p sweeps and limiting bicombings -------------------------------------------

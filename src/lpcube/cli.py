@@ -3,8 +3,7 @@
 Verbs: validate, distance, geodesic, decompose, check, sweep-p, oracle,
 suite, examples.  Exit codes: 0 success, 1 domain error (machine-readable
 error object on stdout), 2 usage error.  All randomized commands take --seed
-and are reproducible; --threads is accepted and ignored, since execution is
-sequential.
+and are reproducible.
 """
 
 from __future__ import annotations
@@ -277,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("file", help="complex description file")
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--threads", type=int, default=None,
-                        help="accepted and ignored (execution is sequential)")
         if needs_p:
             sp.add_argument("--p", required=True, help="exponent, a real > 1")
         if points:

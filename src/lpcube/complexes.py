@@ -121,9 +121,6 @@ class Point:
             vec[h] = t
         return vec
 
-    def is_vertex(self) -> bool:
-        return not self.coords
-
 
 def point_from_ambient(vec: Sequence[float], cube: CubeRef, snap: float = SNAP_TOL) -> Point:
     """Reconstruct the canonical Point for an ambient coordinate vector.
@@ -239,17 +236,6 @@ class CubeComplex:
 
     def vertex_sides(self, v: int) -> dict[str, int]:
         return {h: (v >> i) & 1 for i, h in enumerate(self.hyperplanes)}
-
-    def vertex_from_sides(self, sides: Mapping[str, int]) -> int:
-        if set(sides) != set(self.hyperplanes):
-            raise ParseError("vertex must assign exactly the complex's hyperplanes")
-        v = 0
-        for h, s in sides.items():
-            if s not in (0, 1):
-                raise ParseError(f"side of {h} must be 0 or 1, got {s}")
-            if s:
-                v |= 1 << self.label_index[h]
-        return v
 
     def median(self, u: int, v: int, w: int) -> int:
         for x in (u, v, w):
@@ -442,10 +428,6 @@ class SubComplex:
         pos = {i: j for j, i in enumerate(self.kept)}
         coords = {pos[h]: t for h, t in p.coords if h in pos}
         return Point.make(self.to_sub_vertex(p.base), coords)
-
-    def to_parent_point(self, p: Point) -> Point:
-        coords = {self.kept[h]: t for h, t in p.coords}
-        return Point.make(self.to_parent_vertex(p.base), coords)
 
 
 def _restrict(parent: CubeComplex, hull_vertices: frozenset[int],

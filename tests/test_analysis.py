@@ -202,6 +202,36 @@ class TestBolicity:
             an.bolicity_b2_suite(square, 2.0, None, 1.0, n_samples=5, seed=1)
 
 
+REPLAY_CASES = [
+    # (fixture, suite call, pinned witness index, pinned worst margin)
+    ("corner", lambda cx: an.midpoint_convexity_suite(cx, 2.0, 20, seed=9),
+     13, -2.609024107869118e-15),
+    ("corner", lambda cx: an.busemann_suite(cx, 2.0, 10, seed=3),
+     2, 0.0029765610535417153),
+    ("corner", lambda cx: an.uniform_convexity_suite(cx, 3.0, None, 20, seed=8),
+     3, 0.0040285643008360905),
+    ("rect", lambda cx: an.uniform_smoothness_suite(cx, 2.0, None, r=1.0, R=4.0,
+                                                    n_samples=10, seed=21),
+     4, 0.052918800008329825),
+    ("rect", lambda cx: an.bolicity_b1_suite(cx, 2.0, delta=0.1, r=1.0,
+                                             n_samples=10, seed=31),
+     7, 0.06708637851436308),
+    ("rect", lambda cx: an.bolicity_b2_suite(cx, 2.0, None, 1.0, n_samples=10, seed=32),
+     2, 5.373403114801261),
+]
+
+
+@pytest.mark.parametrize("fixture, run, index, margin", REPLAY_CASES,
+                         ids=["midpoint", "busemann", "uniform_convexity",
+                              "uniform_smoothness", "bolicity_b1", "bolicity_b2"])
+def test_replay_matches_run_exactly(request, fixture, run, index, margin):
+    cx = request.getfixturevalue(fixture)
+    rep = run(cx)
+    assert rep.witness["index"] == index
+    assert rep.worst_margin == margin
+    assert an.replay_witness(cx, rep.witness) == rep.worst_margin
+
+
 class TestPSweep:
     def test_constant_functional(self, scb):
         x, y = Point.make(0b0010), Point.make(0b1101)

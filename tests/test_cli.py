@@ -123,11 +123,27 @@ class TestSuiteCommand:
         assert out1 == out2
         assert json.loads(out1)["violations"] == 0
 
-    def test_threads_flag_accepted(self, fx_dir, capsys):
-        code, out = run(capsys, ["suite", "--name", "uniform-convexity", "--p", "3",
-                                 "--samples", "20", "--seed", "1", "--threads", "4",
-                                 str(fx_dir / "hypercube3.json")])
-        assert code == 0
+    def test_threads_flag_removed(self, fx_dir):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["suite", "--name", "uniform-convexity", "--p", "3",
+                      "--samples", "20", "--seed", "1", "--threads", "4",
+                      str(fx_dir / "hypercube3.json")])
+        assert ei.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--name", "midpoint", "--samples", "-5"],
+        ["--name", "bolicity-b1", "--delta", "0"],
+        ["--name", "bolicity-b1", "--r", "-1"],
+        ["--name", "uniform-smoothness", "--r", "-1"],
+        ["--name", "uniform-smoothness", "--r", "1", "--R", "1"],
+        ["--name", "bolicity-b2", "--k", "1.5"],
+        ["--name", "uniform-smoothness", "--p", "1.5"],
+    ], ids=["samples", "delta", "b1-r", "smoothness-r", "R", "k", "default-C"])
+    def test_bad_constants_are_domain_errors(self, fx_dir, capsys, argv):
+        code, out = run(capsys, ["suite", "--p", "2", "--samples", "3", "--json", *argv,
+                                 str(fx_dir / "long_rectangle.json")])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "PreconditionViolated"
 
 
 class TestOracleCommand:
