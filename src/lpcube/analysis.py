@@ -82,7 +82,7 @@ def sample_point(complex: CubeComplex, rng: np.random.Generator,
 
 
 def _check_constants(p: float, n_samples: int, *, r: float = None, R: float = None,
-                     delta: float = None, k: float = None) -> None:
+                     delta: float = None, k: float = None, C: float = None) -> None:
     """Reject a suite's arguments before any sampling or derived constant."""
     check_p(p, smooth=True)
     if n_samples < 1:
@@ -93,6 +93,8 @@ def _check_constants(p: float, n_samples: int, *, r: float = None, R: float = No
         raise PreconditionViolated(f"delta must be positive, got {delta}")
     if k is not None and not 0 < k < 1:
         raise PreconditionViolated(f"k must lie in (0, 1), got {k}")
+    if C is not None and not C > 0:
+        raise PreconditionViolated(f"C must be positive, got {C}")
     if R is not None and not R >= 2 * r:
         raise PreconditionViolated(f"R must be at least 2r = {2 * r}, got {R}")
 
@@ -359,7 +361,7 @@ def bolicity_b2_suite(complex: CubeComplex, p: float, k: Optional[float],
     """d(x, mid(y,z)) < N - C whenever d(x,y), d(x,z) <= N < d(y,z)."""
     if k is None:
         k = default_convexity_constant(p)
-    _check_constants(p, n_samples, k=k)
+    _check_constants(p, n_samples, k=k, C=C)
     N = b2_threshold(k, C, max(p, 2.0))  # exponent of the convexity type in use
     if _diameter_lower_bound(complex, p) <= N:
         raise InsufficientDiameter(f"complex diameter does not exceed N = {N}")

@@ -203,6 +203,8 @@ def _default_break_functional(cx: CubeComplex):
 def cmd_oracle(args) -> int:
     cx = _load_file(args.file)
     p = _parse_p(args.p)
+    if not 0 < args.eps <= 1:
+        raise LpCubeError(f"eps must lie in (0, 1], got {args.eps}")
     x = _parse_point(cx, getattr(args, "from"))
     y = _parse_point(cx, args.to)
     path = solver.geodesic(cx, x, y, p, args.tol)

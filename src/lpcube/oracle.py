@@ -10,14 +10,19 @@ The graph is never materialized: an arc joins every node pair sharing a
 maximal cube, and the search relaxes all cube-mates of a popped node in one
 vectorized pass per cube.  Each cube keeps its members' coordinates on its
 free axes only, axis-major, because its fixed axes agree across its members
-and add nothing to a distance.  A popped node is not relaxed into the cube
-through which its distance was set (the triangle inequality makes that pass
-useless, see ``_dijkstra``), and the queue is a dense key array searched with
-``argmin``.
+and add nothing to a distance.  Every net coordinate is a grid value or an
+endpoint coordinate, so the net stores each coordinate as a code into the
+short sorted array of its distinct values, and the search looks up
+|a - b|^p in one lazily filled row of powers per code instead of raising
+every member's differences to the p-th power again.  A popped node is not
+relaxed into the cube through which its distance was set (the triangle
+inequality makes that pass useless, see ``_dijkstra``), and the queue is a
+dense key array searched with ``argmin``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,14 +49,19 @@ def dyadic_step(eps: float) -> float:
 class NetGraph:
     """Sampled net on the hull's internal faces plus the two endpoints.
 
-    Per maximal cube: its member node indices, its free axes, and the members'
-    coordinates on those axes as one axis-major block (free axes x members).
+    Each node coordinate is also stored as a code: ``values[codes] == coords``,
+    where ``values`` holds the distinct coordinates (the grid values and the
+    endpoints' coordinates), sorted.  Per maximal cube: its member node
+    indices, its free axes, and the members' codes on those axes as one
+    axis-major block (free axes x members).
     """
 
     coords: np.ndarray                 # node ambient coordinates, hull frame
+    values: np.ndarray                 # the distinct coordinates, sorted
+    codes: np.ndarray                  # per node and axis: index into values
     members: list[np.ndarray]          # per maximal cube: node indices inside it
     free: list[list[int]]              # per maximal cube: its free axes
-    blocks: list[np.ndarray]           # per maximal cube: coords[members][:, free].T
+    blocks: list[np.ndarray]           # per maximal cube: codes[members][:, free].T
     node_cubes: list[list[int]]        # per node: the maximal cubes containing it
     source: int
     target: int
@@ -78,47 +88,29 @@ def build_net(complex: CubeComplex, x: Point, y: Point, eps: float,
             f = cube_intersection(a, b)
             if f is not None:
                 faces.add(f)
-    node_index: dict[tuple, int] = {}
-    coords: list[np.ndarray] = []
+    node_index: dict[tuple, int] = {}   # node coordinates -> index, in first-seen order
 
-    def add_node(vec: np.ndarray) -> int:
-        key = tuple(vec.tolist())
-        found = node_index.get(key)
-        if found is not None:
-            return found
-        idx = len(coords)
+    def add_node(vec: tuple) -> int:
+        idx = node_index.setdefault(vec, len(node_index))
         if idx >= node_cap:
             raise ScaleExceeded(f"epsilon net exceeds {node_cap} nodes")
-        node_index[key] = idx
-        coords.append(vec)
         return idx
 
+    grid = [t * step for t in range(per_axis)]
     for f in faces:
         free = [i for i in range(n) if f.mask >> i & 1]
         if per_axis ** len(free) > node_cap:
             raise ScaleExceeded("face grid alone exceeds the node cap")
-        base = np.zeros(n)
-        for i in range(n):
-            if not f.mask >> i & 1 and f.corner >> i & 1:
-                base[i] = 1.0
-        grid = [0.0] * len(free)
-        idxs = list(range(per_axis))
-
-        def rec(d: int) -> None:
-            if d == len(free):
-                vec = base.copy()
-                for j, i in enumerate(free):
-                    vec[i] = grid[j]
-                add_node(vec)
-                return
-            for t in idxs:
-                grid[d] = t * step
-                rec(d + 1)
-
-        rec(0)
-    source = add_node(hx.ambient(n))
-    target = add_node(hy.ambient(n))
-    mat = np.array(coords)
+        vec = [1.0 if not f.mask >> i & 1 and f.corner >> i & 1 else 0.0 for i in range(n)]
+        for point in itertools.product(grid, repeat=len(free)):
+            for i, t in zip(free, point):
+                vec[i] = t
+            add_node(tuple(vec))
+    source = add_node(tuple(hx.ambient(n).tolist()))
+    target = add_node(tuple(hy.ambient(n).tolist()))
+    mat = np.array(list(node_index))
+    values = np.unique(mat)
+    codes = values.searchsorted(mat)    # exact: every coordinate is in values
     members, frees, blocks = [], [], []
     node_cubes: list[list[int]] = [[] for _ in range(len(mat))]
     for ci, q in enumerate(maximal):
@@ -131,22 +123,34 @@ def build_net(complex: CubeComplex, x: Point, y: Point, eps: float,
         free = [i for i in range(n) if q.mask >> i & 1]
         members.append(idxs)
         frees.append(free)
-        blocks.append(mat.T.take(free, 0).take(idxs, 1))
+        blocks.append(codes.T.take(free, 0).take(idxs, 1))
         for i in idxs.tolist():
             node_cubes[i].append(ci)
-    return NetGraph(mat, members, frees, blocks, node_cubes, source, target, step)
+    return NetGraph(mat, values, codes, members, frees, blocks, node_cubes,
+                    source, target, step)
 
 
 def _norms(diffs: np.ndarray, p: float) -> np.ndarray:
-    """lp norms of the columns of an axis-major block of differences.
-
-    The p-th powers are summed row by row in axis order, so leaving out axes
-    whose differences are zero does not change a norm.
-    """
+    """lp norms of the columns of an axis-major block of differences (the A*
+    potential)."""
     diffs = np.abs(diffs)
     if p == 2.0:
         return np.sqrt((diffs * diffs).sum(axis=0))
     return (diffs ** p).sum(axis=0) ** (1.0 / p)
+
+
+class _PowerRows(dict):
+    """Lazily filled rows of powers: ``rows[c][e] == |values[e] - values[c]|^p``."""
+
+    def __init__(self, values: np.ndarray, p: float):
+        super().__init__()
+        self.values = values
+        self.p = p
+
+    def __missing__(self, c: int) -> np.ndarray:
+        dv = np.abs(self.values - self.values[c])
+        row = self[c] = dv * dv if self.p == 2.0 else dv ** self.p
+        return row
 
 
 def _dijkstra(net: NetGraph, p: float) -> float:
@@ -162,13 +166,20 @@ def _dijkstra(net: NetGraph, p: float) -> float:
                  = dist[u] + |u - v|_p,
     and relaxing C from u cannot improve anything.  Face nodes lie in about two
     cubes, so this halves the relaxations.  Each relaxation works on C's
-    free-axis block.  The queue is the array ``key`` (dist + potential for
-    reached, unpopped nodes, inf otherwise) and a pop is its ``argmin``; that
-    O(nodes) scan costs less than the relaxation that follows it.
+    free-axis code block: for each free axis a, in axis order, it adds the
+    power row of u's code on a, taken at the members' codes on a, and then
+    takes one root per member.  Each term is the same float |v_a - u_a| raised
+    by the same ufunc as a direct evaluation, and the terms are summed in the
+    same order, so every arc weight is bit-identical to ``_norms`` on the
+    difference block; the fixed axes would only add exact zeros.  The queue is
+    the array ``key`` (dist + potential for reached, unpopped nodes, inf
+    otherwise) and a pop is its ``argmin``; that O(nodes) scan costs less than
+    the relaxation that follows it.
     """
     coords = net.coords
     target = net.target
     potential = _norms((coords - coords[target]).T, p)
+    rows = _PowerRows(net.values, p)
     dist = np.full(net.n_nodes, np.inf)
     key = np.full(net.n_nodes, np.inf)
     via = np.full(net.n_nodes, -1)
@@ -178,7 +189,7 @@ def _dijkstra(net: NetGraph, p: float) -> float:
         u = int(key.argmin())
         if u == target or key[u] == np.inf:
             return float(dist[target])
-        d, at = dist[u], coords[u]
+        d, at = dist[u], net.codes[u].tolist()
         key[u] = np.inf
         dist[u] = -np.inf       # settled: no candidate is below it any more
         arrived = int(via[u])
@@ -186,7 +197,11 @@ def _dijkstra(net: NetGraph, p: float) -> float:
             if ci == arrived:
                 continue
             idxs = net.members[ci]
-            cand = d + _norms(net.blocks[ci] - at.take(net.free[ci])[:, None], p)
+            free, block = net.free[ci], net.blocks[ci]
+            acc = rows[at[free[0]]].take(block[0])
+            for j in range(1, len(free)):
+                acc += rows[at[free[j]]].take(block[j])
+            cand = d + (np.sqrt(acc) if p == 2.0 else acc ** (1.0 / p))
             better = cand < dist[idxs]
             if better.any():
                 upd = idxs[better]
@@ -200,6 +215,7 @@ def oracle_distance(complex: CubeComplex, x: Point, y: Point, p: float,
                     eps: float = 0.05) -> float:
     """Shortest-path value through the epsilon net: an upper bound on d(x, y)."""
     p = check_p(p, smooth=True)
+    dyadic_step(eps)        # reject a bad eps even where the net is not needed
     pair = complex.minimal_cube_pair(x, y)
     if pair is not None:
         n = len(complex.hyperplanes)

@@ -138,7 +138,10 @@ class TestSuiteCommand:
         ["--name", "uniform-smoothness", "--r", "1", "--R", "1"],
         ["--name", "bolicity-b2", "--k", "1.5"],
         ["--name", "uniform-smoothness", "--p", "1.5"],
-    ], ids=["samples", "delta", "b1-r", "smoothness-r", "R", "k", "default-C"])
+        ["--name", "bolicity-b2", "--C", "-1"],
+        ["--name", "bolicity-b2", "--C", "0"],
+    ], ids=["samples", "delta", "b1-r", "smoothness-r", "R", "k", "default-C", "b2-C-negative",
+            "b2-C-zero"])
     def test_bad_constants_are_domain_errors(self, fx_dir, capsys, argv):
         code, out = run(capsys, ["suite", "--p", "2", "--samples", "3", "--json", *argv,
                                  str(fx_dir / "long_rectangle.json")])
@@ -156,6 +159,16 @@ class TestOracleCommand:
         obj = json.loads(out)
         assert obj["certified"]
         assert obj["gap"] >= -1e-9
+
+    @pytest.mark.parametrize("eps", ["0", "1.5"])
+    def test_bad_eps_is_domain_error(self, fx_dir, capsys, eps):
+        code, out = run(capsys, ["oracle", "--p", "2", "--eps", eps, "--json",
+                                 "--from", "0:", "--to", "3:",
+                                 str(fx_dir / "corner_complex.json")])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "LpCubeError"
+        assert error["message"].startswith("eps must lie in (0, 1]")
 
     def test_builds_one_net(self, fx_dir, capsys, monkeypatch):
         built = []

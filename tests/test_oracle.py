@@ -9,6 +9,7 @@ from lpcube import oracle as orc
 from lpcube import solver as sv
 from lpcube.analysis import sample_point
 from lpcube.complexes import Point
+from lpcube.errors import ScaleExceeded
 
 from conftest import build_wedge_instance
 
@@ -46,6 +47,13 @@ class TestDyadicStep:
     def test_rejects_bad(self):
         with pytest.raises(ValueError):
             orc.dyadic_step(0.0)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.5])
+    def test_oracle_rejects_bad_eps_in_one_cube(self, cube3, eps):
+        x = Point.make(0, {0: 0.2, 1: 0.2, 2: 0.2})
+        y = Point.make(0, {0: 0.9, 1: 0.8, 2: 0.7})
+        with pytest.raises(ValueError):
+            orc.oracle_distance(cube3, x, y, 2.0, eps)
 
 
 class TestOracleDistance:
@@ -96,6 +104,9 @@ class TestOracleDistance:
         for seed in range(10):
             cx, x, _, y, _ = build_wedge_instance(seed)
             cases.append((cx, x, y))
+        # endpoint coordinates on the dyadic grid, so they share codes with face nodes
+        cases.append((grid222, Point.make(0, {0: 0.5, 2: 0.5, 4: 0.5}),
+                      Point.make(0b010101, {1: 0.5, 3: 0.5, 5: 0.5})))
         for cx, x, y in cases:
             for eps in (0.5, 0.25):
                 net = orc.build_net(cx, x, y, eps)
@@ -103,12 +114,29 @@ class TestOracleDistance:
                     want = textbook_distance(net, p)
                     assert orc.oracle_distance(cx, x, y, p, eps) == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("seed, p, value", [(31, 2.0, 1.531312844731218),
-                                                (89, 3.0, 2.0779522766871152)])
+    @pytest.mark.parametrize("seed, p, value", [
+        (39, 1.5, 2.1361535163689886),     # 4,291 nodes
+        (46, 2.0, 1.0209286702835003),
+        (89, 3.0, 2.0779522766871152),
+        (96, 1.5, 2.63334692781514),       # 8,451 nodes
+        (31, 2.0, 1.531312844731218),
+        (78, 1.5, 1.6623937517531513),     # 12,547 nodes
+        (70, 2.0, 1.8805977588187317),
+        (29, 3.0, 1.3393734286084478),
+    ])
     def test_fine_net_values(self, seed, p, value):
-        # two of the largest criterion-4 nets (8,451 and 4,291 nodes)
+        # the largest criterion-4 net shapes at eps = 0.02, pinned bit for bit
         cx, x, _, y, _ = build_wedge_instance(seed)
-        assert orc.oracle_distance(cx, x, y, p, 0.02) == pytest.approx(value, abs=1e-12)
+        assert orc.oracle_distance(cx, x, y, p, 0.02) == value
+
+    @pytest.mark.parametrize("p, value", [(1.5, 2.080083823051904),
+                                          (2.0, 1.7320508075688772),
+                                          (3.0, 1.4422495703074083)])
+    def test_grid_diagonal_values(self, grid222, p, value):
+        # demo 06's diagonal: endpoints on the dyadic grid, 12,483 net nodes
+        x = Point.make(0, {0: 0.5, 2: 0.5, 4: 0.5})
+        y = Point.make(0b010101, {1: 0.5, 3: 0.5, 5: 0.5})
+        assert orc.oracle_distance(grid222, x, y, p, 0.05) == value
 
     def test_wedge_instances_close(self):
         for seed in (0, 3, 7):
@@ -117,6 +145,38 @@ class TestOracleDistance:
             exact = sv.distance(cx, x, y, 2.0)
             assert d >= exact - 1e-9
             assert abs(d - exact) <= 0.05
+
+
+class TestBuildNet:
+    @pytest.mark.parametrize("seed, n_nodes", [(29, 12547), (31, 8451)])
+    def test_node_counts(self, seed, n_nodes):
+        cx, x, _, y, _ = build_wedge_instance(seed)
+        net = orc.build_net(cx, x, y, 0.02)
+        assert net.n_nodes == n_nodes
+        assert (net.values[net.codes] == net.coords).all()
+        assert (net.source, net.target) == (n_nodes - 2, n_nodes - 1)
+
+    def test_node_cap(self):
+        cx, x, _, y, _ = build_wedge_instance(31)
+        assert orc.build_net(cx, x, y, 0.02, node_cap=8451).n_nodes == 8451
+        with pytest.raises(ScaleExceeded, match="exceeds 8450 nodes"):
+            orc.build_net(cx, x, y, 0.02, node_cap=8450)
+
+    def test_face_grid_precheck(self):
+        # one face axis already holds 65 grid values at eps = 0.02
+        cx, x, _, y, _ = build_wedge_instance(31)
+        with pytest.raises(ScaleExceeded, match="face grid alone"):
+            orc.build_net(cx, x, y, 0.02, node_cap=64)
+
+    def test_equal_nodes_are_shared(self, corner):
+        # three squares at the origin: faces a2, b1 and the origin itself share
+        # the origin node (3 + 2 + 0 face nodes), and an endpoint equal to an
+        # existing node reuses it
+        x = Point.make(0, {0: 0.5, 1: 0.5})
+        y = Point.make(0, {2: 0.5, 3: 0.5})
+        assert orc.build_net(corner, x, y, 0.5).n_nodes == 7
+        same = orc.build_net(corner, x, x, 0.5)
+        assert same.n_nodes == 1 and same.source == same.target == 0
 
 
 class TestCertify:
