@@ -22,14 +22,23 @@ SUITE_NAMES = ("midpoint", "busemann", "uniform-convexity", "uniform-smoothness"
                "bolicity-b1", "bolicity-b2")
 
 
+def _vertex(complex: CubeComplex, index: int) -> int:
+    """Vertex at ``index`` in the complex's vertex list; a negative index does
+    not count from the end."""
+    if not 0 <= index < len(complex.vertex_order):
+        raise LpCubeError(f"vertex index {index} out of range: the complex has "
+                          f"{len(complex.vertex_order)} vertices")
+    return complex.vertex_order[index]
+
+
 def _parse_point(complex: CubeComplex, text: str) -> Point:
     """Point literal: 'vertexIndex:h1=0.25,h2=0.7' (coordinates optional)."""
     head, _, tail = text.partition(":")
     try:
         idx = int(head)
-        base = complex.vertex_order[idx]
-    except (ValueError, IndexError):
+    except ValueError:
         raise LpCubeError(f"bad vertex index in point literal {text!r}") from None
+    base = _vertex(complex, idx)
     coords = {}
     if tail.strip():
         for part in tail.split(","):
@@ -46,16 +55,14 @@ def _parse_point(complex: CubeComplex, text: str) -> Point:
         raise LpCubeError(str(e)) from None
 
 
-def _parse_p(text: str, allow_inf: bool = False) -> float:
-    if text.lower() in ("inf", "infinity"):
-        if allow_inf:
-            return math.inf
-        raise LpCubeError("p = inf is not supported by this command; sweep toward it instead")
+def _parse_p(text: str) -> float:
     try:
         p = float(text)
     except ValueError:
         raise LpCubeError(f"bad p value {text!r}") from None
-    if p <= 1.0:
+    if p == math.inf:   # also a literal too large for a float, such as 1e400
+        raise LpCubeError("p = inf is not supported by this command; sweep toward it instead")
+    if not p > 1.0:     # also nan
         raise LpCubeError("p must be a real number > 1")
     return p
 
@@ -64,13 +71,17 @@ def _parse_grid(text: str) -> list[float]:
     if text.startswith("log:"):
         try:
             _, lo, hi, count = text.split(":")
-            return analysis.geometric_grid(float(lo), float(hi), int(count))
+            grid = analysis.geometric_grid(float(lo), float(hi), int(count))
         except ValueError:
             raise LpCubeError(f"bad grid spec {text!r}; want log:LO:HI:COUNT") from None
-    try:
-        grid = [float(t) for t in text.split(",")]
-    except ValueError:
-        raise LpCubeError(f"bad grid spec {text!r}") from None
+    else:
+        try:
+            grid = [float(t) for t in text.split(",")]
+        except ValueError:
+            raise LpCubeError(f"bad grid spec {text!r}") from None
+    if not all(1.0 < q < math.inf for q in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise LpCubeError(f"bad grid {text!r}: the exponents must increase strictly "
+                          "and lie in (1, inf)")
     return grid
 
 
@@ -128,7 +139,7 @@ def cmd_decompose(args) -> int:
     p = _parse_p(args.p)
     x = _parse_point(cx, getattr(args, "from"))
     y = _parse_point(cx, args.to)
-    v = cx.vertex_order[args.vertex]
+    v = _vertex(cx, args.vertex)
     dec = decomposition.canonical_decomposition(cx, x, v, y, p, args.merge_tol)
     d = decomposition.distance_formula(cx, x, v, y, dec, p)
     obj = dec.to_obj(cx)

@@ -12,6 +12,9 @@ Per gallery, one projected Newton method moves all break points at once.  Its
 step solves the zero-tension equations, whose Jacobian is block-tridiagonal
 (each segment couples the two breaks at its ends); where that step does not
 shorten the path, a Levenberg-Marquardt step on the length Hessian is taken.
+Both systems are assembled only on the free break coordinates that move and
+solved by Gaussian elimination, all in plain floats: a chain has a few breaks
+of a few coordinates, where numpy calls would cost more than the arithmetic.
 A backtracking search on the length projects every step into the face boxes,
 whose sides form the active set.  The length has a kink where two consecutive
 breaks coincide: breaks that coalesce are merged by dropping the cube between
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -262,54 +265,91 @@ def _face_boxes(faces: Sequence[CubeRef], n: int) -> tuple[np.ndarray, np.ndarra
     return np.where(free, 0.0, arr[:, :, 1]), free
 
 
-def _segments(chain: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths of the segments of a stacked polyline, and each displacement
-    over its length (zero on null segments)."""
-    d = chain[1:] - chain[:-1]
-    if p == 2.0:
-        nu = np.sqrt(np.einsum("ij,ij->i", d, d))
-    else:
-        a = np.abs(d)
-        m = a.max(axis=1)
-        nu = m * ((a / np.where(m > 0.0, m, 1.0)[:, None]) ** p).sum(axis=1) ** (1.0 / p)
-    return nu, np.divide(d, nu[:, None], out=np.zeros_like(d), where=nu[:, None] > 0.0)
+def _segments(pts: Sequence[Sequence[float]], p: float) -> tuple[list[float], list[list[float]]]:
+    """Lengths of the segments of a polyline given as lists of floats, and
+    each displacement over its length (zero on null segments).  Off p = 2 the
+    norm is scaled by the largest coordinate, as ``lp_norm`` is."""
+    nus, units = [], []
+    for a, b in zip(pts, pts[1:]):
+        d = [t - s for s, t in zip(a, b)]
+        if p == 2.0:
+            nu = math.sqrt(sum([t * t for t in d]))
+        else:
+            m = max(map(abs, d))
+            nu = m * sum([(abs(t) / m) ** p for t in d]) ** (1.0 / p) if m > 0.0 else 0.0
+        nus.append(nu)
+        units.append([t / nu for t in d] if nu > 0.0 else [0.0] * len(d))
+    return nus, units
 
 
-def _phi(unit: np.ndarray, p: float) -> np.ndarray:
+def _phi(unit: list[float], p: float) -> list[float]:
     """Gradient of the lp norm from displacement over length: s |u|^(p-1)."""
-    return unit if p == 2.0 else np.sign(unit) * np.abs(unit) ** (p - 1.0)
+    return unit if p == 2.0 else [math.copysign(abs(t) ** (p - 1.0), t) for t in unit]
 
 
-def _tension(chain: np.ndarray, free: np.ndarray, nu: np.ndarray,
-             unit: np.ndarray) -> float:
+def _tension(pts: list[list[float]], axes: list[list[int]], nu: list[float],
+             unit: list[list[float]]) -> float:
     """Worst zero-tension residual of the breaks, with the box bounds projected.
 
-    Per free coordinate the residual is the jump of displacement over length
-    across the break; it has the sign of the length gradient, so a coordinate
-    on a face side counts only while the gradient points back into the face.
-    Breaks next to a segment shorter than MERGE_TOL are left to the merge step.
+    Per free coordinate (``axes[j]`` of break j) the residual is the jump of
+    displacement over length across the break; it has the sign of the length
+    gradient, so a coordinate on a face side counts only while the gradient
+    points back into the face.  Breaks next to a segment shorter than
+    MERGE_TOL are left to the merge step.
     """
-    t = unit[:-1] - unit[1:]
-    z = chain[1:-1]
-    t = np.where(z <= MERGE_TOL, np.minimum(t, 0.0),
-                 np.where(z >= 1.0 - MERGE_TOL, np.maximum(t, 0.0), t)) * free
-    short = (nu[:-1] < MERGE_TOL) | (nu[1:] < MERGE_TOL)
-    return float(np.sqrt(np.einsum("ij,ij->i", t, t)).max(initial=0.0, where=~short))
+    worst = 0.0
+    for j, free in enumerate(axes):
+        if nu[j] < MERGE_TOL or nu[j + 1] < MERGE_TOL:
+            continue
+        z, before, after = pts[j + 1], unit[j], unit[j + 1]
+        acc = 0.0
+        for i in free:
+            t = before[i] - after[i]
+            if z[i] <= MERGE_TOL:
+                t = min(t, 0.0)
+            elif z[i] >= 1.0 - MERGE_TOL:
+                t = max(t, 0.0)
+            acc += t * t
+        worst = max(worst, math.sqrt(acc))
+    return worst
 
 
-def _block_tridiagonal(blk: np.ndarray) -> np.ndarray:
-    """Matrix over all break coordinates from per-segment blocks, (k n) x (k n).
+def _chain_matrix(rows: list[tuple[int, int]],
+                  entry: Callable[[int, int, int], float]) -> list[list[float]]:
+    """Matrix over the break coordinates ``rows`` (break, axis) from the
+    per-segment blocks ``entry(s, a, b)``.
 
     Segment s runs from chain point s to s+1 and its block is the derivative
-    with respect to its end point; break j sits between segments j and j+1.
+    with respect to its end point; break j sits between segments j and j+1,
+    so its diagonal block is the sum of theirs, and it couples to break j+1
+    through minus the block of segment j+1.
     """
-    k, n = len(blk) - 1, blk.shape[1]
-    out = np.zeros((k, n, k, n))
-    j = np.arange(k)
-    out[j, :, j, :] = blk[:-1] + blk[1:]
-    out[j[:-1], :, j[1:], :] = -blk[1:-1]
-    out[j[1:], :, j[:-1], :] = -blk[1:-1]
-    return out.reshape(k * n, k * n)
+    return [[entry(j, a, b) + entry(j + 1, a, b) if k == j
+             else -entry(max(j, k), a, b) if abs(k - j) == 1 else 0.0
+             for k, b in rows] for j, a in rows]
+
+
+def _eliminate(a: list[list[float]], b: list[float]) -> Optional[list[float]]:
+    """Solution x of a x = b by Gaussian elimination with partial pivoting,
+    overwriting ``a`` and ``b``; None if a pivot is zero (``a`` is singular)."""
+    m = len(b)
+    for c in range(m):
+        r = max(range(c, m), key=lambda i: abs(a[i][c]))
+        pivot = a[r][c]
+        if pivot == 0.0:
+            return None
+        a[c], a[r], b[c], b[r] = a[r], a[c], b[r], b[c]
+        for i in range(c + 1, m):
+            f = a[i][c] / pivot
+            if f != 0.0:
+                row = a[i]
+                for cc in range(c + 1, m):
+                    row[cc] -= f * a[c][cc]
+                b[i] -= f * b[c]
+    x = [0.0] * m
+    for c in range(m - 1, -1, -1):
+        x[c] = (b[c] - sum([a[c][cc] * x[cc] for cc in range(c + 1, m)])) / a[c][c]
+    return x
 
 
 def _newton_chain(chain: np.ndarray, free: np.ndarray, p: float, gate: float,
@@ -324,87 +364,108 @@ def _newton_chain(chain: np.ndarray, free: np.ndarray, p: float, gate: float,
     blocks scaled by (p-1) |u|^(p-2), which is what makes a plain Newton step
     on the length crawl for large p.  Where the tension step does not descend,
     a Levenberg-Marquardt step on the Hessian is taken instead, its damping
-    grown by cut-back steps and shrunk by full ones.  A backtracking search
-    on the length projects each step into the face boxes; the box sides form
-    the active set (a coordinate on a side whose gradient points out stays).
-    The length has a kink where consecutive breaks coincide.  A step that
-    shrinks a segment below COLLAPSE of its length is refused; if the segment
-    is ``mergeable``, its index is handed back instead, as it is once the
-    segment is shorter than SHORT of the path, so that the caller can try
-    merging the breaks at its ends.  Returns (converged, segment or None).
+    grown by cut-back steps and shrunk by full ones.  Both systems are built
+    only on the moving free coordinates (those not held on a face side by the
+    active set) and solved by ``_eliminate``; a singular one counts as a
+    failed step.  A backtracking search on the length projects each step
+    into the face boxes; the box sides form the active set (a coordinate on
+    a side whose gradient points out stays).  The length has a kink where
+    consecutive breaks coincide.  A step that shrinks a segment below
+    COLLAPSE of its length is refused; if the segment is ``mergeable``, its
+    index is handed back instead, as it is once the segment is shorter than
+    SHORT of the path, so that the caller can try merging the breaks at its
+    ends.  Returns (converged, segment or None).
+
+    The solve runs on plain floats (see the module docstring) and writes the
+    breaks back into ``chain`` on return.
     """
-    idx = np.flatnonzero(free)
-    if not idx.size:
+    axes = [[i for i, f in enumerate(row) if f] for row in free.tolist()]
+    coords = [(j, i) for j, row in enumerate(axes) for i in row]
+    if not coords:
         return True, None
-    flat = chain[1:-1].reshape(-1)
-    nu, unit = _segments(chain, p)
-    res = _tension(chain, free, nu, unit)
-    damp = 0.0
-    eye = np.eye(chain.shape[1])
-    for _ in range(max_iter):
-        short = np.flatnonzero((nu < SHORT * nu.sum()) & mergeable)
-        if short.size:
-            return False, int(short[0])
-        if res <= gate:
-            return True, None
-        length = nu.sum()
-        v = flat[idx]
-        grad = (_phi(unit[:-1], p) - _phi(unit[1:], p)).reshape(-1)[idx]
-        eps = min(1e-6, float(np.abs(v - np.clip(v - grad, 0.0, 1.0)).max()))
-        low = (v <= eps) & (grad > 0.0)
-        high = (v >= 1.0 - eps) & (grad < 0.0)
-        moving = ~(low | high)
-        inner = idx[moving]
-        sub = np.ix_(inner, inner)
-        inv = np.divide(1.0, nu, out=np.zeros_like(nu), where=nu > 0.0)
-        blk = (eye - unit[:, :, None] * _phi(unit, p)[:, None, :]) * inv[:, None, None]
-        g_in = grad[moving]
-        s_in = None
-        if damp == 0.0:
-            tension = (unit[:-1] - unit[1:]).reshape(-1)[inner]
-            try:
-                s_in = np.linalg.solve(_block_tridiagonal(blk)[sub], -tension)
-            except np.linalg.LinAlgError:
-                pass
-            if s_in is not None and not (np.all(np.isfinite(s_in)) and g_in @ s_in < 0.0):
-                s_in = None
-        if s_in is None:
-            curv = (p - 1.0) * np.maximum(np.abs(unit), 1e-12) ** (p - 2.0)
-            hess = _block_tridiagonal(curv[:, :, None] * blk)[sub]
-            hess = 0.5 * (hess + hess.T)
-            scale = max(float(np.abs(np.diag(hess)).max(initial=0.0)), 1e-12)
-            try:
-                s_in = np.linalg.solve(hess + (damp + 1e-12) * scale * np.eye(len(inner)), -g_in)
-            except np.linalg.LinAlgError:
-                s_in = -g_in / scale
-        step = np.zeros_like(v)
-        step[moving] = s_in
-        base = np.where(low, 0.0, np.where(high, 1.0, v))
-        alpha = 1.0
-        for _ in range(50):
-            trial = np.clip(base + alpha * step, 0.0, 1.0)
-            flat[idx] = trial
-            nu_t, unit_t = _segments(chain, p)
-            shrunk = nu_t < COLLAPSE * nu
-            if shrunk.any():
-                if (shrunk & mergeable).any():
-                    flat[idx] = v
-                    return False, int(np.flatnonzero(shrunk & mergeable)[0])
+    pts = chain.tolist()
+    merge = mergeable.tolist()
+
+    def put(values: list[float]) -> None:
+        for (j, i), t in zip(coords, values):
+            pts[j + 1][i] = t
+
+    try:
+        nu, unit = _segments(pts, p)
+        res = _tension(pts, axes, nu, unit)
+        damp = 0.0
+        for _ in range(max_iter):
+            length = sum(nu)
+            short = [s for s, (a, m) in enumerate(zip(nu, merge)) if m and a < SHORT * length]
+            if short:
+                return False, short[0]
+            if res <= gate:
+                return True, None
+            v = [pts[j + 1][i] for j, i in coords]
+            phi = [_phi(u, p) for u in unit]
+            grad = [phi[j][i] - phi[j + 1][i] for j, i in coords]
+            eps = min(1e-6, max([abs(t - min(max(t - g, 0.0), 1.0)) for t, g in zip(v, grad)]))
+            low = [t <= eps and g > 0.0 for t, g in zip(v, grad)]
+            high = [t >= 1.0 - eps and g < 0.0 for t, g in zip(v, grad)]
+            moving = [c for c in range(len(coords)) if not (low[c] or high[c])]
+            rows = [coords[c] for c in moving]
+            inv = [1.0 / a if a > 0.0 else 0.0 for a in nu]
+
+            def blk(s: int, a: int, b: int) -> float:
+                return ((1.0 if a == b else 0.0) - unit[s][a] * phi[s][b]) * inv[s]
+
+            g_in = [grad[c] for c in moving]
+            s_in = None
+            if damp == 0.0:
+                s_in = _eliminate(_chain_matrix(rows, blk),
+                                  [unit[j + 1][i] - unit[j][i] for j, i in rows])
+                if s_in is not None and not (all(map(math.isfinite, s_in))
+                                             and sum([g * t for g, t in zip(g_in, s_in)]) < 0.0):
+                    s_in = None
+            if s_in is None:
+                curv = [[(p - 1.0) * max(abs(t), 1e-12) ** (p - 2.0) for t in u] for u in unit]
+                hess = _chain_matrix(rows, lambda s, a, b: curv[s][a] * blk(s, a, b))
+                hess = [[0.5 * (h + hc) for h, hc in zip(row, col)]
+                        for row, col in zip(hess, zip(*hess))]
+                scale = max([abs(hess[r][r]) for r in range(len(rows))] + [1e-12])
+                for r in range(len(rows)):
+                    hess[r][r] += (damp + 1e-12) * scale
+                s_in = _eliminate(hess, [-g for g in g_in])
+                if s_in is None:
+                    s_in = [-g / scale for g in g_in]
+            step = [0.0] * len(coords)
+            for c, t in zip(moving, s_in):
+                step[c] = t
+            base = [0.0 if lo else 1.0 if hi else t for t, lo, hi in zip(v, low, high)]
+            alpha = 1.0
+            for _ in range(50):
+                trial = [min(max(b + alpha * t, 0.0), 1.0) for b, t in zip(base, step)]
+                put(trial)
+                nu_t, unit_t = _segments(pts, p)
+                shrunk = [a < COLLAPSE * b for a, b in zip(nu_t, nu)]
+                if any(shrunk):
+                    hit = [s for s, (sh, m) in enumerate(zip(shrunk, merge)) if sh and m]
+                    if hit:
+                        put(v)
+                        return False, hit[0]
+                else:
+                    gain = length - sum(nu_t)
+                    if gain > 0.0 and gain >= -1e-4 * sum([g * (t - a) for g, t, a
+                                                           in zip(grad, trial, v)]):
+                        break
+                    if abs(gain) <= 4e-16 * length and _tension(pts, axes, nu_t, unit_t) < res:
+                        break
+                alpha *= 0.5
             else:
-                gain = length - nu_t.sum()
-                if gain > 0.0 and gain >= -1e-4 * (grad @ (trial - v)):
-                    break
-                if abs(gain) <= 4e-16 * length and _tension(chain, free, nu_t, unit_t) < res:
-                    break
-            alpha *= 0.5
-        else:
-            flat[idx] = v
-            return res <= RESIDUAL_TOL, None
-        # a full step that was accepted earns trust; a cut-back step loses it
-        damp = (0.0 if damp < 1e-3 else 0.25 * damp) if alpha == 1.0 else max(4.0 * damp, 1e-2)
-        nu, unit = nu_t, unit_t
-        res = _tension(chain, free, nu, unit)
-    return res <= gate, None
+                put(v)
+                return res <= RESIDUAL_TOL, None
+            # a full step that was accepted earns trust; a cut-back step loses it
+            damp = (0.0 if damp < 1e-3 else 0.25 * damp) if alpha == 1.0 else max(4.0 * damp, 1e-2)
+            nu, unit = nu_t, unit_t
+            res = _tension(pts, axes, nu, unit)
+        return res <= gate, None
+    finally:
+        chain[1:-1] = pts[1:-1]
 
 
 def _start_chain(xa: np.ndarray, ya: np.ndarray, faces: Sequence[CubeRef],
@@ -452,11 +513,11 @@ def _split_direction(chain: np.ndarray, m: int, face_a: Optional[CubeRef],
     break, move of the face_b break).
     """
     z = chain[m]
-    nu, unit = _segments(chain, p)
-    live = np.flatnonzero(nu >= MERGE_TOL)
-    into, out = live[live < m], live[live >= m]
-    a = _phi(unit[into[-1]], p) if into.size else np.zeros_like(z)
-    c = -_phi(unit[out[0]], p) if out.size else np.zeros_like(z)
+    nu, unit = _segments(chain.tolist(), p)
+    live = [s for s, t in enumerate(nu) if t >= MERGE_TOL]
+    into, out = [s for s in live if s < m], [s for s in live if s >= m]
+    a = np.array(_phi(unit[into[-1]], p)) if into else np.zeros_like(z)
+    c = -np.array(_phi(unit[out[0]], p)) if out else np.zeros_like(z)
     at0, at1 = z <= MERGE_TOL, z >= 1.0 - MERGE_TOL
     free_a, free_b = (np.array([face is not None and bool(face.mask >> h & 1)
                                 for h in range(len(z))]) for face in (face_a, face_b))
@@ -488,7 +549,7 @@ def _dual_bound(chain: np.ndarray, faces: Sequence[CubeRef], p: float) -> float:
     taken per coordinate.  The bound is tight at the optimal breaks.
     """
     template, free = _face_boxes(faces, chain.shape[1])
-    w = _phi(_segments(chain, p)[1], p)
+    w = np.array([_phi(u, p) for u in _segments(chain.tolist(), p)[1]])
     c = w[:-1] - w[1:]
     return float(w[-1] @ chain[-1] - w[0] @ chain[0] + (c * template).sum()
                  + np.minimum(c, 0.0)[free].sum())
@@ -500,13 +561,13 @@ def _split(chain: np.ndarray, s: int, split, p: float) -> np.ndarray:
     The length is convex along the ray, so the step is the best of a halving
     sequence: halve while the length keeps falling.
     """
-    best, best_len = chain, _segments(chain, p)[0].sum()
+    best, best_len = chain, sum(_segments(chain.tolist(), p)[0])
     step = 0.5
     for _ in range(50):
         trial = chain.copy()
         trial[s] = np.clip(trial[s] + step * split[0], 0.0, 1.0)
         trial[s + 1] = np.clip(trial[s + 1] + step * split[1], 0.0, 1.0)
-        length = _segments(trial, p)[0].sum()
+        length = sum(_segments(trial.tolist(), p)[0])
         if length < best_len:
             best, best_len = trial, length
         elif best is not chain:

@@ -67,6 +67,28 @@ class TestBasics:
         assert "witness" in err
 
 
+class TestBadArguments:
+    DECOMPOSE = ["decompose", "--p", "2", "--from", "0:a1=0.3,a2=0.9", "--to", "0:b1=0.8,b2=0.7"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-p", "--functional", "length", "--grid", "3,2", "--from", "0:", "--to", "3:"],
+        ["sweep-p", "--functional", "length", "--grid", "0.5,2", "--from", "0:", "--to", "3:"],
+        ["sweep-p", "--functional", "length", "--grid", "2,nan", "--from", "0:", "--to", "3:"],
+        ["sweep-p", "--functional", "length", "--grid", "log:1.5:1e400:3", "--from", "0:", "--to", "3:"],
+        ["distance", "--p", "nan", "--from", "0:", "--to", "3:"],
+        ["distance", "--p", "1e400", "--from", "0:", "--to", "3:"],
+        DECOMPOSE + ["--vertex", "99"],
+        DECOMPOSE + ["--vertex", "-1"],
+        ["distance", "--p", "2", "--from", "-1", "--to", "0"],
+        ["distance", "--p", "2", "--from", "0", "--to", "99:"],
+    ], ids=["grid-decreasing", "grid-below-1", "grid-nan", "log-grid-overflow", "p-nan",
+            "p-overflow", "vertex-99", "vertex-negative", "point-negative", "point-99"])
+    def test_is_a_domain_error(self, fx_dir, capsys, argv):
+        code, out = run(capsys, argv + [str(fx_dir / "corner_complex.json")])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "LpCubeError"
+
+
 class TestGeodesicRoundTrip:
     def test_json_revalidates(self, fx_dir, capsys):
         code, out = run(capsys, ["geodesic", "--p", "2", "--json",

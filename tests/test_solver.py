@@ -5,10 +5,11 @@ import pytest
 
 from lpcube import analysis as an
 from lpcube import complexes as cc
+from lpcube import fixtures
 from lpcube import solver as sv
 from lpcube.analysis import sample_point
 from lpcube.complexes import CubeRef, Point
-from lpcube.errors import ScaleExceeded
+from lpcube.errors import LpCubeError, ScaleExceeded
 from lpcube.geometry import box_clamp_distance, distance_lower_bound
 
 from conftest import build_wedge_instance
@@ -30,6 +31,13 @@ def scb_break_root(p):
 
 SCB_X = Point.make(0b0010)    # far corner of the square page
 SCB_Y = Point.make(0b1101)    # far corner of the 3-cube
+
+# a grid222 gallery whose optimum at p = 1.5 has two breaks 0.0054 apart
+COALESCE_X = Point(16, ((0, 0.25378496355503777), (2, 0.054271318428617044),
+                        (5, 0.5829353996813581)))
+COALESCE_Y = Point(5, ((1, 0.8582492854957865), (3, 0.8581070091172366),
+                       (4, 0.4674530074787165)))
+COALESCE_CUBES = (CubeRef(16, 37), CubeRef(17, 38), CubeRef(1, 22), CubeRef(5, 26))
 
 
 class TestEnumerateGalleries:
@@ -110,11 +118,7 @@ class TestOptimizeBreakpoints:
         # at p = 1.5 the optimum through this gallery keeps two breaks 0.0054
         # apart; pinning them together (dropping the cube between them) is
         # 1.3e-6 longer and fails the no-shortcut condition
-        x = Point(16, ((0, 0.25378496355503777), (2, 0.054271318428617044),
-                       (5, 0.5829353996813581)))
-        y = Point(5, ((1, 0.8582492854957865), (3, 0.8581070091172366),
-                      (4, 0.4674530074787165)))
-        cubes = (CubeRef(16, 37), CubeRef(17, 38), CubeRef(1, 22), CubeRef(5, 26))
+        x, y, cubes = COALESCE_X, COALESCE_Y, COALESCE_CUBES
         path = sv.optimize_breakpoints(grid222, sv.Gallery(cubes), x, y, 1.5)
         pinned = sv.optimize_breakpoints(grid222, sv.Gallery(cubes[:2] + cubes[3:]),
                                          x, y, 1.5)
@@ -134,6 +138,57 @@ class TestOptimizeBreakpoints:
         path = sv.geodesic(scb, SCB_X, SCB_Y, 2.0)
         z = dict(path.breaks[1].coords)[0]
         assert abs(z - 1 / (1 + math.sqrt(2))) < 1e-12
+
+
+class TestNewtonChain:
+    def test_singular_tension_system_takes_the_lm_step(self, grid222, monkeypatch):
+        # refuse every tension system (the Jacobian is not symmetric at
+        # p = 3): each step falls back to the Levenberg-Marquardt system on
+        # the symmetrized length Hessian, which reaches the same geodesic
+        rng = np.random.default_rng([77, 1])
+        x, y = sample_point(grid222, rng), sample_point(grid222, rng)
+        want = sv.geodesic(grid222, x, y, 3.0)
+        eliminate = sv._eliminate
+        systems = {"tension": 0, "hessian": 0}
+
+        def singular_unless_symmetric(a, b):
+            if all(a[r][c] == a[c][r] for r in range(len(a)) for c in range(r)):
+                systems["hessian"] += 1
+                return eliminate(a, b)
+            systems["tension"] += 1
+            return None
+
+        monkeypatch.setattr(sv, "_eliminate", singular_unless_symmetric)
+        got = sv.geodesic(grid222, x, y, 3.0)
+        assert systems["tension"] > 0 and systems["hessian"] > 0
+        assert abs(got.length - want.length) <= 1e-10
+        assert sv.check_local_geodesic(grid222, got, tol=1e-8).all_ok
+
+    @pytest.mark.parametrize("mergeable", [True, False])
+    def test_null_segment(self, grid222, mergeable):
+        # breaks 1 and 2 start coincident, as a merge hands them to the split:
+        # segment 2 has length 0, no direction and no block in the Newton
+        # systems.  Mergeable, it is handed back untouched; otherwise the
+        # solve pulls the breaks apart to the optimum of the full gallery
+        cubes = COALESCE_CUBES
+        full = sv.optimize_breakpoints(grid222, sv.Gallery(cubes), COALESCE_X, COALESCE_Y, 1.5)
+        pinned = sv.optimize_breakpoints(grid222, sv.Gallery(cubes[:2] + cubes[3:]),
+                                         COALESCE_X, COALESCE_Y, 1.5)
+        _, free = sv._face_boxes(sv.Gallery(cubes).faces(), 6)
+        pts = pinned.ambient_breaks()
+        chain = np.vstack([pts[0], pts[1], pts[2], pts[2], pts[3]])
+        chain[1, free[0]] = 0.5
+        start = chain.copy()
+        out = sv._newton_chain(chain, free, 1.5, 1e-9, sv.NEWTON_CAP,
+                               np.array([False, False, mergeable, False]))
+        nu = sv._segments(chain.tolist(), 1.5)[0]
+        if mergeable:
+            assert out == (False, 2)
+            assert np.array_equal(chain, start)
+        else:
+            assert out == (True, None)
+            assert nu[2] > 1e-3
+            assert abs(sum(nu) - full.length) <= 1e-10
 
 
 class TestGeodesic:
@@ -256,6 +311,83 @@ class TestGeodesic:
                         assert not q.mask & dropped
                         dropped |= prev.mask & ~q.mask
                     prev = q
+
+
+SWEEP_FIXTURES = ("corner_complex", "square_cube_book", "grid222", "long_rectangle",
+                  "hypercube3")
+PINNED_P = (1.01, 1.5, 2.0, 3.0, 12.0)
+# geodesic() lengths of the pairs drawn by TestSweeps._pinned_pairs, in draw
+# order, p cycling through PINNED_P, as the numpy chain solve of commit
+# f9c1118 returned them
+PINNED_LENGTHS = {
+    "corner_complex": (
+        2.0687389839408934, 2.1923139365083504, 0.9560265560166341, 1.1711681381473062,
+        1.3212689692648527, 2.236785886426848, 1.8596961143094952, 0.32017101917319224,
+        1.65673135110961, 1.876520139181799, 1.9169461141542063, 1.6955903491609168,
+        1.0830710974874516, 1.9080707252324245, 1.1380435945374494),
+    "square_cube_book": (
+        1.113085145786853, 1.196611072147702, 1.4933631373384375, 1.0595236056427302,
+        1.8852986557488225, 2.488361071117664, 1.400003481630902, 1.1390890412255286,
+        0.8711963506312337, 1.1735061192516987, 2.6115566732863744, 1.910396470729576,
+        1.8413147658042708, 1.4498834783003463, 1.3217798898188367),
+    "grid222": (
+        4.397786280258665, 2.1503358678847873, 1.807374022895389, 1.300384267374731,
+        1.2006825375399646, 4.912745776113986, 2.41399587192459, 1.767390159983545,
+        1.5936057725129946, 1.513239185492849, 0.8960116163752458, 2.570207099261806,
+        0.9834967904580412, 1.847860120523423, 1.4486202229644312),
+    "long_rectangle": (
+        5.581521436905413, 7.032381611891186, 3.5904597255496338, 2.4361452451898926,
+        1.9381900768850553, 9.620443395760542, 6.189253296755865, 6.102665343739418,
+        8.790917966744397, 11.27225557485462, 3.471972136786578, 7.978657696528774,
+        10.278928054967853, 3.443979760429495, 7.5108685390377365),
+    "hypercube3": (
+        1.8453100196249035, 0.43909403952040643, 0.1063334162843694, 1.048688320060956,
+        0.9385265091509779, 0.1616203511602212, 1.4171745295111677, 0.7911447350126116,
+        0.2848538990478005, 0.612909639058326, 1.1925628460701183, 0.911373994079848,
+        1.240038121003153, 1.1461232407167976, 0.6988068362471204),
+}
+
+
+class TestSweeps:
+    @staticmethod
+    def _pinned_pairs(cx, j):
+        # fixed-seed pairs that share no cube (every pair on the one-cube
+        # hypercube), every third endpoint a vertex
+        rng = np.random.default_rng([93, j])
+        verts = sorted(cx.vertices)
+        single = len(cx.maximal_cubes()) == 1
+        drawn = kept = 0
+        while kept < 3 * len(PINNED_P):
+            x, y = (Point.make(verts[int(rng.integers(len(verts)))]) if (2 * drawn + e) % 3 == 0
+                    else sample_point(cx, rng) for e in range(2))
+            drawn += 1
+            if single or cx.minimal_cube_pair(x, y) is None:
+                yield x, y, PINNED_P[kept % len(PINNED_P)]
+                kept += 1
+
+    @pytest.mark.parametrize("j, name", enumerate(SWEEP_FIXTURES))
+    def test_lengths_match_pinned_values(self, j, name):
+        cx = fixtures.load_fixture(name)
+        for (x, y, p), want in zip(self._pinned_pairs(cx, j), PINNED_LENGTHS[name],
+                                   strict=True):
+            path = sv.geodesic(cx, x, y, p)
+            assert abs(path.length - want) <= 1e-12, (x, y, p, path.length)
+            assert sv.check_local_geodesic(cx, path, tol=1e-8).all_ok, (x, y, p)
+
+    @pytest.mark.parametrize("name", SWEEP_FIXTURES)
+    def test_large_p_sample(self, name):
+        # the first 20 pairs of the large-p sweep: all certify at p = 12; at
+        # p = 16 some come back uncertified or raise, but only typed errors
+        cx = fixtures.load_fixture(name)
+        for i in range(20):
+            rng = np.random.default_rng([77, i])
+            x, y = sample_point(cx, rng), sample_point(cx, rng)
+            path = sv.geodesic(cx, x, y, 12.0)
+            assert sv.check_local_geodesic(cx, path, tol=1e-8).all_ok, (i, x, y)
+            try:
+                sv.geodesic(cx, x, y, 16.0)
+            except LpCubeError:
+                pass
 
 
 class TestEvaluate:
