@@ -21,11 +21,12 @@ import numpy as np
 from .complexes import CubeComplex, Point, point_from_ambient, point_from_obj, point_to_obj
 from .errors import InsufficientDiameter, PreconditionViolated
 from .geometry import check_p, distance_lower_bound, lp_norm
-from .solver import DEFAULT_TOL, PiecewisePath, distance, geodesic
+from .solver import PiecewisePath, distance, geodesic
 from .solver import bicombing as _bicombing
 
 SUITE_TOL = 1e-8
 MAX_REJECTS = 20_000
+SAMPLE_INSET = 0.02     # sample_point keeps its coordinates this far from 0 and 1
 
 
 @dataclass
@@ -69,15 +70,14 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, index])
 
 
-def sample_point(complex: CubeComplex, rng: np.random.Generator,
-                 margin: float = 0.02) -> Point:
+def sample_point(complex: CubeComplex, rng: np.random.Generator) -> Point:
     """Uniform point of a uniformly chosen maximal cube (interior, clamped)."""
     cubes = complex.maximal_cubes()
     ref = cubes[int(rng.integers(len(cubes)))]
     coords = {}
     for i in range(len(complex.hyperplanes)):
         if ref.mask >> i & 1:
-            coords[i] = float(rng.uniform(margin, 1.0 - margin))
+            coords[i] = float(rng.uniform(SAMPLE_INSET, 1.0 - SAMPLE_INSET))
     return Point.make(ref.corner, coords)
 
 
@@ -406,7 +406,7 @@ class SweepTable:
 
 def p_sweep(complex: CubeComplex, x: Point, y: Point,
             functional: Callable[[PiecewisePath], float],
-            p_grid: Sequence[float], tol: float = DEFAULT_TOL) -> SweepTable:
+            p_grid: Sequence[float]) -> SweepTable:
     """Evaluate a path functional along a sorted grid of exponents.
 
     The limiting paths at p = 1 and p = infinity are reached by running the
@@ -420,7 +420,7 @@ def p_sweep(complex: CubeComplex, x: Point, y: Point,
         raise ValueError("p grid must lie in (1, inf)")
     rows = []
     for q in grid:
-        rows.append((q, float(functional(geodesic(complex, x, y, q, tol)))))
+        rows.append((q, float(functional(geodesic(complex, x, y, q)))))
     gap = 0.0
     for (_, v1), (_, v2) in zip(rows, rows[1:]):
         gap = max(gap, abs(v2 - v1))

@@ -3,7 +3,9 @@
 Verbs: validate, distance, geodesic, decompose, check, sweep-p, oracle,
 suite, examples.  Exit codes: 0 success, 1 domain error (machine-readable
 error object on stdout), 2 usage error.  All randomized commands take --seed
-and are reproducible.
+and are reproducible.  The tolerances are the library's fixed constants
+(``solver.LENGTH_TOL``, ``solver.RESIDUAL_TOL``, ``decomposition.MERGE_TOL``,
+``analysis.SUITE_TOL``); no flag sets them.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def cmd_distance(args) -> int:
     p = _parse_p(args.p)
     x = _parse_point(cx, getattr(args, "from"))
     y = _parse_point(cx, args.to)
-    d = solver.distance(cx, x, y, p, args.tol)
+    d = solver.distance(cx, x, y, p)
     _emit(args, {"p": p, "distance": d}, f"{d:.10f}")
     return 0
 
@@ -124,7 +126,7 @@ def cmd_geodesic(args) -> int:
     p = _parse_p(args.p)
     x = _parse_point(cx, getattr(args, "from"))
     y = _parse_point(cx, args.to)
-    path = solver.geodesic(cx, x, y, p, args.tol)
+    path = solver.geodesic(cx, x, y, p)
     obj = path.to_obj()
     lines = [f"length {path.length:.10f}  ({len(path.breaks)} break points)"]
     for b in obj["breaks"]:
@@ -140,7 +142,7 @@ def cmd_decompose(args) -> int:
     x = _parse_point(cx, getattr(args, "from"))
     y = _parse_point(cx, args.to)
     v = _vertex(cx, args.vertex)
-    dec = decomposition.canonical_decomposition(cx, x, v, y, p, args.merge_tol)
+    dec = decomposition.canonical_decomposition(cx, x, v, y, p)
     d = decomposition.distance_formula(cx, x, v, y, dec, p)
     obj = dec.to_obj(cx)
     obj["distance_formula"] = d
@@ -157,21 +159,19 @@ def cmd_check(args) -> int:
     p = _parse_p(args.p)
     x = _parse_point(cx, getattr(args, "from"))
     y = _parse_point(cx, args.to)
-    path = solver.geodesic(cx, x, y, p, args.tol)
-    zt = solver.check_zero_tension(cx, path, args.residual_tol)
-    ns = solver.check_no_shortcut(cx, path, args.residual_tol)
-    ok = all(zt.zero_tension_ok) and all(ns.no_shortcut_ok)
+    path = solver.geodesic(cx, x, y, p)
+    rep = solver.check_local_geodesic(cx, path)
     obj = {
         "length": path.length,
-        "zero_tension_ok": list(zt.zero_tension_ok),
-        "no_shortcut_ok": list(ns.no_shortcut_ok),
-        "worst_residual": max(zt.worst_residual, ns.worst_residual),
-        "ok": ok,
+        "zero_tension_ok": list(rep.zero_tension_ok),
+        "no_shortcut_ok": list(rep.no_shortcut_ok),
+        "worst_residual": rep.worst_residual,
+        "ok": rep.all_ok,
     }
     _emit(args, obj,
-          f"length {path.length:.10f}; zero-tension {'ok' if all(zt.zero_tension_ok) else 'FAIL'}, "
-          f"no-shortcut {'ok' if all(ns.no_shortcut_ok) else 'FAIL'}, "
-          f"worst residual {obj['worst_residual']:.3e}")
+          f"length {path.length:.10f}; zero-tension {'ok' if all(rep.zero_tension_ok) else 'FAIL'}, "
+          f"no-shortcut {'ok' if all(rep.no_shortcut_ok) else 'FAIL'}, "
+          f"worst residual {rep.worst_residual:.3e}")
     return 0
 
 
@@ -189,7 +189,7 @@ def cmd_sweep_p(args) -> int:
         fn = analysis.break_coordinate_functional(cx, name.split(":", 1)[1])
     else:
         raise LpCubeError(f"unknown functional {name!r}; use length, break0, or break0:<label>")
-    table = analysis.p_sweep(cx, x, y, fn, grid, args.tol)
+    table = analysis.p_sweep(cx, x, y, fn, grid)
     if args.json:
         print(json.dumps(table.to_obj(), indent=1))
     else:
@@ -218,7 +218,7 @@ def cmd_oracle(args) -> int:
         raise LpCubeError(f"eps must lie in (0, 1], got {args.eps}")
     x = _parse_point(cx, getattr(args, "from"))
     y = _parse_point(cx, args.to)
-    path = solver.geodesic(cx, x, y, p, args.tol)
+    path = solver.geodesic(cx, x, y, p)
     upper = oracle.oracle_distance(cx, x, y, p, args.eps)
     certified = oracle.upper_bound_agrees(path, upper, args.eps)
     obj = {"p": p, "eps": args.eps, "oracle": upper, "solver": path.length,
@@ -234,21 +234,20 @@ def cmd_suite(args) -> int:
     p = _parse_p(args.p)
     name = args.name
     if name == "midpoint":
-        rep = analysis.midpoint_convexity_suite(cx, p, args.samples, args.seed, args.tol)
+        rep = analysis.midpoint_convexity_suite(cx, p, args.samples, args.seed)
     elif name == "busemann":
-        rep = analysis.busemann_suite(cx, p, args.samples, args.seed, args.tol)
+        rep = analysis.busemann_suite(cx, p, args.samples, args.seed)
     elif name == "uniform-convexity":
-        rep = analysis.uniform_convexity_suite(cx, p, args.k, args.samples,
-                                               args.seed, args.tol)
+        rep = analysis.uniform_convexity_suite(cx, p, args.k, args.samples, args.seed)
     elif name == "uniform-smoothness":
         rep = analysis.uniform_smoothness_suite(cx, p, args.C, args.r, args.R,
-                                                args.samples, args.seed, args.tol)
+                                                args.samples, args.seed)
     elif name == "bolicity-b1":
         rep = analysis.bolicity_b1_suite(cx, p, args.delta, args.r, args.samples,
-                                         args.seed, C=args.C, tol=args.tol)
+                                         args.seed, C=args.C)
     elif name == "bolicity-b2":
         rep = analysis.bolicity_b2_suite(cx, p, args.k, args.C if args.C is not None
-                                         else 1.0, args.samples, args.seed, args.tol)
+                                         else 1.0, args.samples, args.seed)
     else:
         raise LpCubeError(f"unknown suite {name!r}")
     _emit(args, rep.to_obj(),
@@ -288,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, points=True, needs_p=True):
         sp.add_argument("file", help="complex description file")
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--tol", type=float, default=1e-9)
         if needs_p:
             sp.add_argument("--p", required=True, help="exponent, a real > 1")
         if points:
@@ -313,12 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--vertex", type=int, required=True,
                     help="wedge vertex index into the complex's vertex list")
-    sp.add_argument("--merge-tol", type=float, default=decomposition.MERGE_TOL)
     sp.set_defaults(fn=cmd_decompose)
 
     sp = sub.add_parser("check", help="run the local-geodesic condition checks")
     common(sp)
-    sp.add_argument("--residual-tol", type=float, default=solver.RESIDUAL_TOL)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("sweep-p", help="sweep a path functional over a p grid")

@@ -122,11 +122,11 @@ class Point:
         return vec
 
 
-def point_from_ambient(vec: Sequence[float], cube: CubeRef, snap: float = SNAP_TOL) -> Point:
+def point_from_ambient(vec: Sequence[float], cube: CubeRef) -> Point:
     """Reconstruct the canonical Point for an ambient coordinate vector.
 
-    The vector must describe a location inside ``cube``; values within ``snap``
-    of an integer side are snapped onto it, which re-bases the point.
+    The vector must describe a location inside ``cube``; values within
+    SNAP_TOL of an integer side are snapped onto it, which re-bases the point.
     """
     base = cube.corner
     coords = {}
@@ -137,9 +137,9 @@ def point_from_ambient(vec: Sequence[float], cube: CubeRef, snap: float = SNAP_T
                 base |= bit
             continue
         t = float(vec[i])
-        if t <= snap:
+        if t <= SNAP_TOL:
             continue
-        if t >= 1.0 - snap:
+        if t >= 1.0 - SNAP_TOL:
             base |= bit
             continue
         coords[i] = t

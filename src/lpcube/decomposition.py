@@ -25,9 +25,9 @@ from .errors import (
     PreconditionViolated,
 )
 from .geometry import check_p, lp_norm
-from .solver import DEFAULT_TOL, geodesic
+from .solver import geodesic
 
-MERGE_TOL = 1e-7
+MERGE_TOL = 1e-7        # adjacent factors whose ratios differ by less are merged
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,13 @@ def _wedge_cubes(complex: CubeComplex, x: Point, v: int, y: Point) -> tuple[Cube
 
 
 def canonical_decomposition(complex: CubeComplex, x: Point, v: int, y: Point,
-                            p: float, merge_tol: float = MERGE_TOL,
-                            tol: float = DEFAULT_TOL) -> Decomposition:
+                            p: float) -> Decomposition:
     """The unique maximal factor chains, extracted from the solved geodesic.
 
     The geodesic's consecutive minimal cubes, with C prepended and C'
     appended, drop some of C's hyperplanes and pick up some of C''s at each
     step; the dropped sets are the A factors and the gained sets the B
-    factors.  Steps whose norm ratios agree within ``merge_tol`` are merged,
+    factors.  Steps whose norm ratios agree within MERGE_TOL are merged,
     which is what maximality of the factors means.
 
     Inputs where {x,v} or {y,v} span more than the stated minimal cubes are
@@ -114,7 +113,7 @@ def canonical_decomposition(complex: CubeComplex, x: Point, v: int, y: Point,
         ratio = 0.0 if c.mask == 0 else math.inf
         return Decomposition((c.mask,), (cp.mask,), (ratio,), v, c.mask, cp.mask)
 
-    path = geodesic(complex, x, y, p, tol)
+    path = geodesic(complex, x, y, p)
     chain: list[int] = [c.mask]
     breaks = path.breaks
     for i in range(len(breaks) - 1):
@@ -155,7 +154,7 @@ def canonical_decomposition(complex: CubeComplex, x: Point, v: int, y: Point,
         gap = math.inf if math.isinf(r1) and not math.isinf(r0) else r1 - r0
         if math.isinf(r0) and math.isinf(r1):
             gap = 0.0
-        if gap < merge_tol:
+        if gap < MERGE_TOL:
             a_parts[i] |= a_parts.pop(i + 1)
             b_parts[i] |= b_parts.pop(i + 1)
             ratios.pop(i + 1)

@@ -31,10 +31,10 @@ import numpy as np
 from .complexes import CubeComplex, Point, cube_intersection
 from .errors import ScaleExceeded
 from .geometry import check_p, lp_norm
-from .solver import DEFAULT_TOL, PiecewisePath, geodesic
+from .solver import LENGTH_TOL, PiecewisePath, geodesic
 
-NODE_CAP = 200_000
-CALIBRATION_C = 2.0   # fixture-calibrated slack per break point and step
+NODE_CAP = 200_000      # net nodes before ScaleExceeded
+CALIBRATION_C = 2.0     # fixture-calibrated slack per break point and step
 
 
 def dyadic_step(eps: float) -> float:
@@ -72,8 +72,7 @@ class NetGraph:
         return len(self.coords)
 
 
-def build_net(complex: CubeComplex, x: Point, y: Point, eps: float,
-              node_cap: int = NODE_CAP) -> NetGraph:
+def build_net(complex: CubeComplex, x: Point, y: Point, eps: float) -> NetGraph:
     sub = complex.hull_restriction([x, y])
     hull = sub.complex
     n = len(hull.hyperplanes)
@@ -92,14 +91,14 @@ def build_net(complex: CubeComplex, x: Point, y: Point, eps: float,
 
     def add_node(vec: tuple) -> int:
         idx = node_index.setdefault(vec, len(node_index))
-        if idx >= node_cap:
-            raise ScaleExceeded(f"epsilon net exceeds {node_cap} nodes")
+        if idx >= NODE_CAP:
+            raise ScaleExceeded(f"epsilon net exceeds {NODE_CAP} nodes")
         return idx
 
     grid = [t * step for t in range(per_axis)]
     for f in faces:
         free = [i for i in range(n) if f.mask >> i & 1]
-        if per_axis ** len(free) > node_cap:
+        if per_axis ** len(free) > NODE_CAP:
             raise ScaleExceeded("face grid alone exceeds the node cap")
         vec = [1.0 if not f.mask >> i & 1 and f.corner >> i & 1 else 0.0 for i in range(n)]
         for point in itertools.product(grid, repeat=len(free)):
@@ -224,16 +223,10 @@ def oracle_distance(complex: CubeComplex, x: Point, y: Point, p: float,
     return _dijkstra(net, p)
 
 
-def certification_bound(path: PiecewisePath, eps: float) -> float:
-    """Calibrated net-quantization allowance for a solved geodesic."""
-    interior = max(len(path.breaks) - 2, 0)
-    return CALIBRATION_C * (interior + 1) * dyadic_step(eps)
-
-
 def oracle_certify(complex: CubeComplex, x: Point, y: Point, p: float,
-                   eps: float = 0.05, tol: float = DEFAULT_TOL) -> bool:
+                   eps: float = 0.05) -> bool:
     """Check the solver against the net: closeness plus the upper-bound law."""
-    path = geodesic(complex, x, y, p, tol)
+    path = geodesic(complex, x, y, p)
     return certify_path(complex, path, eps)
 
 
@@ -244,7 +237,9 @@ def certify_path(complex: CubeComplex, path: PiecewisePath, eps: float = 0.05) -
 
 def upper_bound_agrees(path: PiecewisePath, upper: float, eps: float) -> bool:
     """The net's value ``upper`` is not below the path's length and lies within
-    the calibrated allowance above it."""
-    if upper < path.length - 1e-9:
+    the calibrated net-quantization allowance above it: CALIBRATION_C net
+    steps per segment of the path."""
+    if upper < path.length - LENGTH_TOL:
         return False
-    return abs(upper - path.length) <= certification_bound(path, eps)
+    segments = len(path.breaks) - 1
+    return abs(upper - path.length) <= CALIBRATION_C * segments * dyadic_step(eps)

@@ -32,6 +32,10 @@ ends the search.  A path that fails no-shortcut is shortened through its
 most violated corner cube, so the next gallery tried is the first one that
 contains that cube.  If no path certifies, the shortest converged one is
 taken, and tied galleries must agree.
+
+The tolerances are fixed module constants, not options: a certified path is
+the geodesic whatever the solve's stopping rule, so no caller has a reason to
+set them.
 """
 
 from __future__ import annotations
@@ -58,11 +62,12 @@ from .errors import (
 )
 from .geometry import check_p, distance_lower_bound, lp_norm
 
-GALLERY_CAP = 100_000
+GALLERY_CAP = 100_000       # galleries enumerated per pair before ScaleExceeded
 MERGE_TOL = 1e-12           # segments shorter than this are collapsed
-DEFAULT_TOL = 1e-9          # length tolerance
+LENGTH_TOL = 1e-9           # length tolerance
 RESIDUAL_TOL = 1e-8         # local-condition residual tolerance
 UNIQUENESS_SUP = 1e-6       # sup-distance under which tied optima must agree
+SUP_SAMPLES = 33            # same-time samples per path_sup_distance
 
 
 @dataclass(frozen=True)
@@ -70,9 +75,6 @@ class Gallery:
     """Face-sharing cube sequence from x's minimal cube to y's."""
 
     cubes: tuple[CubeRef, ...]
-
-    def key(self) -> tuple:
-        return tuple((c.corner, c.mask) for c in self.cubes)
 
     def faces(self) -> tuple[CubeRef, ...]:
         out = []
@@ -135,9 +137,12 @@ class PiecewisePath:
         return self.breaks[-1]
 
     def canonical(self) -> "PiecewisePath":
-        """Drop zero-length segments (coincident consecutive breaks)."""
-        pts = list(self.breaks)
+        """Drop zero-length segments (coincident consecutive breaks); the path
+        itself, with its measured segments, if it has none."""
         segs = self.segment_lengths()
+        if (segs > MERGE_TOL).all():
+            return self
+        pts = list(self.breaks)
         keep = [pts[0]]
         for i, s in enumerate(segs):
             if s > MERGE_TOL:
@@ -180,12 +185,12 @@ class ConditionReport:
 # -- gallery enumeration ------------------------------------------------------
 
 
-def enumerate_galleries(complex: CubeComplex, x: Point, y: Point,
-                        cap: int = GALLERY_CAP) -> list[Gallery]:
-    """All deduplicated galleries between the minimal cubes of x and y.
+def enumerate_galleries(complex: CubeComplex, x: Point, y: Point) -> list[Gallery]:
+    """All galleries between the minimal cubes of x and y, sorted.
 
     Enumerates simple paths through the maximal cubes of the median hull,
-    pruning any step that would re-enter a dropped hyperplane.
+    pruning any step that would re-enter a dropped hyperplane; simple paths
+    from distinct start cubes are distinct, so none repeats.
     """
     complex.check_point(x)
     complex.check_point(y)
@@ -210,8 +215,8 @@ def enumerate_galleries(complex: CubeComplex, x: Point, y: Point,
         cur = pathlist[-1]
         if cur in ends:
             out.append(tuple(pathlist))
-            if len(out) > cap:
-                raise ScaleExceeded(f"more than {cap} galleries")
+            if len(out) > GALLERY_CAP:
+                raise ScaleExceeded(f"more than {GALLERY_CAP} galleries")
             return
         for nxt in inter[cur]:
             if nxt in visited or nxt.mask & dropped:
@@ -227,14 +232,7 @@ def enumerate_galleries(complex: CubeComplex, x: Point, y: Point,
     if not out:
         raise ScaleExceeded(
             f"no gallery found between {x} and {y}: starts={starts}, ends={sorted(ends)}")
-    galleries = []
-    seen = set()
-    for seq in sorted(out):
-        if seq in seen:
-            continue
-        seen.add(seq)
-        parent_cubes = tuple(_cube_to_parent(sub, c) for c in seq)
-        galleries.append(Gallery(parent_cubes))
+    galleries = [Gallery(tuple(_cube_to_parent(sub, c) for c in seq)) for seq in sorted(out)]
     complex._solver_cache[key] = galleries
     return galleries
 
@@ -352,8 +350,8 @@ def _eliminate(a: list[list[float]], b: list[float]) -> Optional[list[float]]:
     return x
 
 
-def _newton_chain(chain: np.ndarray, free: np.ndarray, p: float, gate: float,
-                  max_iter: int, mergeable: np.ndarray) -> tuple[bool, Optional[int]]:
+def _newton_chain(chain: np.ndarray, free: np.ndarray, p: float, max_iter: int,
+                  mergeable: np.ndarray) -> tuple[bool, Optional[int]]:
     """Projected Newton on the free break coordinates of ``chain`` (in place).
 
     Stationarity of the length is zero tension: at each break the segment
@@ -374,7 +372,8 @@ def _newton_chain(chain: np.ndarray, free: np.ndarray, p: float, gate: float,
     COLLAPSE of its length is refused; if the segment is ``mergeable``, its
     index is handed back instead, as it is once the segment is shorter than
     SHORT of the path, so that the caller can try merging the breaks at its
-    ends.  Returns (converged, segment or None).
+    ends.  The solve stops once the tension residual is below a tenth of
+    RESIDUAL_TOL.  Returns (converged, segment or None).
 
     The solve runs on plain floats (see the module docstring) and writes the
     breaks back into ``chain`` on return.
@@ -385,6 +384,7 @@ def _newton_chain(chain: np.ndarray, free: np.ndarray, p: float, gate: float,
         return True, None
     pts = chain.tolist()
     merge = mergeable.tolist()
+    gate = RESIDUAL_TOL / 10
 
     def put(values: list[float]) -> None:
         for (j, i), t in zip(coords, values):
@@ -577,13 +577,13 @@ def _split(chain: np.ndarray, s: int, split, p: float) -> np.ndarray:
 
 
 def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Point,
-                         p: float, tol: float = DEFAULT_TOL, *,
-                         max_sweeps: Optional[int] = None,
+                         p: float, *, max_sweeps: Optional[int] = None,
                          init: Optional[list[np.ndarray]] = None) -> PiecewisePath:
     """Shortest piecewise affine path through the gallery's faces.
 
     ``max_sweeps`` caps the Newton iterations (used for coarse screening of
-    candidate galleries); by default iteration runs to the stated tolerance.
+    candidate galleries); by default iteration runs until the tension
+    residual is below a tenth of RESIDUAL_TOL.
     ``init`` warm-starts the break points with ambient coordinate vectors.
     Breaks that coincide at the optimum come back merged, with the cube
     between them dropped from the path (not from ``gallery``).
@@ -592,7 +592,6 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
     n = len(complex.hyperplanes)
     xa = x.ambient(n)
     ya = y.ambient(n)
-    gate = min(RESIDUAL_TOL / 10, tol * 10)
 
     def solve(cubes: list[CubeRef], seed):
         faces = [cube_intersection(a, b) for a, b in zip(cubes, cubes[1:])]
@@ -608,7 +607,7 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
             if k and np.any((end != template[min(s, k - 1)]) & ~free[min(s, k - 1)]):
                 mergeable[s] = False
         while True:
-            converged, s = _newton_chain(chain, free, p, gate,
+            converged, s = _newton_chain(chain, free, p,
                                          NEWTON_CAP if max_sweeps is None else max_sweeps,
                                          mergeable)
             if s is None:
@@ -643,8 +642,8 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
 
 
 def _face_bounds(complex: CubeComplex, galleries: Sequence[Gallery], x: Point,
-                 y: Point, p: float) -> dict[tuple, float]:
-    """Per gallery key: a lower bound on the length of its paths.
+                 y: Point, p: float) -> dict[Gallery, float]:
+    """Per gallery: a lower bound on the length of its paths.
 
     A path through a face is at least as long as the lp distances of x and y
     to that face, and, as in ``distance_lower_bound``, as their l1 distances
@@ -667,12 +666,11 @@ def _face_bounds(complex: CubeComplex, galleries: Sequence[Gallery], x: Point,
     bound = {f: max(lp_norm(gx, p) + lp_norm(gy, p), b)
              for f, gx, gy, b in zip(faces, gaps[0], gaps[1], l1)}
     lb0 = distance_lower_bound(complex, x, y, p)
-    return {g.key(): max([lb0] + [bound[f] for f in fs])
+    return {g: max([lb0] + [bound[f] for f in fs])
             for g, fs in zip(galleries, gallery_faces)}
 
 
-def geodesic(complex: CubeComplex, x: Point, y: Point, p: float,
-             tol: float = DEFAULT_TOL) -> PiecewisePath:
+def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath:
     """The unique lp geodesic from x to y, as a constant-speed piecewise path."""
     p = check_p(p, smooth=True)
     complex.check_point(x)
@@ -681,13 +679,10 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float,
     if pair is not None:
         return PiecewisePath(complex, p, (x, y), Gallery((pair,)))
     galleries = enumerate_galleries(complex, x, y)
-    if not galleries:
-        raise ValueError("no gallery connects the two points")
     if len(galleries) == 1:
-        return _select([optimize_breakpoints(complex, galleries[0], x, y, p, tol)], tol)
-    margin = max(tol, UNIQUENESS_SUP)
+        return _select([optimize_breakpoints(complex, galleries[0], x, y, p)])
     bounds = _face_bounds(complex, galleries, x, y, p)
-    untried = sorted(galleries, key=lambda g: (bounds[g.key()], g.key()))
+    untried = sorted(galleries, key=lambda g: (bounds[g], g.cubes))
     # a certified path ends the search; one that fails no-shortcut can be
     # shortened through its most violated corner cube, which picks the next
     # candidate (see the module docstring)
@@ -699,18 +694,17 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float,
         if corner is not None:
             g = next((h for h in untried if any(c.contains_cube(corner) for c in h.cubes)), g)
         untried.remove(g)
-        bound = bounds[g.key()]
-        if bound > upper + margin:
+        bound = bounds[g]
+        if bound > upper + UNIQUENESS_SUP:
             continue
-        rough = optimize_breakpoints(complex, g, x, y, p, tol, max_sweeps=3)
+        rough = optimize_breakpoints(complex, g, x, y, p, max_sweeps=3)
         pts = rough.ambient_breaks()
         if len(pts) == len(g.cubes) + 1:
             bound = max(bound, _dual_bound(pts, g.faces(), p))
         upper = min(upper, rough.length)
-        if bound > upper + margin:
+        if bound > upper + UNIQUENESS_SUP:
             continue
-        path = optimize_breakpoints(complex, g, x, y, p, tol,
-                                    init=[v.copy() for v in pts[1:-1]])
+        path = optimize_breakpoints(complex, g, x, y, p, init=[v.copy() for v in pts[1:-1]])
         results.append(path)
         upper = min(upper, path.length)
         corner = None
@@ -721,10 +715,10 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float,
                                     key=lambda m: m[0], default=(0.0, None))
                 if least >= -RESIDUAL_TOL:
                     return path
-    return _select(results, tol)
+    return _select(results)
 
 
-def _select(results: list[PiecewisePath], tol: float) -> PiecewisePath:
+def _select(results: list[PiecewisePath]) -> PiecewisePath:
     """The shortest solved path, for a lone gallery or when none certified.
 
     Prefers fully converged paths, then the lexicographically smallest gallery
@@ -734,8 +728,8 @@ def _select(results: list[PiecewisePath], tol: float) -> PiecewisePath:
     best_len = min(path.length for path in results)
 
     def rank(path: PiecewisePath) -> tuple:
-        tied = path.length <= best_len + tol
-        return (not (tied and path.converged), path.length, path.gallery.key())
+        tied = path.length <= best_len + LENGTH_TOL
+        return (not (tied and path.converged), path.length, path.gallery.cubes)
 
     results = sorted(results, key=rank)
     best = results[0]
@@ -743,20 +737,18 @@ def _select(results: list[PiecewisePath], tol: float) -> PiecewisePath:
     if not best.converged:
         # prefer a converged path unless the unconverged one is materially better
         converged = [pa for pa in results if pa.converged]
-        allowance = max(10 * tol, 1e-8)
-        if converged and min(pa.length for pa in converged) <= best_len + allowance:
-            best = min(converged, key=lambda pa: (pa.length, pa.gallery.key()))
+        if converged and min(pa.length for pa in converged) <= best_len + 10 * LENGTH_TOL:
+            best = min(converged, key=lambda pa: (pa.length, pa.gallery.cubes))
             best_len = best.length
         else:
             raise NoConvergence(
-                "no gallery optimization converged at the requested tolerance",
+                "no gallery optimization converged",
                 residual=best_len)
-    # tie window well below tol: per-gallery optima are accurate to ~1e-12, and
-    # distinct galleries routinely have genuinely different optima separated by
-    # less than tol in length when the valley between routes is flat
-    tie = max(tol / 100.0, 1e-12)
+    # tie window well below LENGTH_TOL: per-gallery optima are accurate to
+    # ~1e-12, and distinct galleries routinely have genuinely different optima
+    # separated by less than LENGTH_TOL when the valley between routes is flat
     for path in results[1:]:
-        if path.length <= best_len + tie and path.converged:
+        if path.length <= best_len + LENGTH_TOL / 100 and path.converged:
             if path_sup_distance(path, best) > UNIQUENESS_SUP:
                 raise UniquenessViolation(
                     f"two optimal galleries disagree: lengths {path.length} vs {best_len}, "
@@ -764,27 +756,26 @@ def _select(results: list[PiecewisePath], tol: float) -> PiecewisePath:
     return best
 
 
-def path_sup_distance(a: PiecewisePath, b: PiecewisePath, samples: int = 33) -> float:
-    """Sup of the ambient lp distance between same-time points of two paths."""
+def path_sup_distance(a: PiecewisePath, b: PiecewisePath) -> float:
+    """Sup of the ambient lp distance between same-time points of two paths,
+    sampled at SUP_SAMPLES + 1 evenly spaced times."""
     n = len(a.complex.hyperplanes)
     worst = 0.0
-    for i in range(samples + 1):
-        t = i / samples
+    for i in range(SUP_SAMPLES + 1):
+        t = i / SUP_SAMPLES
         pa = a.evaluate(t).ambient(n)
         pb = b.evaluate(t).ambient(n)
         worst = max(worst, lp_norm(pa - pb, a.p))
     return worst
 
 
-def bicombing(complex: CubeComplex, x: Point, y: Point, t: float, p: float,
-              tol: float = DEFAULT_TOL) -> Point:
+def bicombing(complex: CubeComplex, x: Point, y: Point, t: float, p: float) -> Point:
     """sigma_p(x, y, t): the point at parameter t along the unique geodesic."""
-    return geodesic(complex, x, y, p, tol).evaluate(t)
+    return geodesic(complex, x, y, p).evaluate(t)
 
 
-def distance(complex: CubeComplex, x: Point, y: Point, p: float,
-             tol: float = DEFAULT_TOL) -> float:
-    return geodesic(complex, x, y, p, tol).length
+def distance(complex: CubeComplex, x: Point, y: Point, p: float) -> float:
+    return geodesic(complex, x, y, p).length
 
 
 # -- local geodesic conditions -------------------------------------------------

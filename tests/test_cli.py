@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from lpcube import analysis as an
 from lpcube import cli
 from lpcube import complexes as cc
 from lpcube import oracle as orc
@@ -151,6 +152,30 @@ class TestSuiteCommand:
                       "--samples", "20", "--seed", "1", "--threads", "4",
                       str(fx_dir / "hypercube3.json")])
         assert ei.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["distance", "--tol", "1e-6"],
+        ["suite", "--name", "midpoint", "--samples", "2", "--tol", "1e-6"],
+        ["decompose", "--vertex", "0", "--merge-tol", "1e-3"],
+        ["check", "--residual-tol", "1e-3"],
+    ])
+    def test_tolerance_flags_removed(self, fx_dir, argv):
+        # the tolerances are fixed library constants, not options
+        verb, *rest = argv
+        points = [] if verb == "suite" else ["--from", "0:a1=0.5", "--to", "0:b1=0.5"]
+        with pytest.raises(SystemExit) as ei:
+            cli.main([verb, str(fx_dir / "corner_complex.json"), "--p", "2", *points, *rest])
+        assert ei.value.code == 2
+
+    def test_suite_matches_library(self, fx_dir, capsys):
+        # the verb reports exactly what the library suite does, with its SUITE_TOL
+        code, out = run(capsys, ["suite", str(fx_dir / "corner_complex.json"), "--json",
+                                 "--name", "midpoint", "--p", "2", "--samples", "30",
+                                 "--seed", "4"])
+        want = an.midpoint_convexity_suite(cc.load((fx_dir / "corner_complex.json").read_text()),
+                                           2.0, 30, 4).to_obj()
+        assert code == 0
+        assert out == json.dumps(want, indent=1, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ["--name", "midpoint", "--samples", "-5"],

@@ -156,17 +156,20 @@ class TestBuildNet:
         assert (net.values[net.codes] == net.coords).all()
         assert (net.source, net.target) == (n_nodes - 2, n_nodes - 1)
 
-    def test_node_cap(self):
+    def test_node_cap(self, monkeypatch):
         cx, x, _, y, _ = build_wedge_instance(31)
-        assert orc.build_net(cx, x, y, 0.02, node_cap=8451).n_nodes == 8451
+        monkeypatch.setattr(orc, "NODE_CAP", 8451)
+        assert orc.build_net(cx, x, y, 0.02).n_nodes == 8451
+        monkeypatch.setattr(orc, "NODE_CAP", 8450)
         with pytest.raises(ScaleExceeded, match="exceeds 8450 nodes"):
-            orc.build_net(cx, x, y, 0.02, node_cap=8450)
+            orc.build_net(cx, x, y, 0.02)
 
-    def test_face_grid_precheck(self):
+    def test_face_grid_precheck(self, monkeypatch):
         # one face axis already holds 65 grid values at eps = 0.02
         cx, x, _, y, _ = build_wedge_instance(31)
+        monkeypatch.setattr(orc, "NODE_CAP", 64)
         with pytest.raises(ScaleExceeded, match="face grid alone"):
-            orc.build_net(cx, x, y, 0.02, node_cap=64)
+            orc.build_net(cx, x, y, 0.02)
 
     def test_equal_nodes_are_shared(self, corner):
         # three squares at the origin: faces a2, b1 and the origin itself share

@@ -88,11 +88,20 @@ class TestEnumerateGalleries:
                         seen_then_dropped |= prev.mask & ~q.mask
                     prev = q
 
-    def test_cap(self, grid222):
+    def test_grid333_corner_to_corner_count(self):
+        # simple paths from distinct start cubes never repeat, so every
+        # enumerated gallery is distinct without a dedup pass
+        g = cc.grid(3, 3, 3)
+        gals = sv.enumerate_galleries(g, Point.make(0), Point.make(max(g.vertices)))
+        assert len(gals) == len(set(gals)) == 409
+        assert gals == sorted(gals, key=lambda gal: gal.cubes)
+
+    def test_cap(self, grid222, monkeypatch):
         x = Point.make(0, {0: 0.5, 2: 0.5, 4: 0.5})
         y = Point.make(0b010101, {1: 0.5, 3: 0.5, 5: 0.5})
+        monkeypatch.setattr(sv, "GALLERY_CAP", 3)
         with pytest.raises(ScaleExceeded):
-            sv.enumerate_galleries(cc.grid(2, 2, 2), x, y, cap=3)
+            sv.enumerate_galleries(cc.grid(2, 2, 2), x, y)
 
 
 class TestOptimizeBreakpoints:
@@ -179,7 +188,7 @@ class TestNewtonChain:
         chain = np.vstack([pts[0], pts[1], pts[2], pts[2], pts[3]])
         chain[1, free[0]] = 0.5
         start = chain.copy()
-        out = sv._newton_chain(chain, free, 1.5, 1e-9, sv.NEWTON_CAP,
+        out = sv._newton_chain(chain, free, 1.5, sv.NEWTON_CAP,
                                np.array([False, False, mergeable, False]))
         nu = sv._segments(chain.tolist(), 1.5)[0]
         if mergeable:
@@ -293,7 +302,7 @@ class TestGeodesic:
                                 if not f.mask >> i & 1:
                                     l1[-1] += abs(vec[i] - float(f.corner >> i & 1))
                         want = max(want, lp[0] + lp[1], (l1[0] + l1[1]) / 3 ** (1 - 1 / p))
-                    assert bounds[g.key()] == want
+                    assert bounds[g] == want
         assert multi >= 3
 
     def test_hyperplane_discipline(self, grid222, corner):
