@@ -7,24 +7,29 @@ two step below the requested epsilon) so refinement nets nest, which makes
 the oracle value monotone under halving.
 
 The graph is never materialized: an arc joins every node pair sharing a
-maximal cube, and the search relaxes all cube-mates of a popped node in one
+maximal cube, and the search relaxes the cube-mates of a popped node in one
 vectorized pass per cube.  Each cube keeps its members' coordinates on its
 free axes only, axis-major, because its fixed axes agree across its members
 and add nothing to a distance.  Every net coordinate is a grid value or an
 endpoint coordinate, so the net stores each coordinate as a code into the
 short sorted array of its distinct values, and the search looks up
 |a - b|^p in one lazily filled row of powers per code instead of raising
-every member's differences to the p-th power again.  A popped node is not
-relaxed into the cube through which its distance was set (the triangle
-inequality makes that pass useless, see ``_dijkstra``), and the queue is a
-dense key array searched with ``argmin``.
+every member's differences to the p-th power again.  A popped node relaxes
+no member of the cube through which its distance was set, in that cube or
+in any other: the node that set it has already brought them as close, and
+by the triangle inequality a second pass cannot improve any of them (see
+``_dijkstra``).  Each cube therefore keeps its membership mask, and the
+search reads, per cube and arrival cube, a lazily cut list of the members
+outside the arrival cube.  On the largest wedge nets this skips more than
+half of the member candidates.  The queue is a dense key array searched
+with ``argmin``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,12 +42,33 @@ NODE_CAP = 200_000      # net nodes before ScaleExceeded
 CALIBRATION_C = 2.0     # fixture-calibrated slack per break point and step
 
 
-def dyadic_step(eps: float) -> float:
-    """Largest power of two that is <= eps (and <= 1/2)."""
+def _step_exponent(eps: float) -> int:
+    """The k of the dyadic step 2^-k for ``eps``."""
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    k = max(1, math.ceil(-math.log2(eps) - 1e-12))
-    return 2.0 ** -k
+    return max(1, math.ceil(-math.log2(eps) - 1e-12))
+
+
+def dyadic_step(eps: float) -> float:
+    """Largest power of two that is <= eps (and <= 1/2)."""
+    return 2.0 ** -_step_exponent(eps)
+
+
+class _CutLists(dict):
+    """Lazily cut relaxation lists: ``cuts[c, a]`` is (members of cube c that
+    are not members of cube a, their codes on c's free axes)."""
+
+    def __init__(self, masks: list[np.ndarray], members: list[np.ndarray],
+                 blocks: list[np.ndarray]):
+        super().__init__()
+        self.masks, self.members, self.blocks = masks, members, blocks
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        c, a = key
+        idxs = self.members[c]
+        keep = np.nonzero(~self.masks[a].take(idxs))[0]
+        cut = self[key] = (idxs.take(keep), self.blocks[c].take(keep, 1))
+        return cut
 
 
 @dataclass
@@ -51,14 +77,17 @@ class NetGraph:
 
     Each node coordinate is also stored as a code: ``values[codes] == coords``,
     where ``values`` holds the distinct coordinates (the grid values and the
-    endpoints' coordinates), sorted.  Per maximal cube: its member node
-    indices, its free axes, and the members' codes on those axes as one
-    axis-major block (free axes x members).
+    endpoints' coordinates), sorted.  Per maximal cube: its membership mask
+    over the nodes, its member node indices, its free axes, and the members'
+    codes on those axes as one axis-major block (free axes x members).
+    ``cuts[c, a]`` is the same pair (indices, block) for the members of cube
+    c outside cube a, built on first use.
     """
 
     coords: np.ndarray                 # node ambient coordinates, hull frame
     values: np.ndarray                 # the distinct coordinates, sorted
     codes: np.ndarray                  # per node and axis: index into values
+    masks: list[np.ndarray]            # per maximal cube: True on its members
     members: list[np.ndarray]          # per maximal cube: node indices inside it
     free: list[list[int]]              # per maximal cube: its free axes
     blocks: list[np.ndarray]           # per maximal cube: codes[members][:, free].T
@@ -66,6 +95,10 @@ class NetGraph:
     source: int
     target: int
     step: float
+    cuts: _CutLists = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.cuts = _CutLists(self.masks, self.members, self.blocks)
 
     @property
     def n_nodes(self) -> int:
@@ -78,8 +111,9 @@ def build_net(complex: CubeComplex, x: Point, y: Point, eps: float) -> NetGraph:
     n = len(hull.hyperplanes)
     hx = sub.to_sub_point(x)
     hy = sub.to_sub_point(y)
-    step = dyadic_step(eps)
-    per_axis = int(round(1.0 / step)) + 1
+    k = _step_exponent(eps)
+    step = 2.0 ** -k
+    per_axis = (1 << k) + 1             # grid values per face axis, an exact int
     maximal = sorted(hull.maximal_cubes())
     faces = set()
     for i, a in enumerate(maximal):
@@ -95,11 +129,12 @@ def build_net(complex: CubeComplex, x: Point, y: Point, eps: float) -> NetGraph:
             raise ScaleExceeded(f"epsilon net exceeds {NODE_CAP} nodes")
         return idx
 
-    grid = [t * step for t in range(per_axis)]
+    widest = max((f.dim for f in faces), default=0)
+    if widest and per_axis ** widest > NODE_CAP:
+        raise ScaleExceeded("face grid alone exceeds the node cap")
+    grid = [t * step for t in range(per_axis)] if widest else []
     for f in faces:
         free = [i for i in range(n) if f.mask >> i & 1]
-        if per_axis ** len(free) > NODE_CAP:
-            raise ScaleExceeded("face grid alone exceeds the node cap")
         vec = [1.0 if not f.mask >> i & 1 and f.corner >> i & 1 else 0.0 for i in range(n)]
         for point in itertools.product(grid, repeat=len(free)):
             for i, t in zip(free, point):
@@ -110,7 +145,7 @@ def build_net(complex: CubeComplex, x: Point, y: Point, eps: float) -> NetGraph:
     mat = np.array(list(node_index))
     values = np.unique(mat)
     codes = values.searchsorted(mat)    # exact: every coordinate is in values
-    members, frees, blocks = [], [], []
+    masks, members, frees, blocks = [], [], [], []
     node_cubes: list[list[int]] = [[] for _ in range(len(mat))]
     for ci, q in enumerate(maximal):
         fixed = [i for i in range(n) if not q.mask >> i & 1]
@@ -120,12 +155,13 @@ def build_net(complex: CubeComplex, x: Point, y: Point, eps: float) -> NetGraph:
             mask &= mat[:, i] == want
         idxs = np.nonzero(mask)[0]
         free = [i for i in range(n) if q.mask >> i & 1]
+        masks.append(mask)
         members.append(idxs)
         frees.append(free)
         blocks.append(codes.T.take(free, 0).take(idxs, 1))
         for i in idxs.tolist():
             node_cubes[i].append(ci)
-    return NetGraph(mat, values, codes, members, frees, blocks, node_cubes,
+    return NetGraph(mat, values, codes, masks, members, frees, blocks, node_cubes,
                     source, target, step)
 
 
@@ -158,22 +194,30 @@ def _dijkstra(net: NetGraph, p: float) -> float:
     The potential is a lower bound on the remaining path length and satisfies
     the triangle inequality against the arc weights, so the result is exact.
 
-    Popping u relaxes every cube C containing u except the one through which
-    dist[u] was last set.  If that was C, from w, then w relaxed all of C when
-    it was popped, so for every v in C
+    Popping u relaxes every cube C containing u, but only on the members of C
+    outside the cube A through which dist[u] was last set, which keeps this
+    invariant: once u is popped, dist[v] <= dist[u] + |u - v|_p for every
+    cube-mate v of u.  The source relaxes every member.  Any other u got
+    dist[u] = dist[w] + |w - u|_p from some w through A, and w keeps the
+    invariant, so for every v in A
         dist[v] <= dist[w] + |w - v|_p <= dist[w] + |w - u|_p + |u - v|_p
                  = dist[u] + |u - v|_p,
-    and relaxing C from u cannot improve anything.  Face nodes lie in about two
-    cubes, so this halves the relaxations.  Each relaxation works on C's
-    free-axis code block: for each free axis a, in axis order, it adds the
-    power row of u's code on a, taken at the members' codes on a, and then
-    takes one root per member.  Each term is the same float |v_a - u_a| raised
-    by the same ufunc as a direct evaluation, and the terms are summed in the
-    same order, so every arc weight is bit-identical to ``_norms`` on the
-    difference block; the fixed axes would only add exact zeros.  The queue is
-    the array ``key`` (dist + potential for reached, unpopped nodes, inf
-    otherwise) and a pop is its ``argmin``; that O(nodes) scan costs less than
-    the relaxation that follows it.
+    and relaxing v from u cannot improve anything.  C = A drops out whole,
+    and in any other C the members of the face A & C drop out.  The
+    inequality holds for the exact weights; the rounded ones can break it by
+    an ulp when w, u and v are collinear, so a skipped candidate can lie an
+    ulp below dist[v].  The value returned is still the length of a net path,
+    so still an upper bound.
+
+    Each relaxation works on the cut list's code block: for each free axis a
+    of C, in axis order, it adds the power row of u's code on a, taken at the
+    members' codes on a, and then takes one root per member.  Each term is the
+    same float |v_a - u_a| raised by the same ufunc as a direct evaluation,
+    and the terms are summed in the same order, so every arc weight is
+    bit-identical to ``_norms`` on the difference block; the fixed axes would
+    only add exact zeros.  The queue is the array ``key`` (dist + potential
+    for reached, unpopped nodes, inf otherwise) and a pop is its ``argmin``;
+    that O(nodes) scan costs less than the relaxation that follows it.
     """
     coords = net.coords
     target = net.target
@@ -195,8 +239,11 @@ def _dijkstra(net: NetGraph, p: float) -> float:
         for ci in net.node_cubes[u]:
             if ci == arrived:
                 continue
-            idxs = net.members[ci]
-            free, block = net.free[ci], net.blocks[ci]
+            if arrived < 0:
+                idxs, block = net.members[ci], net.blocks[ci]
+            else:
+                idxs, block = net.cuts[ci, arrived]
+            free = net.free[ci]
             acc = rows[at[free[0]]].take(block[0])
             for j in range(1, len(free)):
                 acc += rows[at[free[j]]].take(block[j])

@@ -217,6 +217,16 @@ class TestOracleCommand:
         assert error["type"] == "LpCubeError"
         assert error["message"].startswith("eps must lie in (0, 1]")
 
+    def test_eps_beyond_the_node_cap_is_domain_error(self, fx_dir, capsys):
+        # 1/eps overflows a float here; the face grid is refused unbuilt
+        argv = ["oracle", "--p", "2", "--eps", "1e-310", "--json",
+                "--from", "0:a1=0.5,a2=0.5", "--to", "0:b1=0.5,b2=0.5"]
+        code, out = run(capsys, argv + [str(fx_dir / "corner_complex.json")])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ScaleExceeded"
+        assert error["message"].startswith("face grid alone")
+
     def test_builds_one_net(self, fx_dir, capsys, monkeypatch):
         built = []
         build_net = orc.build_net

@@ -138,6 +138,27 @@ class TestOracleDistance:
         y = Point.make(0b010101, {1: 0.5, 3: 0.5, 5: 0.5})
         assert orc.oracle_distance(grid222, x, y, p, 0.05) == value
 
+    @pytest.mark.parametrize("fixture, seed, values", [
+        # nodes on the centre vertex and edges lie in up to 8 cubes (12,483 nodes)
+        ("grid222", 19, (2.53286092406496, 2.120789721554107, 1.7856868793101421)),
+        ("grid222", 25, (2.1175813252146036, 1.7664455965250447, 1.4760115414342467)),
+        # up to 4 cubes (4,259 nodes)
+        ("grid222", 2, (2.301555899869264, 1.9459567272633969, 1.6679737722501355)),
+        # the origin lies in all 3 squares
+        ("corner", 1, (1.573137368982485, 1.4200012909470374, 1.290889793492506)),
+        # two maximal cubes: the face nodes are the whole cut
+        ("scb", 0, (1.8233274793399192, 1.7509835276064396, 1.7087551053302326)),
+        ("book2", 0, (1.8586547270977731, 1.732685523061231, 1.6538515744317819)),
+    ])
+    def test_multi_cube_net_values(self, request, fixture, seed, values):
+        # pinned bit for bit on nets where a node's arrival cube shares a face
+        # with the other cubes it relaxes
+        cx = request.getfixturevalue(fixture)
+        rng = np.random.default_rng([91, seed])
+        x, y = sample_point(cx, rng), sample_point(cx, rng)
+        for p, value in zip((1.5, 2.0, 3.0), values):
+            assert orc.oracle_distance(cx, x, y, p, 0.05) == value
+
     def test_wedge_instances_close(self):
         for seed in (0, 3, 7):
             cx, x, v, y, _ = build_wedge_instance(seed)
@@ -170,6 +191,37 @@ class TestBuildNet:
         monkeypatch.setattr(orc, "NODE_CAP", 64)
         with pytest.raises(ScaleExceeded, match="face grid alone"):
             orc.build_net(cx, x, y, 0.02)
+
+    def test_vertex_faces_build_no_grid(self):
+        # wedge 0's two cubes meet only at the origin, so its net is the origin
+        # and the endpoints at any eps, and no face grid is laid out
+        cx, x, _, y, _ = build_wedge_instance(0)
+        assert orc.build_net(cx, x, y, 2.0 ** -40).n_nodes == 3
+        assert orc.oracle_distance(cx, x, y, 2.0, 2.0 ** -40) == 0.8881926742146802
+
+    def test_fine_face_grid_is_refused_before_it_is_built(self):
+        cx, x, _, y, _ = build_wedge_instance(31)
+        with pytest.raises(ScaleExceeded, match="face grid alone"):
+            orc.build_net(cx, x, y, 1e-9)
+
+    @pytest.mark.parametrize("case", ["wedge31", "grid_diagonal"])
+    def test_masks_and_cut_lists(self, grid222, case):
+        if case == "wedge31":
+            cx, x, _, y, _ = build_wedge_instance(31)
+            net = orc.build_net(cx, x, y, 0.02)
+        else:   # demo 06's diagonal
+            x = Point.make(0, {0: 0.5, 2: 0.5, 4: 0.5})
+            y = Point.make(0b010101, {1: 0.5, 3: 0.5, 5: 0.5})
+            net = orc.build_net(grid222, x, y, 0.25)
+        cubes = range(len(net.members))
+        for ci in cubes:
+            assert np.array_equal(np.nonzero(net.masks[ci])[0], net.members[ci])
+            assert net.masks[ci].tolist() == [ci in cs for cs in net.node_cubes]
+        for c in cubes:
+            for a in cubes:
+                idxs, block = net.cuts[c, a]
+                assert idxs.tolist() == np.setdiff1d(net.members[c], net.members[a]).tolist()
+                assert np.array_equal(block, net.codes[idxs][:, net.free[c]].T)
 
     def test_equal_nodes_are_shared(self, corner):
         # three squares at the origin: faces a2, b1 and the origin itself share
