@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .complexes import CubeComplex, Point, point_from_ambient, point_from_obj, point_to_obj
+from .complexes import CubeComplex, Point, bit_indices, point_from_ambient
+from .complexes import point_from_obj, point_to_obj
 from .errors import InsufficientDiameter, PreconditionViolated
 from .geometry import check_p, distance_lower_bound, lp_norm
 from .solver import PiecewisePath, distance, geodesic
@@ -75,9 +76,8 @@ def sample_point(complex: CubeComplex, rng: np.random.Generator) -> Point:
     cubes = complex.maximal_cubes()
     ref = cubes[int(rng.integers(len(cubes)))]
     coords = {}
-    for i in range(len(complex.hyperplanes)):
-        if ref.mask >> i & 1:
-            coords[i] = float(rng.uniform(SAMPLE_INSET, 1.0 - SAMPLE_INSET))
+    for i in bit_indices(ref.mask):
+        coords[i] = float(rng.uniform(SAMPLE_INSET, 1.0 - SAMPLE_INSET))
     return Point.make(ref.corner, coords)
 
 
@@ -141,12 +141,11 @@ def _midpoint_margin(complex: CubeComplex, c: dict, x: Point, y: Point,
 
 
 def midpoint_convexity_suite(complex: CubeComplex, p: float, n_samples: int,
-                             seed: int, tol: float = SUITE_TOL,
-                             scale: float = 1.0) -> CheckReport:
+                             seed: int, scale: float = 1.0) -> CheckReport:
     """d(mid(x,y), mid(x,y')) <= d(y,y')/2 on sampled triples."""
     _check_constants(p, n_samples)
     return _drive(complex, "midpoint", _uniform_points("x", "y", "y2"), _midpoint_margin,
-                  n_samples, {"p": p, "tol": tol, "scale": scale, "seed": seed},
+                  n_samples, {"p": p, "tol": SUITE_TOL, "scale": scale, "seed": seed},
                   ("p", "scale"))
 
 
@@ -168,16 +167,14 @@ def _busemann_margin(complex: CubeComplex, c: dict, x: Point, y: Point, x2: Poin
 
 
 def busemann_suite(complex: CubeComplex, p: float, n_samples: int, seed: int,
-                   tol: float = SUITE_TOL, t_values: Sequence[float] = None,
                    scale: float = 1.0) -> CheckReport:
-    """d(s1(t), s2(t)) <= (1-t) d(x,x') + t d(y,y') on sampled quadruples."""
+    """d(s1(t), s2(t)) <= (1-t) d(x,x') + t d(y,y') on sampled quadruples,
+    at t = 0.1, 0.2, ..., 0.9."""
     _check_constants(p, n_samples)
-    if t_values is None:
-        t_values = [i / 10 for i in range(1, 10)]
     return _drive(complex, "busemann", _uniform_points("x", "y", "x2", "y2"),
                   _busemann_margin, n_samples,
-                  {"p": p, "tol": tol, "scale": scale, "seed": seed,
-                   "t_values": list(t_values)}, ("p", "scale"))
+                  {"p": p, "tol": SUITE_TOL, "scale": scale, "seed": seed,
+                   "t_values": [i / 10 for i in range(1, 10)]}, ("p", "scale"))
 
 
 def _uniform_convexity_margin(complex: CubeComplex, c: dict, x: Point, y: Point,
@@ -191,8 +188,7 @@ def _uniform_convexity_margin(complex: CubeComplex, c: dict, x: Point, y: Point,
 
 
 def uniform_convexity_suite(complex: CubeComplex, p: float, k: Optional[float],
-                            n_samples: int, seed: int,
-                            tol: float = SUITE_TOL, scale: float = 1.0) -> CheckReport:
+                            n_samples: int, seed: int, scale: float = 1.0) -> CheckReport:
     """d(x,m)^q <= d(x,y)^q/2 + d(x,z)^q/2 - k d(y,z)^q, m the y-z midpoint.
 
     The inequality exponent is q = max(p, 2): lp norms are power-type-p
@@ -204,7 +200,7 @@ def uniform_convexity_suite(complex: CubeComplex, p: float, k: Optional[float],
     _check_constants(p, n_samples, k=k)
     return _drive(complex, "uniform_convexity", _uniform_points("x", "y", "z"),
                   _uniform_convexity_margin, n_samples,
-                  {"p": p, "k": k, "q": max(p, 2.0), "tol": tol, "scale": scale,
+                  {"p": p, "k": k, "q": max(p, 2.0), "tol": SUITE_TOL, "scale": scale,
                    "seed": seed}, ("p", "k", "q", "scale"))
 
 
@@ -235,7 +231,7 @@ def _nearby_point(complex: CubeComplex, rng: np.random.Generator, center: Point,
     ref = cubes[int(rng.integers(len(cubes)))]
     n = len(complex.hyperplanes)
     vec = center.ambient(n).copy()
-    free = [i for i in range(n) if ref.mask >> i & 1]
+    free = bit_indices(ref.mask)
     delta = rng.uniform(-1.0, 1.0, size=len(free))
     nrm = lp_norm(delta, p)
     if nrm > 0:
@@ -267,8 +263,7 @@ def _smoothness_margin(complex: CubeComplex, c: dict, x: Point, y: Point,
 
 
 def uniform_smoothness_suite(complex: CubeComplex, p: float, C: Optional[float],
-                             r: float, R: float, n_samples: int, seed: int,
-                             tol: float = SUITE_TOL) -> CheckReport:
+                             r: float, R: float, n_samples: int, seed: int) -> CheckReport:
     """d(x, mid(y,z)) <= d(x,z) - d(y,z)/2 + C r^2 / R over stretched triples."""
     _check_constants(p, n_samples, r=r, R=R)
     if C is None:
@@ -276,7 +271,7 @@ def uniform_smoothness_suite(complex: CubeComplex, p: float, C: Optional[float],
     if _diameter_lower_bound(complex, p) < R:
         raise InsufficientDiameter(f"complex cannot realize d(y,z) >= {R}")
     return _drive(complex, "uniform_smoothness", _smoothness_sample, _smoothness_margin,
-                  n_samples, {"p": p, "C": C, "r": r, "R": R, "tol": tol, "seed": seed},
+                  n_samples, {"p": p, "C": C, "r": r, "R": R, "tol": SUITE_TOL, "seed": seed},
                   ("p", "C", "r", "R"))
 
 
@@ -311,8 +306,7 @@ def _b1_margin(complex: CubeComplex, c: dict, a: Point, b: Point, a2: Point,
 
 
 def bolicity_b1_suite(complex: CubeComplex, p: float, delta: float, r: float,
-                      n_samples: int, seed: int, C: Optional[float] = None,
-                      tol: float = SUITE_TOL) -> CheckReport:
+                      n_samples: int, seed: int, C: Optional[float] = None) -> CheckReport:
     """Four-point excess d(a,b)+d(a',b')-d(a,b')-d(a',b) <= delta at scale R."""
     _check_constants(p, n_samples, r=r, delta=delta)
     if C is None:
@@ -321,7 +315,7 @@ def bolicity_b1_suite(complex: CubeComplex, p: float, delta: float, r: float,
     if _diameter_lower_bound(complex, p) < R:
         raise InsufficientDiameter(f"complex cannot realize the scale R = {R}")
     return _drive(complex, "bolicity_b1", _b1_sample, _b1_margin, n_samples,
-                  {"p": p, "delta": delta, "r": r, "R": R, "C": C, "tol": tol,
+                  {"p": p, "delta": delta, "r": r, "R": R, "C": C, "tol": SUITE_TOL,
                    "seed": seed}, ("p", "delta", "r", "R"))
 
 
@@ -356,8 +350,7 @@ def _b2_margin(complex: CubeComplex, c: dict, x: Point, y: Point, z: Point) -> f
 
 
 def bolicity_b2_suite(complex: CubeComplex, p: float, k: Optional[float],
-                      C: float, n_samples: int, seed: int,
-                      tol: float = SUITE_TOL) -> CheckReport:
+                      C: float, n_samples: int, seed: int) -> CheckReport:
     """d(x, mid(y,z)) < N - C whenever d(x,y), d(x,z) <= N < d(y,z)."""
     if k is None:
         k = default_convexity_constant(p)
@@ -366,7 +359,7 @@ def bolicity_b2_suite(complex: CubeComplex, p: float, k: Optional[float],
     if _diameter_lower_bound(complex, p) <= N:
         raise InsufficientDiameter(f"complex diameter does not exceed N = {N}")
     return _drive(complex, "bolicity_b2", _b2_sample, _b2_margin, n_samples,
-                  {"p": p, "k": k, "C": C, "N": N, "tol": tol, "seed": seed},
+                  {"p": p, "k": k, "C": C, "N": N, "tol": SUITE_TOL, "seed": seed},
                   ("p", "k", "C", "N"))
 
 

@@ -32,6 +32,16 @@ EXHAUSTIVE_MEDIAN_CAP = 600  # generator-built complexes above this skip the O(n
 SNAP_TOL = 1e-12             # coordinates closer than this to 0/1 snap onto the face
 
 
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def median_of(u: int, v: int, w: int) -> int:
     """Coordinatewise majority of three sign vectors."""
     return (u & v) | (u & w) | (v & w)
@@ -113,10 +123,8 @@ class Point:
 
     def ambient(self, n_hyperplanes: int) -> np.ndarray:
         vec = np.zeros(n_hyperplanes)
-        b = self.base
-        for i in range(n_hyperplanes):
-            if b >> i & 1:
-                vec[i] = 1.0
+        for i in bit_indices(self.base):
+            vec[i] = 1.0
         for h, t in self.coords:
             vec[h] = t
         return vec
@@ -156,7 +164,7 @@ class CubeComplex:
 
     def __init__(self, hyperplanes: Sequence[str], vertices: Iterable[int], *,
                  vertex_order: Optional[Sequence[int]] = None, validate: bool = True,
-                 check_median: Optional[bool] = None):
+                 check_median: bool = True):
         self.hyperplanes: tuple[str, ...] = tuple(hyperplanes)
         if len(set(self.hyperplanes)) != len(self.hyperplanes):
             raise ParseError("duplicate hyperplane labels")
@@ -166,18 +174,16 @@ class CubeComplex:
         self.label_index = {h: i for i, h in enumerate(self.hyperplanes)}
         self.vertex_index = {v: i for i, v in enumerate(self.vertex_order)}
         self._cube_cache: dict[CubeRef, bool] = {}
-        self._hull_cache: dict[tuple, "SubComplex"] = {}
+        self._hull_cache: dict[tuple, "CubeComplex"] = {}
         self._solver_cache: dict = {}
         self._all_cubes: Optional[tuple[CubeRef, ...]] = None
         self._maximal_cubes: Optional[tuple[CubeRef, ...]] = None
         if validate:
-            if check_median is None:
-                check_median = True
-            self._validate(check_median=check_median)
+            self._validate(check_median)
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self, check_median: bool = True) -> None:
+    def _validate(self, check_median: bool) -> None:
         if not self.vertices:
             raise ParseError("vertex set is empty")
         n_bits = len(self.hyperplanes)
@@ -274,30 +280,15 @@ class CubeComplex:
         """Every cube of the complex, enumerated bottom-up.  Desk scale only."""
         if self._all_cubes is not None:
             return self._all_cubes
-        self._all_cubes = _enumerate_cubes(self.vertices, len(self.hyperplanes))
+        self._all_cubes, self._maximal_cubes = _enumerate_cubes(self.vertices)
         for ref in self._all_cubes:
             self._cube_cache[ref] = True
         return self._all_cubes
 
     def maximal_cubes(self) -> tuple[CubeRef, ...]:
-        if self._maximal_cubes is not None:
-            return self._maximal_cubes
-        cubes = self.all_cubes()
-        maximal = []
-        nbits = len(self.hyperplanes)
-        for ref in cubes:
-            extendable = False
-            for i in range(nbits):
-                bit = 1 << i
-                if ref.mask & bit:
-                    continue
-                other = CubeRef((ref.corner ^ bit) & ~ref.mask, ref.mask)
-                if all(c in self.vertices for c in other.corners()):
-                    extendable = True
-                    break
-            if not extendable:
-                maximal.append(ref)
-        self._maximal_cubes = tuple(maximal)
+        """The cubes that are no face of a larger cube, in ``all_cubes`` order."""
+        if self._maximal_cubes is None:
+            self.all_cubes()
         return self._maximal_cubes
 
     def minimal_cube_pair(self, x: Point, y: Point) -> Optional[CubeRef]:
@@ -327,7 +318,10 @@ class CubeComplex:
             raise ValueError("empty seed set")
         return frozenset(v for v in self.vertices if not (lo & ~v) and not (v & ~hi))
 
-    def hull_restriction(self, points: Sequence[Point]) -> "SubComplex":
+    def hull_restriction(self, points: Sequence[Point]) -> "CubeComplex":
+        """The median hull of the points' minimal cubes, on this complex's own
+        hyperplanes (those the hull does not cross keep their constant side),
+        so that its cubes and points are the complex's; memoized per hull."""
         seeds: set[int] = set()
         for p in points:
             self.check_point(p)
@@ -337,17 +331,16 @@ class CubeComplex:
             lo &= s
             hi |= s
         key = (lo, hi)
-        cached = self._hull_cache.get(key)
-        if cached is not None:
-            return cached
-        hull_vertices = self.convex_hull_vertices(seeds)
-        sub = _restrict(self, hull_vertices)
-        self._hull_cache[key] = sub
-        return sub
+        hull = self._hull_cache.get(key)
+        if hull is None:
+            hull = self._hull_cache[key] = CubeComplex(
+                self.hyperplanes, self.convex_hull_vertices(seeds), validate=False)
+        return hull
 
     def median_hull(self, points: Sequence[Point]) -> "CubeComplex":
-        """Hull sub-complex containing the points' minimal cubes and all geodesics."""
-        return self.hull_restriction(points).complex
+        """Hull sub-complex containing the points' minimal cubes and all
+        geodesics between them; the same object as ``hull_restriction``."""
+        return self.hull_restriction(points)
 
     def split_hull(self, c1: CubeRef, c2: CubeRef) -> tuple[CubeRef, "SubComplex"]:
         """Split the hull of two intersecting cubes as (shared cube D) x Y."""
@@ -357,9 +350,10 @@ class CubeComplex:
         if d is None:
             raise DisjointCubes("cubes do not intersect")
         hull_vertices = self.convex_hull_vertices(set(c1.corners()) | set(c2.corners()))
-        kept = [i for i in range(len(self.hyperplanes)) if not d.mask >> i & 1]
-        y = _restrict(self, hull_vertices, kept_indices=kept)
-        return d, y
+        kept = tuple(bit_indices(_separating(hull_vertices) & ~d.mask))
+        y = CubeComplex([self.hyperplanes[i] for i in kept],
+                        {pick_bits(v, kept) for v in hull_vertices}, validate=False)
+        return d, SubComplex(y, kept)
 
     # -- misc ---------------------------------------------------------------
 
@@ -368,92 +362,67 @@ class CubeComplex:
                 f"{len(self.vertices)} vertices)")
 
 
-def _enumerate_cubes(vertices: frozenset[int], nbits: int) -> tuple[CubeRef, ...]:
+def _enumerate_cubes(vertices: frozenset[int]) -> tuple[tuple[CubeRef, ...],
+                                                      tuple[CubeRef, ...]]:
+    """Every cube, bottom-up, and the maximal ones in the same order.
+
+    A cube one dimension up grows from two faces on either side of a
+    hyperplane that separates vertices, once per hyperplane it spans, so
+    the faces it is grown from are all the cubes it contains one dimension
+    down: a cube no cube grows from is maximal.
+    """
+    bits = [1 << i for i in bit_indices(_separating(vertices))]
     current = {CubeRef(v, 0) for v in vertices}
     out = list(current)
+    faces = set()
     while current:
         grown = set()
         for ref in current:
-            for i in range(nbits):
-                bit = 1 << i
+            for bit in bits:
                 if ref.mask & bit or ref.corner & bit:
                     continue
                 twin = CubeRef(ref.corner | bit, ref.mask)
                 if twin in current:
                     grown.add(CubeRef(ref.corner, ref.mask | bit))
+                    faces.update((ref, twin))
         out.extend(grown)
         current = grown
-    return tuple(out)
+    return tuple(out), tuple(ref for ref in out if ref not in faces)
+
+
+def _separating(vertices: Iterable[int]) -> int:
+    """Mask of the hyperplanes that separate some two of the vertices."""
+    vertices = iter(vertices)
+    some = next(vertices)
+    mask = 0
+    for v in vertices:
+        mask |= v ^ some
+    return mask
+
+
+def pick_bits(v: int, kept: Sequence[int]) -> int:
+    """The bits of ``v`` at the positions ``kept``, packed in that order."""
+    out = 0
+    for j, i in enumerate(kept):
+        if v >> i & 1:
+            out |= 1 << j
+    return out
 
 
 @dataclass(frozen=True)
 class SubComplex:
-    """A sub-complex with the bookkeeping to move vertices and points across.
-
-    ``kept`` maps sub hyperplane index -> parent index; hyperplanes that do not
-    separate the sub-complex's vertices are dropped, and their constant parent
-    side is recorded in ``pattern``.
-    """
+    """The Y factor of ``split_hull``: a complex on the parent hyperplanes
+    ``kept`` (sub hyperplane index -> parent index) that separate its
+    vertices, less the shared cube's."""
 
     complex: CubeComplex
-    parent_nbits: int
     kept: tuple[int, ...]
-    pattern: int
-
-    def to_sub_vertex(self, v: int) -> int:
-        out = 0
-        for j, i in enumerate(self.kept):
-            if v >> i & 1:
-                out |= 1 << j
-        return out
-
-    def to_parent_vertex(self, v: int) -> int:
-        out = self.pattern
-        for j, i in enumerate(self.kept):
-            if v >> j & 1:
-                out |= 1 << i
-        return out
-
-    def to_sub_point(self, p: Point) -> Point:
-        pos = {i: j for j, i in enumerate(self.kept)}
-        coords = {}
-        for h, t in p.coords:
-            if h not in pos:
-                raise ValueError("point has a fractional coordinate outside the sub-complex")
-            coords[pos[h]] = t
-        return Point.make(self.to_sub_vertex(p.base), coords)
 
     def project_point(self, p: Point) -> Point:
         """Project onto the kept hyperplanes, discarding the others' coordinates."""
         pos = {i: j for j, i in enumerate(self.kept)}
         coords = {pos[h]: t for h, t in p.coords if h in pos}
-        return Point.make(self.to_sub_vertex(p.base), coords)
-
-
-def _restrict(parent: CubeComplex, hull_vertices: frozenset[int],
-              kept_indices: Optional[Sequence[int]] = None) -> SubComplex:
-    some = next(iter(hull_vertices))
-    varying = 0
-    for v in hull_vertices:
-        varying |= v ^ some
-    if kept_indices is None:
-        kept = tuple(i for i in range(len(parent.hyperplanes)) if varying >> i & 1)
-    else:
-        kept = tuple(i for i in kept_indices if varying >> i & 1)
-    drop_mask = 0
-    for i in kept:
-        drop_mask |= 1 << i
-    pattern = some & ~drop_mask
-    labels = [parent.hyperplanes[i] for i in kept]
-    sub_vertices = set()
-    for v in hull_vertices:
-        out = 0
-        for j, i in enumerate(kept):
-            if v >> i & 1:
-                out |= 1 << j
-        sub_vertices.add(out)
-    sub = CubeComplex(labels, sub_vertices, validate=False)
-    return SubComplex(sub, len(parent.hyperplanes), kept, pattern)
+        return Point.make(pick_bits(p.base, self.kept), coords)
 
 
 # -- document loading -------------------------------------------------------
@@ -512,9 +481,20 @@ def point_to_obj(complex: CubeComplex, p: Point) -> dict:
 
 
 def point_from_obj(complex: CubeComplex, obj: Mapping) -> Point:
-    base = complex.vertex_order[obj["vertex"]]
-    coords = {complex.label_index[h]: float(t) for h, t in obj.get("coords", {}).items()}
-    return complex.check_point(Point.make(base, coords))
+    """Inverse of ``point_to_obj``; ParseError on an index outside the vertex
+    list, an unknown hyperplane label or a non-numeric coordinate."""
+    index = obj["vertex"]
+    if not isinstance(index, int) or not 0 <= index < len(complex.vertex_order):
+        raise ParseError(f"vertex index {index!r} is not in [0, {len(complex.vertex_order)})")
+    coords = {}
+    for h, t in obj.get("coords", {}).items():
+        if h not in complex.label_index:
+            raise ParseError(f"unknown hyperplane {h!r}")
+        try:
+            coords[complex.label_index[h]] = float(t)
+        except (TypeError, ValueError):
+            raise ParseError(f"coordinate of {h} is not a number: {t!r}") from None
+    return complex.check_point(Point.make(complex.vertex_order[index], coords))
 
 
 def dump(complex: CubeComplex) -> str:

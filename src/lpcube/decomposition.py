@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .complexes import CubeComplex, CubeRef, Point
+from .complexes import CubeComplex, CubeRef, Point, bit_indices, pick_bits
 from .errors import (
     DecompositionMismatch,
     NotVertexIntersection,
@@ -55,8 +55,7 @@ class Decomposition:
         return CubeRef(self.v & ~mask, mask)
 
     def to_obj(self, complex: CubeComplex) -> dict:
-        names = lambda mask: [complex.hyperplanes[i]
-                              for i in range(len(complex.hyperplanes)) if mask >> i & 1]
+        names = lambda mask: [complex.hyperplanes[i] for i in bit_indices(mask)]
         return {
             "k": self.k,
             "A": [names(m) for m in self.a_factors],
@@ -197,23 +196,14 @@ def wedge_product_embedding(complex: CubeComplex, dec: Decomposition) -> CubeCom
     distance of the embedded endpoints in Q equals the distance formula.
     """
     support = dec.c_mask | dec.cprime_mask
-    idx = [i for i in range(len(complex.hyperplanes)) if support >> i & 1]
+    idx = bit_indices(support)
     labels = [complex.hyperplanes[i] for i in idx]
-    pos = {i: j for j, i in enumerate(idx)}
-
-    def compress(mask: int) -> int:
-        out = 0
-        for i in pos:
-            if mask >> i & 1:
-                out |= 1 << pos[i]
-        return out
-
-    v_bits = compress(dec.v & support)
+    v_bits = pick_bits(dec.v, idx)
     factor_choices = []
     for am, bm in zip(dec.a_factors, dec.b_factors):
         choices = set()
         for m in (am, bm):
-            cm = compress(m)
+            cm = pick_bits(m, idx)
             sub = cm
             while True:
                 choices.add(sub)

@@ -91,10 +91,6 @@ def power_map(complex: CubeComplex, x: Point, v: int, p: PValue) -> Point:
     return Point.make(x.base, coords)
 
 
-def ambient(complex: CubeComplex, x: Point) -> np.ndarray:
-    return x.ambient(len(complex.hyperplanes))
-
-
 def distance_lower_bound(complex: CubeComplex, x: Point, y: Point, p: PValue) -> float:
     """Cheap admissible lower bound on the lp path distance.
 

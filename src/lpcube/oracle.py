@@ -2,9 +2,13 @@
 
 Within a cube, geodesic segments are exact lp norms, so net nodes are only
 needed where a path can switch cubes: on the pairwise intersection faces of
-the hull's maximal cubes.  Nodes are laid on a dyadic grid (largest power of
-two step below the requested epsilon) so refinement nets nest, which makes
-the oracle value monotone under halving.
+the maximal cubes of the endpoints' median hull.  The hull is a complex on
+the complex's own hyperplanes, so the endpoints, the faces and the nodes
+share one set of ambient coordinates; the hull is constant on the axes none
+of its cubes spans, so nodes are told apart by the spanned axes alone.
+Nodes are laid on a dyadic grid (largest power of two step below the
+requested epsilon) so refinement nets nest, which makes the oracle value
+monotone under halving.
 
 The graph is never materialized: an arc joins every node pair sharing a
 maximal cube, and the search relaxes the cube-mates of a popped node in one
@@ -27,13 +31,15 @@ with ``argmin``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import CubeComplex, Point, cube_intersection
+from .complexes import CubeComplex, Point, bit_indices, cube_intersection
 from .errors import ScaleExceeded
 from .geometry import check_p, lp_norm
 from .solver import LENGTH_TOL, PiecewisePath, geodesic
@@ -84,7 +90,7 @@ class NetGraph:
     c outside cube a, built on first use.
     """
 
-    coords: np.ndarray                 # node ambient coordinates, hull frame
+    coords: np.ndarray                 # node ambient coordinates, every hyperplane
     values: np.ndarray                 # the distinct coordinates, sorted
     codes: np.ndarray                  # per node and axis: index into values
     masks: list[np.ndarray]            # per maximal cube: True on its members
@@ -106,22 +112,22 @@ class NetGraph:
 
 
 def build_net(complex: CubeComplex, x: Point, y: Point, eps: float) -> NetGraph:
-    sub = complex.hull_restriction([x, y])
-    hull = sub.complex
-    n = len(hull.hyperplanes)
-    hx = sub.to_sub_point(x)
-    hy = sub.to_sub_point(y)
+    n = len(complex.hyperplanes)
     k = _step_exponent(eps)
     step = 2.0 ** -k
     per_axis = (1 << k) + 1             # grid values per face axis, an exact int
-    maximal = sorted(hull.maximal_cubes())
+    maximal = sorted(complex.hull_restriction([x, y]).maximal_cubes())
+    spanned = functools.reduce(operator.or_, (q.mask for q in maximal))
+    axes = bit_indices(spanned)
     faces = set()
     for i, a in enumerate(maximal):
         for b in maximal[i + 1:]:
             f = cube_intersection(a, b)
             if f is not None:
                 faces.add(f)
-    node_index: dict[tuple, int] = {}   # node coordinates -> index, in first-seen order
+    # the hull is constant on the axes no maximal cube spans, so a node is
+    # keyed by its coordinates on the spanned ``axes``; index in first-seen order
+    node_index: dict[tuple, int] = {}
 
     def add_node(vec: tuple) -> int:
         idx = node_index.setdefault(vec, len(node_index))
@@ -134,31 +140,33 @@ def build_net(complex: CubeComplex, x: Point, y: Point, eps: float) -> NetGraph:
         raise ScaleExceeded("face grid alone exceeds the node cap")
     grid = [t * step for t in range(per_axis)] if widest else []
     for f in faces:
-        free = [i for i in range(n) if f.mask >> i & 1]
-        vec = [1.0 if not f.mask >> i & 1 and f.corner >> i & 1 else 0.0 for i in range(n)]
+        vec = [float(f.corner >> i & 1) for i in axes]
+        free = [j for j, i in enumerate(axes) if f.mask >> i & 1]
         for point in itertools.product(grid, repeat=len(free)):
-            for i, t in zip(free, point):
-                vec[i] = t
+            for j, t in zip(free, point):
+                vec[j] = t
             add_node(tuple(vec))
-    source = add_node(tuple(hx.ambient(n).tolist()))
-    target = add_node(tuple(hy.ambient(n).tolist()))
-    mat = np.array(list(node_index))
+    xa = x.ambient(n)
+    source = add_node(tuple(xa[axes].tolist()))
+    target = add_node(tuple(y.ambient(n)[axes].tolist()))
+    mat = np.tile(xa, (len(node_index), 1))     # the constant axes as at x
+    mat[:, axes] = list(node_index)
     values = np.unique(mat)
     codes = values.searchsorted(mat)    # exact: every coordinate is in values
+    axis_codes = codes.T.copy()         # axis-major, for the cubes' blocks
     masks, members, frees, blocks = [], [], [], []
     node_cubes: list[list[int]] = [[] for _ in range(len(mat))]
     for ci, q in enumerate(maximal):
-        fixed = [i for i in range(n) if not q.mask >> i & 1]
         mask = np.ones(len(mat), dtype=bool)
-        for i in fixed:
+        for i in bit_indices(spanned & ~q.mask):
             want = 1.0 if q.corner >> i & 1 else 0.0
             mask &= mat[:, i] == want
         idxs = np.nonzero(mask)[0]
-        free = [i for i in range(n) if q.mask >> i & 1]
+        free = bit_indices(q.mask)
         masks.append(mask)
         members.append(idxs)
         frees.append(free)
-        blocks.append(codes.T.take(free, 0).take(idxs, 1))
+        blocks.append(axis_codes.take(free, 0).take(idxs, 1))
         for i in idxs.tolist():
             node_cubes[i].append(ci)
     return NetGraph(mat, values, codes, masks, members, frees, blocks, node_cubes,

@@ -50,7 +50,6 @@ from .complexes import (
     CubeComplex,
     CubeRef,
     Point,
-    SubComplex,
     cube_intersection,
     point_from_ambient,
 )
@@ -95,8 +94,8 @@ class PiecewisePath:
     breaks: tuple[Point, ...]
     gallery: Optional[Gallery] = None
     converged: bool = True
-    _ambient: Optional[np.ndarray] = field(default=None, repr=False)
-    _segs: Optional[np.ndarray] = field(default=None, repr=False)
+    _ambient: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _segs: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def ambient_breaks(self) -> np.ndarray:
         if self._ambient is None:
@@ -194,16 +193,12 @@ def enumerate_galleries(complex: CubeComplex, x: Point, y: Point) -> list[Galler
     """
     complex.check_point(x)
     complex.check_point(y)
-    key = ("galleries", x.minimal_cube(), y.minimal_cube())
+    mx, my = x.minimal_cube(), y.minimal_cube()
+    key = ("galleries", mx, my)
     cached = complex._solver_cache.get(key)
     if cached is not None:
         return cached
-    sub = complex.hull_restriction([x, y])
-    hx = sub.to_sub_point(x)
-    hy = sub.to_sub_point(y)
-    mx = hx.minimal_cube()
-    my = hy.minimal_cube()
-    maximal = sorted(sub.complex.maximal_cubes())
+    maximal = sorted(complex.hull_restriction([x, y]).maximal_cubes())
     starts = [c for c in maximal if c.contains_cube(mx)]
     ends = {c for c in maximal if c.contains_cube(my)}
     inter: dict[CubeRef, list[CubeRef]] = {}
@@ -232,18 +227,9 @@ def enumerate_galleries(complex: CubeComplex, x: Point, y: Point) -> list[Galler
     if not out:
         raise ScaleExceeded(
             f"no gallery found between {x} and {y}: starts={starts}, ends={sorted(ends)}")
-    galleries = [Gallery(tuple(_cube_to_parent(sub, c) for c in seq)) for seq in sorted(out)]
+    galleries = [Gallery(seq) for seq in sorted(out)]
     complex._solver_cache[key] = galleries
     return galleries
-
-
-def _cube_to_parent(sub: SubComplex, ref: CubeRef) -> CubeRef:
-    mask = 0
-    for j, i in enumerate(sub.kept):
-        if ref.mask >> j & 1:
-            mask |= 1 << i
-    corner = sub.to_parent_vertex(ref.corner) & ~mask
-    return CubeRef(corner, mask)
 
 
 # -- per-gallery optimization -------------------------------------------------

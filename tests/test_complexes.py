@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lpcube import complexes as cc
+from lpcube import fixtures
 from lpcube.analysis import sample_point
 from lpcube.complexes import CubeComplex, CubeRef, Point, cube_intersection, median_of
 from lpcube.errors import Disconnected, NotMedian, ParseError, ScaleExceeded
@@ -201,6 +202,23 @@ class TestHulls:
             seeds2 = seeds1 | set(extra.minimal_cube().corners())
             assert h1 <= grid222.convex_hull_vertices(seeds2)
 
+    def test_hull_keeps_the_parent_hyperplanes(self, corner, grid222, scb):
+        # the hull is a complex on the parent's own hyperplanes, so the points'
+        # cubes are cubes of the hull as they are
+        rng = np.random.default_rng(14)
+        for cx in (corner, grid222, scb):
+            for _ in range(10):
+                pts = [sample_point(cx, rng) for _ in range(2)]
+                hull = cx.hull_restriction(pts)
+                seeds = set()
+                for p in pts:
+                    seeds |= set(p.minimal_cube().corners())
+                assert isinstance(hull, CubeComplex)
+                assert hull.hyperplanes == cx.hyperplanes
+                assert hull.vertices == cx.convex_hull_vertices(seeds)
+                assert cx.median_hull(pts) is hull
+                assert all(hull.is_cube(p.minimal_cube()) for p in pts)
+
 
 class TestSplitHull:
     def test_shared_edge(self, book2):
@@ -279,6 +297,17 @@ class TestGenerators:
         assert len(t.vertices) == 4
         assert all(q.dim <= 1 for q in t.maximal_cubes())
 
+    def test_maximal_cubes_match_the_definition(self):
+        # maximal: no cube one dimension larger contains it; kept in all_cubes order
+        built = [fixtures.load_fixture(name) for name in fixtures.NAMES] + [
+            cc.grid(3, 3, 3), cc.grid(12, 1, 0), cc.hypercube(5), cc.book_of_squares(5),
+            cc.tree([("a", "b"), ("b", "c"), ("b", "d"), ("d", "e")])]
+        for cx in built:
+            cubes = cx.all_cubes()
+            want = tuple(q for q in cubes
+                         if not any(c.dim == q.dim + 1 and c.contains_cube(q) for c in cubes))
+            assert cx.maximal_cubes() == want
+
     def test_scale_cap(self):
         with pytest.raises(ScaleExceeded):
             cc.hypercube(20)
@@ -305,3 +334,21 @@ class TestPoints:
             vec = p.ambient(len(scb.hyperplanes))
             back = cc.point_from_ambient(vec, p.minimal_cube())
             assert back == p
+
+    @pytest.mark.parametrize("obj", [
+        {"vertex": -1},
+        {"vertex": 99},
+        {"vertex": 0, "coords": {"zz": 0.5}},
+        {"vertex": 0, "coords": {"a1": "half"}},
+        {"vertex": 0, "coords": {"a1": None}},
+    ])
+    def test_point_from_obj_rejects_bad_input(self, corner, obj):
+        with pytest.raises(ParseError):
+            cc.point_from_obj(corner, obj)
+
+    def test_point_obj_round_trip(self, corner):
+        rng = np.random.default_rng(13)
+        points = [Point.make(v) for v in corner.vertex_order]
+        points += [sample_point(corner, rng) for _ in range(20)]
+        for p in points:
+            assert cc.point_from_obj(corner, cc.point_to_obj(corner, p)) == p
