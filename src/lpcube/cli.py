@@ -5,12 +5,14 @@ suite, examples.  Exit codes: 0 success, 1 domain error (machine-readable
 error object on stdout), 2 usage error.  All randomized commands take --seed
 and are reproducible.  The tolerances are the library's fixed constants
 (``solver.LENGTH_TOL``, ``solver.RESIDUAL_TOL``, ``decomposition.MERGE_TOL``,
-``analysis.SUITE_TOL``); no flag sets them.
+``analysis.SUITE_TOL``); no flag sets them.  The argument parser is built
+once per process, so the ``cmd_*`` functions are bound at the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import pathlib
@@ -277,6 +279,7 @@ def cmd_examples(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lpcube",
@@ -348,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except LpCubeError as e:

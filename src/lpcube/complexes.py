@@ -28,7 +28,8 @@ from .errors import (
 )
 
 SCALE_CAP = 10_000          # vertex cap for generators
-EXHAUSTIVE_MEDIAN_CAP = 600  # generator-built complexes above this skip the O(n^3) check
+EXHAUSTIVE_MEDIAN_CAP = 600  # generator-built complexes above this skip the median check,
+                             # which makes O(hyperplanes x vertices) big-int operations
 SNAP_TOL = 1e-12             # coordinates closer than this to 0/1 snap onto the face
 
 
@@ -45,6 +46,44 @@ def bit_indices(mask: int) -> list[int]:
 def median_of(u: int, v: int, w: int) -> int:
     """Coordinatewise majority of three sign vectors."""
     return (u & v) | (u & w) | (v & w)
+
+
+def median_closed(vertices: Sequence[int], n_bits: int) -> bool:
+    """Whether a nonempty vertex set is closed under ``median_of``.
+
+    A set is median exactly when it is the solution set of the 2-CNF of all
+    2-clauses it satisfies.  Those clauses are closed under resolution, so a
+    partial assignment whose literals pairwise co-occur in some vertex extends
+    to a solution.  The depth-first search over hyperplane prefixes keeps the
+    literals compatible with the whole prefix and the vertices matching it; a
+    compatible prefix that matches no vertex extends to a solution outside the
+    set.  Each depth holds at most |V| prefixes, so with the O(n |V|)
+    compatibility table the cost is O(n |V|) big-int operations.
+    """
+    full = (1 << n_bits) - 1
+    # literal i is side 1 of hyperplane i, literal n_bits + i is its side 0
+    lits = [v | (full ^ v) << n_bits for v in vertices]
+    holders = [0] * (2 * n_bits)      # vertex positions holding each literal
+    compatible = [0] * (2 * n_bits)   # literals sharing a vertex with each literal
+    occurring = 0
+    for k, lit in enumerate(lits):
+        bit = 1 << k
+        occurring |= lit
+        for i in bit_indices(lit):
+            holders[i] |= bit
+            compatible[i] |= lit
+    stack = [(0, occurring, (1 << len(lits)) - 1)]
+    while stack:
+        i, allowed, match = stack.pop()
+        if i == n_bits:
+            continue
+        for lit in (i, n_bits + i):
+            if allowed >> lit & 1:
+                sub = match & holders[lit]
+                if not sub:
+                    return False
+                stack.append((i + 1, allowed & compatible[lit], sub))
+    return True
 
 
 class CubeRef(NamedTuple):
@@ -217,6 +256,10 @@ class CubeComplex:
 
     def _check_median(self) -> None:
         verts = sorted(self.vertices)
+        if median_closed(verts, len(self.hyperplanes)):
+            return
+        # the witness comes from the triple search, which only runs on a set
+        # already known not to be median, so it always finds one
         vset = self.vertices
         n = len(verts)
         for i in range(n):
@@ -237,6 +280,7 @@ class CubeComplex:
                                 "missing_median": self.vertex_sides(m),
                             },
                         )
+        raise AssertionError("prefix search and triple search disagree")
 
     # -- vertex helpers -----------------------------------------------------
 
@@ -429,7 +473,9 @@ class SubComplex:
 
 
 def load(document) -> CubeComplex:
-    """Parse and exhaustively validate a complex description.
+    """Parse and validate a complex description: nonempty, connected, and
+    median-closed by the 2-CNF prefix search of ``median_closed`` (a failing
+    set is searched for a ``NotMedian`` witness triple).
 
     Accepts a JSON text, bytes, or an already-decoded mapping with keys
     "hyperplanes" (list of labels) and "vertices" (list of label->side maps).

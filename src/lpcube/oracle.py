@@ -151,7 +151,9 @@ def build_net(complex: CubeComplex, x: Point, y: Point, eps: float) -> NetGraph:
     target = add_node(tuple(y.ambient(n)[axes].tolist()))
     mat = np.tile(xa, (len(node_index), 1))     # the constant axes as at x
     mat[:, axes] = list(node_index)
-    values = np.unique(mat)
+    # the distinct values, sorted; np.unique would import numpy.ma (about 1 MB)
+    values = np.sort(mat, axis=None)
+    values = values[np.append(True, values[1:] != values[:-1])]
     codes = values.searchsorted(mat)    # exact: every coordinate is in values
     axis_codes = codes.T.copy()         # axis-major, for the cubes' blocks
     masks, members, frees, blocks = [], [], [], []

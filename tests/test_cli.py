@@ -11,6 +11,16 @@ from lpcube import solver as sv
 from lpcube.complexes import point_from_obj
 
 
+# the 6-cycle in the 3-cube: connected but not median-closed
+NOT_MEDIAN_DOC = json.dumps({
+    "hyperplanes": ["h1", "h2", "h3"],
+    "vertices": [
+        {"h1": s >> 0 & 1, "h2": s >> 1 & 1, "h3": s >> 2 & 1}
+        for s in (0b000, 0b001, 0b011, 0b111, 0b110, 0b100)
+    ],
+})
+
+
 @pytest.fixture()
 def fx_dir(tmp_path):
     assert cli.main(["examples", "--write-dir", str(tmp_path)]) == 0
@@ -54,18 +64,85 @@ class TestBasics:
 
     def test_not_median_error_payload(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({
-            "hyperplanes": ["h1", "h2", "h3"],
-            "vertices": [
-                {"h1": s >> 0 & 1, "h2": s >> 1 & 1, "h3": s >> 2 & 1}
-                for s in (0b000, 0b001, 0b011, 0b111, 0b110, 0b100)
-            ],
-        }))
+        bad.write_text(NOT_MEDIAN_DOC)
         code, out = run(capsys, ["validate", str(bad)])
         assert code == 1
         err = json.loads(out)["error"]
         assert err["type"] == "NotMedian"
         assert "witness" in err
+
+
+class TestParserReuse:
+    """One parser serves every call in a process; no call leaks into the next."""
+
+    CALLS = [
+        ["validate", "square.json"],
+        ["distance", "--p", "2", "--from", "0:", "--to", "3:", "square.json"],
+        ["distance", "--p", "2", "--json", "--from", "0:", "--to", "3:", "square.json"],
+        ["distance", "--p", "3", "--from", "0:", "--to", "3:", "square.json"],
+        ["geodesic", "--p", "2", "--json", "--from", "2:", "--to", "9:", "square_cube_book.json"],
+        ["decompose", "--p", "2", "--from", "0:a1=0.3,a2=0.9", "--to", "0:b1=0.8,b2=0.7",
+         "--vertex", "0", "corner_complex.json"],
+        ["check", "--p", "2", "--json", "--from", "0:", "--to", "7:", "hypercube3.json"],
+        ["sweep-p", "--functional", "length", "--grid", "1.5,2", "--from", "0:",
+         "--to", "7:", "hypercube3.json"],
+        ["oracle", "--p", "2", "--eps", "0.1", "--json", "--from", "0:a1=0.5",
+         "--to", "0:b1=0.5", "corner_complex.json"],
+        ["oracle", "--p", "2", "--json", "--from", "0:a1=0.5", "--to", "0:b1=0.5",
+         "corner_complex.json"],
+        ["distance", "--p", "2", "square.json"],
+        ["suite", "--name", "midpoint", "--p", "2", "--samples", "5", "--seed", "3",
+         "--json", "corner_complex.json"],
+        ["suite", "--name", "midpoint", "--p", "2", "--samples", "5", "--seed", "3",
+         "corner_complex.json"],
+        ["examples"],
+        ["examples", "--json"],
+        ["validate", "--json", "square.json"],
+    ]
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_each_call_matches_a_fresh_parser(self, fx_dir, capsys):
+        calls = [[str(fx_dir / a) if a.endswith(".json") else a for a in argv]
+                 for argv in self.CALLS]
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(self.call(capsys, argv))
+        assert [code for code, _, _ in fresh].count(2) == 1   # the usage error
+        cli.build_parser.cache_clear()
+        for argv, want in zip(calls, fresh):
+            assert self.call(capsys, argv) == want, argv
+
+    @pytest.mark.parametrize("argv", [["--help"], ["distance", "--help"]])
+    def test_help_reads_the_width_when_printed(self, capsys, monkeypatch, argv):
+        texts = {}
+        for columns in ("60", "120", "60"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = self.call(capsys, argv)
+            assert code == 0
+            texts.setdefault(columns, out)
+            assert texts[columns] == out
+        assert texts["60"] != texts["120"]
+        cli.build_parser.cache_clear()
+        assert self.call(capsys, argv)[1] == texts["60"]
+
+    def test_every_request_validates_its_file(self, tmp_path, capsys):
+        # a cached parser must not bring a cache of loaded complexes with it
+        doc = tmp_path / "cx.json"
+        doc.write_text(cc.dump(cc.hypercube(3)))
+        assert self.call(capsys, ["validate", str(doc)])[0] == 0
+        doc.write_text(NOT_MEDIAN_DOC)
+        code, out, _ = self.call(capsys, ["validate", str(doc)])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "NotMedian"
 
 
 class TestBadArguments:

@@ -12,12 +12,32 @@ from lpcube.errors import Disconnected, NotMedian, ParseError, ScaleExceeded
 from lpcube.geometry import lp_norm
 
 
-def brute_median_closed(vertices):
-    vs = sorted(vertices)
-    for u, v, w in itertools.product(vs, repeat=3):
-        if median_of(u, v, w) not in vertices:
-            return False
-    return True
+def reference_median_witness(vertices):
+    """The triple search the median check used before its 2-CNF prefix search:
+    the first (u, v, w, missing median) in sorted order, or None if median."""
+    verts = sorted(vertices)
+    for i, u in enumerate(verts):
+        for v in verts[i + 1:]:
+            for w in verts:
+                m = median_of(u, v, w)
+                if m not in vertices:
+                    return u, v, w, m
+    return None
+
+
+def median_closure(vertices):
+    closed = set(vertices)
+    while True:
+        new = {median_of(u, v, w) for u, v, w in itertools.combinations(sorted(closed), 3)}
+        if new <= closed:
+            return closed
+        closed |= new
+
+
+def random_tree_edges(n_vertices):
+    """Edge i joins v{rng.integers(i)} to v{i}: a random tree rooted at v0."""
+    rng = np.random.default_rng(5)
+    return [(f"v{int(rng.integers(i))}", f"v{i}") for i in range(1, n_vertices)]
 
 
 def brute_interval_hull(vertices, seeds):
@@ -51,14 +71,14 @@ class TestLoad:
     def test_l_shape_is_valid(self):
         # {00, 01, 10}: majority of any triple is again listed, by brute force
         masks = [0, 1, 2]
-        assert brute_median_closed(set(masks))
+        assert reference_median_witness(set(masks)) is None
         cx = cc.load(doc(["h1", "h2"], masks))
         assert len(cx.vertices) == 3
 
     def test_not_median_witness(self):
         # the 6-cycle in the 3-cube is connected but not median-closed
         masks = [0b000, 0b001, 0b011, 0b111, 0b110, 0b100]
-        assert not brute_median_closed(set(masks))
+        assert reference_median_witness(set(masks)) is not None
         with pytest.raises(NotMedian) as ei:
             cc.load(doc(["h1", "h2", "h3"], masks))
         w = ei.value.witness
@@ -82,6 +102,72 @@ class TestLoad:
         again = cc.load(cc.dump(corner))
         assert again.vertices == corner.vertices
         assert again.hyperplanes == corner.hyperplanes
+
+
+class TestMedianCheck:
+    def assert_matches_reference(self, vertices, n_bits):
+        """Verdict and NotMedian witness agree with the triple search."""
+        verts = frozenset(vertices)
+        want = reference_median_witness(verts)
+        assert cc.median_closed(sorted(verts), n_bits) == (want is None)
+        cx = CubeComplex([f"h{i}" for i in range(n_bits)], verts, validate=False)
+        if want is None:
+            cx._check_median()
+            return True
+        with pytest.raises(NotMedian) as ei:
+            cx._check_median()
+        assert ei.value.witness == dict(zip(("u", "v", "w", "missing_median"),
+                                            map(cx.vertex_sides, want)))
+        return False
+
+    def test_every_subset_of_the_3_cube(self):
+        verdicts = [self.assert_matches_reference([v for v in range(8) if s >> v & 1], 3)
+                    for s in range(1, 256)]
+        assert verdicts.count(False) > 0 and verdicts.count(True) > 0
+
+    def test_random_sets_up_to_6_bits(self):
+        # random subsets are mostly not median; median closures of a few random
+        # vertices are median, and one flipped member often breaks them
+        rng = np.random.default_rng(11)
+        verdicts = []
+        for trial in range(2400):
+            n_bits = int(rng.integers(1, 7))
+            draw = lambda k: {int(v) for v in rng.integers(0, 1 << n_bits, size=k)}
+            if trial % 3 == 0:
+                verts = draw(int(rng.integers(1, 13)))
+            else:
+                verts = median_closure(draw(int(rng.integers(1, 5))))
+                if trial % 3 == 2:
+                    verts ^= draw(1)
+            if verts:
+                verdicts.append(self.assert_matches_reference(verts, n_bits))
+        assert len(verdicts) >= 2000
+        assert min(verdicts.count(False), verdicts.count(True)) > 400
+
+    def test_random_tree_400_builds_with_the_check(self):
+        edges = random_tree_edges(400)
+        assert len(edges) + 1 <= cc.EXHAUSTIVE_MEDIAN_CAP
+        t = cc.tree(edges)
+        assert len(t.vertices) == 400
+        assert cc.median_closed(sorted(t.vertices), len(t.hyperplanes))
+
+    def test_random_tree_plus_one_vertex_is_not_median(self):
+        # x lies two edges below a; flipping the edge above a puts x across it,
+        # so the median of x', a's parent and x's parent is missing
+        edges = random_tree_edges(400)
+        parent = [None] + [int(a[1:]) for a, _ in edges]
+        mask = [0]
+        for i in range(1, len(parent)):
+            mask.append(mask[parent[i]] | 1 << (i - 1))
+        x = next(i for i in range(len(mask)) if bin(mask[i]).count("1") >= 3)
+        a = parent[parent[x]]
+        t = cc.tree(edges)
+        extra = mask[x] ^ 1 << (a - 1)
+        assert extra not in t.vertices
+        with pytest.raises(NotMedian) as ei:
+            CubeComplex(t.hyperplanes, t.vertices | {extra})
+        missing = ei.value.witness["missing_median"]
+        assert sum(s << t.label_index[h] for h, s in missing.items()) not in t.vertices
 
 
 class TestMedian:

@@ -1,5 +1,9 @@
 import heapq
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from lpcube.complexes import Point
 from lpcube.errors import ScaleExceeded
 
 from conftest import build_wedge_instance
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def textbook_distance(net: orc.NetGraph, p: float) -> float:
@@ -175,7 +181,18 @@ class TestBuildNet:
         net = orc.build_net(cx, x, y, 0.02)
         assert net.n_nodes == n_nodes
         assert (net.values[net.codes] == net.coords).all()
+        assert np.array_equal(net.values, np.unique(net.coords))
         assert (net.source, net.target) == (n_nodes - 2, n_nodes - 1)
+
+    def test_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma, about 1 MB of resident memory a process
+        script = ("import sys; from lpcube import complexes as cc, oracle; "
+                  "oracle.build_net(cc.corner_complex(), cc.Point.make(0, {0: 0.5, 1: 0.5}), "
+                  "cc.Point.make(0, {2: 0.5, 3: 0.5}), 0.1); print('numpy.ma' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_node_cap(self, monkeypatch):
         cx, x, _, y, _ = build_wedge_instance(31)
