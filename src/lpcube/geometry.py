@@ -1,14 +1,16 @@
 """lp norm primitives and within-cube metric operations.
 
-All reals are double precision.  p = inf is computed as an exact max norm,
-never as a large-p approximation; large finite p is only ever used on purpose
-by the sweep operations.
+All reals are double precision.  ``lp_norm`` is the package's one lp norm,
+computed on plain floats: the vectors it sees have a few coordinates, where
+numpy calls cost more than the arithmetic.  p = inf is computed as an exact
+max norm, never as a large-p approximation; large finite p is only ever used
+on purpose by the sweep operations.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -30,18 +32,22 @@ def check_p(p: PValue, *, finite: bool = False, smooth: bool = False) -> float:
     return p
 
 
-def lp_norm(v, p: PValue) -> float:
-    """(sum |v_i|^p)^(1/p); max norm at p = inf.  Scaled for large-p stability."""
+def lp_norm(v: Iterable[float], p: PValue) -> float:
+    """(sum |v_i|^p)^(1/p); max norm at p = inf; NaN if an entry is NaN.
+
+    The entries are scaled by the largest before the powers are summed (at
+    p = 2 only where the squares could under- or overflow), and the sum is
+    correctly rounded (``math.fsum``).  An ndarray is read as a list.
+    """
     p = check_p(p)
-    a = np.abs(np.asarray(v, dtype=float))
-    if a.size == 0:
-        return 0.0
-    m = float(a.max())
-    if p == INF or m == 0.0:
-        return m
-    if p == 2.0:
-        return float(np.sqrt(np.dot(a, a)))
-    return m * float(np.sum((a / m) ** p)) ** (1.0 / p)
+    a = list(map(abs, v.tolist() if isinstance(v, np.ndarray) else v))
+    m = max(a, default=0.0)
+    if p == INF or not 0.0 < m < INF:
+        # max drops a NaN unless it comes first; the sum keeps it
+        return math.nan if math.isnan(sum(a)) else m
+    if p == 2.0 and 1e-150 < m < 1e150:
+        return math.sqrt(math.fsum([t * t for t in a]))
+    return m * math.fsum([(t / m) ** p for t in a]) ** (1.0 / p)
 
 
 def cube_distance(complex: CubeComplex, x: Point, y: Point, p: PValue) -> float:
@@ -111,16 +117,16 @@ def distance_lower_bound(complex: CubeComplex, x: Point, y: Point, p: PValue) ->
     return max(lp, float(diff.sum()) / dmax ** (1.0 - 1.0 / p))
 
 
-def box_clamp_distance(point_vec: np.ndarray, cube: CubeRef, n: int, p: PValue) -> float:
+def box_clamp_distance(point_vec: Sequence[float], cube: CubeRef, n: int, p: PValue) -> float:
     """lp distance from an ambient point to a cube, via per-coordinate clamping."""
-    gaps = np.zeros(n)
+    gaps = [0.0] * n
     for i in range(n):
         bit = 1 << i
         if cube.mask & bit:
             lo, hi = 0.0, 1.0
         else:
             lo = hi = 1.0 if cube.corner & bit else 0.0
-        t = point_vec[i]
+        t = float(point_vec[i])
         if t < lo:
             gaps[i] = lo - t
         elif t > hi:

@@ -13,8 +13,10 @@ step solves the zero-tension equations, whose Jacobian is block-tridiagonal
 (each segment couples the two breaks at its ends); where that step does not
 shorten the path, a Levenberg-Marquardt step on the length Hessian is taken.
 Both systems are assembled only on the free break coordinates that move and
-solved by Gaussian elimination, all in plain floats: a chain has a few breaks
-of a few coordinates, where numpy calls would cost more than the arithmetic.
+solved by Gaussian elimination.  The whole solve path, from the face bounds to
+the certificate, runs on lists of floats and measures with ``lp_norm``, the
+one norm: a chain has a few breaks of a few coordinates, where numpy calls
+would cost more than the arithmetic.
 A backtracking search on the length projects every step into the face boxes,
 whose sides form the active set.  The length has a kink where two consecutive
 breaks coincide: breaks that coalesce are merged by dropping the cube between
@@ -40,6 +42,7 @@ set them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -94,33 +97,39 @@ class PiecewisePath:
     breaks: tuple[Point, ...]
     gallery: Optional[Gallery] = None
     converged: bool = True
-    _ambient: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _segs: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _pts: Optional[list[list[float]]] = field(default=None, init=False, repr=False)
+    _nus: Optional[list[float]] = field(default=None, init=False, repr=False)
+
+    def _points(self) -> list[list[float]]:
+        """The ambient breaks as lists of floats."""
+        if self._pts is None:
+            n = len(self.complex.hyperplanes)
+            self._pts = [b.ambient(n).tolist() for b in self.breaks]
+        return self._pts
+
+    def _lengths(self) -> list[float]:
+        if self._nus is None:
+            self._nus = _segments(self._points(), self.p)[0]
+        return self._nus
 
     def ambient_breaks(self) -> np.ndarray:
-        if self._ambient is None:
-            n = len(self.complex.hyperplanes)
-            self._ambient = np.array([b.ambient(n) for b in self.breaks])
-        return self._ambient
+        return np.array(self._points())
 
     def segment_lengths(self) -> np.ndarray:
-        if self._segs is None:
-            pts = self.ambient_breaks()
-            self._segs = np.array([lp_norm(pts[i + 1] - pts[i], self.p)
-                                   for i in range(len(pts) - 1)])
-        return self._segs
+        return np.array(self._lengths())
 
     @property
     def length(self) -> float:
-        return float(self.segment_lengths().sum())
+        # numpy's pairwise order, which replayed suite margins are pinned to
+        return float(np.add.reduce(self._lengths()))
 
     def evaluate(self, t: float) -> Point:
         """Point at arclength t * length along the path."""
         if not 0.0 <= t <= 1.0:
             raise ValueError("t must lie in [0, 1]")
-        pts = self.ambient_breaks()
-        segs = self.segment_lengths()
-        total = segs.sum()
+        pts = self._points()
+        segs = self._lengths()
+        total = self.length
         if total == 0.0:
             return self.breaks[0]
         target = t * total
@@ -129,7 +138,7 @@ class PiecewisePath:
             if target <= acc + s or i == len(segs) - 1:
                 lam = 0.0 if s == 0.0 else (target - acc) / s
                 lam = min(max(lam, 0.0), 1.0)
-                vec = (1 - lam) * pts[i] + lam * pts[i + 1]
+                vec = [(1 - lam) * a + lam * b for a, b in zip(pts[i], pts[i + 1])]
                 cube = self.complex.minimal_cube_pair(self.breaks[i], self.breaks[i + 1])
                 return point_from_ambient(vec, cube)
             acc += s
@@ -138,8 +147,8 @@ class PiecewisePath:
     def canonical(self) -> "PiecewisePath":
         """Drop zero-length segments (coincident consecutive breaks); the path
         itself, with its measured segments, if it has none."""
-        segs = self.segment_lengths()
-        if (segs > MERGE_TOL).all():
+        segs = self._lengths()
+        if all(s > MERGE_TOL for s in segs):
             return self
         pts = list(self.breaks)
         keep = [pts[0]]
@@ -241,26 +250,19 @@ COLLAPSE = 0.1
 NEWTON_CAP = 200    # Newton iterations per chain solve
 
 
-def _face_boxes(faces: Sequence[CubeRef], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-side template and free-coordinate mask of each face, stacked k x n."""
-    bits = [[(f.mask >> i & 1, f.corner >> i & 1) for i in range(n)] for f in faces]
-    arr = np.array(bits, dtype=float).reshape(len(faces), n, 2)
-    free = arr[:, :, 0] > 0.0
-    return np.where(free, 0.0, arr[:, :, 1]), free
+def _face_boxes(faces: Sequence[CubeRef], n: int) -> tuple[list[list[float]], list[list[int]]]:
+    """Per face: its side on each fixed axis (0 on the free ones), and its free axes."""
+    return ([[float(f.corner >> i & 1) for i in range(n)] for f in faces],
+            [[i for i in range(n) if f.mask >> i & 1] for f in faces])
 
 
 def _segments(pts: Sequence[Sequence[float]], p: float) -> tuple[list[float], list[list[float]]]:
     """Lengths of the segments of a polyline given as lists of floats, and
-    each displacement over its length (zero on null segments).  Off p = 2 the
-    norm is scaled by the largest coordinate, as ``lp_norm`` is."""
+    each displacement over its length (zero on null segments)."""
     nus, units = [], []
     for a, b in zip(pts, pts[1:]):
         d = [t - s for s, t in zip(a, b)]
-        if p == 2.0:
-            nu = math.sqrt(sum([t * t for t in d]))
-        else:
-            m = max(map(abs, d))
-            nu = m * sum([(abs(t) / m) ** p for t in d]) ** (1.0 / p) if m > 0.0 else 0.0
+        nu = lp_norm(d, p)
         nus.append(nu)
         units.append([t / nu for t in d] if nu > 0.0 else [0.0] * len(d))
     return nus, units
@@ -336,9 +338,10 @@ def _eliminate(a: list[list[float]], b: list[float]) -> Optional[list[float]]:
     return x
 
 
-def _newton_chain(chain: np.ndarray, free: np.ndarray, p: float, max_iter: int,
-                  mergeable: np.ndarray) -> tuple[bool, Optional[int]]:
-    """Projected Newton on the free break coordinates of ``chain`` (in place).
+def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max_iter: int,
+                  mergeable: list[bool]) -> tuple[bool, Optional[int]]:
+    """Projected Newton on the free break coordinates of ``chain`` (in place);
+    break j moves on the axes ``axes[j]``.
 
     Stationarity of the length is zero tension: at each break the segment
     directions u = d/|d|_p agree on the face's free coordinates (the length
@@ -360,130 +363,123 @@ def _newton_chain(chain: np.ndarray, free: np.ndarray, p: float, max_iter: int,
     SHORT of the path, so that the caller can try merging the breaks at its
     ends.  The solve stops once the tension residual is below a tenth of
     RESIDUAL_TOL.  Returns (converged, segment or None).
-
-    The solve runs on plain floats (see the module docstring) and writes the
-    breaks back into ``chain`` on return.
     """
-    axes = [[i for i, f in enumerate(row) if f] for row in free.tolist()]
     coords = [(j, i) for j, row in enumerate(axes) for i in row]
     if not coords:
         return True, None
-    pts = chain.tolist()
-    merge = mergeable.tolist()
     gate = RESIDUAL_TOL / 10
 
     def put(values: list[float]) -> None:
         for (j, i), t in zip(coords, values):
-            pts[j + 1][i] = t
+            chain[j + 1][i] = t
 
-    try:
-        nu, unit = _segments(pts, p)
-        res = _tension(pts, axes, nu, unit)
-        damp = 0.0
-        for _ in range(max_iter):
-            length = sum(nu)
-            short = [s for s, (a, m) in enumerate(zip(nu, merge)) if m and a < SHORT * length]
-            if short:
-                return False, short[0]
-            if res <= gate:
-                return True, None
-            v = [pts[j + 1][i] for j, i in coords]
-            phi = [_phi(u, p) for u in unit]
-            grad = [phi[j][i] - phi[j + 1][i] for j, i in coords]
-            eps = min(1e-6, max([abs(t - min(max(t - g, 0.0), 1.0)) for t, g in zip(v, grad)]))
-            low = [t <= eps and g > 0.0 for t, g in zip(v, grad)]
-            high = [t >= 1.0 - eps and g < 0.0 for t, g in zip(v, grad)]
-            moving = [c for c in range(len(coords)) if not (low[c] or high[c])]
-            rows = [coords[c] for c in moving]
-            inv = [1.0 / a if a > 0.0 else 0.0 for a in nu]
+    nu, unit = _segments(chain, p)
+    res = _tension(chain, axes, nu, unit)
+    damp = 0.0
+    for _ in range(max_iter):
+        length = sum(nu)
+        short = [s for s, (a, m) in enumerate(zip(nu, mergeable)) if m and a < SHORT * length]
+        if short:
+            return False, short[0]
+        if res <= gate:
+            return True, None
+        v = [chain[j + 1][i] for j, i in coords]
+        phi = [_phi(u, p) for u in unit]
+        grad = [phi[j][i] - phi[j + 1][i] for j, i in coords]
+        eps = min(1e-6, max([abs(t - min(max(t - g, 0.0), 1.0)) for t, g in zip(v, grad)]))
+        low = [t <= eps and g > 0.0 for t, g in zip(v, grad)]
+        high = [t >= 1.0 - eps and g < 0.0 for t, g in zip(v, grad)]
+        moving = [c for c in range(len(coords)) if not (low[c] or high[c])]
+        rows = [coords[c] for c in moving]
+        inv = [1.0 / a if a > 0.0 else 0.0 for a in nu]
 
-            def blk(s: int, a: int, b: int) -> float:
-                return ((1.0 if a == b else 0.0) - unit[s][a] * phi[s][b]) * inv[s]
+        def blk(s: int, a: int, b: int) -> float:
+            return ((1.0 if a == b else 0.0) - unit[s][a] * phi[s][b]) * inv[s]
 
-            g_in = [grad[c] for c in moving]
-            s_in = None
-            if damp == 0.0:
-                s_in = _eliminate(_chain_matrix(rows, blk),
-                                  [unit[j + 1][i] - unit[j][i] for j, i in rows])
-                if s_in is not None and not (all(map(math.isfinite, s_in))
-                                             and sum([g * t for g, t in zip(g_in, s_in)]) < 0.0):
-                    s_in = None
+        g_in = [grad[c] for c in moving]
+        s_in = None
+        if damp == 0.0:
+            s_in = _eliminate(_chain_matrix(rows, blk),
+                              [unit[j + 1][i] - unit[j][i] for j, i in rows])
+            if s_in is not None and not (all(map(math.isfinite, s_in))
+                                         and sum([g * t for g, t in zip(g_in, s_in)]) < 0.0):
+                s_in = None
+        if s_in is None:
+            curv = [[(p - 1.0) * max(abs(t), 1e-12) ** (p - 2.0) for t in u] for u in unit]
+            hess = _chain_matrix(rows, lambda s, a, b: curv[s][a] * blk(s, a, b))
+            hess = [[0.5 * (h + hc) for h, hc in zip(row, col)]
+                    for row, col in zip(hess, zip(*hess))]
+            scale = max([abs(hess[r][r]) for r in range(len(rows))] + [1e-12])
+            for r in range(len(rows)):
+                hess[r][r] += (damp + 1e-12) * scale
+            s_in = _eliminate(hess, [-g for g in g_in])
             if s_in is None:
-                curv = [[(p - 1.0) * max(abs(t), 1e-12) ** (p - 2.0) for t in u] for u in unit]
-                hess = _chain_matrix(rows, lambda s, a, b: curv[s][a] * blk(s, a, b))
-                hess = [[0.5 * (h + hc) for h, hc in zip(row, col)]
-                        for row, col in zip(hess, zip(*hess))]
-                scale = max([abs(hess[r][r]) for r in range(len(rows))] + [1e-12])
-                for r in range(len(rows)):
-                    hess[r][r] += (damp + 1e-12) * scale
-                s_in = _eliminate(hess, [-g for g in g_in])
-                if s_in is None:
-                    s_in = [-g / scale for g in g_in]
-            step = [0.0] * len(coords)
-            for c, t in zip(moving, s_in):
-                step[c] = t
-            base = [0.0 if lo else 1.0 if hi else t for t, lo, hi in zip(v, low, high)]
-            alpha = 1.0
-            for _ in range(50):
-                trial = [min(max(b + alpha * t, 0.0), 1.0) for b, t in zip(base, step)]
-                put(trial)
-                nu_t, unit_t = _segments(pts, p)
-                shrunk = [a < COLLAPSE * b for a, b in zip(nu_t, nu)]
-                if any(shrunk):
-                    hit = [s for s, (sh, m) in enumerate(zip(shrunk, merge)) if sh and m]
-                    if hit:
-                        put(v)
-                        return False, hit[0]
-                else:
-                    gain = length - sum(nu_t)
-                    if gain > 0.0 and gain >= -1e-4 * sum([g * (t - a) for g, t, a
-                                                           in zip(grad, trial, v)]):
-                        break
-                    if abs(gain) <= 4e-16 * length and _tension(pts, axes, nu_t, unit_t) < res:
-                        break
-                alpha *= 0.5
+                s_in = [-g / scale for g in g_in]
+        step = [0.0] * len(coords)
+        for c, t in zip(moving, s_in):
+            step[c] = t
+        base = [0.0 if lo else 1.0 if hi else t for t, lo, hi in zip(v, low, high)]
+        alpha = 1.0
+        for _ in range(50):
+            trial = [min(max(b + alpha * t, 0.0), 1.0) for b, t in zip(base, step)]
+            put(trial)
+            nu_t, unit_t = _segments(chain, p)
+            shrunk = [a < COLLAPSE * b for a, b in zip(nu_t, nu)]
+            if any(shrunk):
+                hit = [s for s, (sh, m) in enumerate(zip(shrunk, mergeable)) if sh and m]
+                if hit:
+                    put(v)
+                    return False, hit[0]
             else:
-                put(v)
-                return res <= RESIDUAL_TOL, None
-            # a full step that was accepted earns trust; a cut-back step loses it
-            damp = (0.0 if damp < 1e-3 else 0.25 * damp) if alpha == 1.0 else max(4.0 * damp, 1e-2)
-            nu, unit = nu_t, unit_t
-            res = _tension(pts, axes, nu, unit)
-        return res <= gate, None
-    finally:
-        chain[1:-1] = pts[1:-1]
+                gain = length - sum(nu_t)
+                if gain > 0.0 and gain >= -1e-4 * sum([g * (t - a) for g, t, a
+                                                       in zip(grad, trial, v)]):
+                    break
+                if abs(gain) <= 4e-16 * length and _tension(chain, axes, nu_t, unit_t) < res:
+                    break
+            alpha *= 0.5
+        else:
+            put(v)
+            return res <= RESIDUAL_TOL, None
+        # a full step that was accepted earns trust; a cut-back step loses it
+        damp = (0.0 if damp < 1e-3 else 0.25 * damp) if alpha == 1.0 else max(4.0 * damp, 1e-2)
+        nu, unit = nu_t, unit_t
+        res = _tension(chain, axes, nu, unit)
+    return res <= gate, None
 
 
-def _start_chain(xa: np.ndarray, ya: np.ndarray, faces: Sequence[CubeRef],
-                 template: np.ndarray, free: np.ndarray,
-                 init: Optional[list[np.ndarray]]) -> np.ndarray:
-    """Stacked chain x, breaks, y with the breaks placed in their face boxes."""
-    k, n = template.shape
+def _start_chain(xa: list[float], ya: list[float], faces: Sequence[CubeRef],
+                 template: list[list[float]],
+                 init: Optional[Sequence[Sequence[float]]]) -> list[list[float]]:
+    """Chain x, breaks, y with the breaks (new lists) placed in their face boxes."""
+    k = len(faces)
     if init is not None and len(init) == k:
         # warm starts are kept exactly (they may sit on a side on purpose)
-        guess = np.clip(np.array(init, dtype=float).reshape(k, n), 0.0, 1.0)
+        guess = [[min(max(float(t), 0.0), 1.0) for t in v] for v in init]
     else:
         # start on the straight ambient segment at the time it crosses the
         # walls each face fixes, a nudge off the sides so no segment starts
         # on a kink; exact for flat configurations
-        guess = np.empty((k, n))
+        guess = []
         prev_t = 0.0
         for j, face in enumerate(faces):
             times = []
-            for i in range(n):
-                denom = ya[i] - xa[i]
+            for i, (s, e) in enumerate(zip(xa, ya)):
+                denom = e - s
                 if face.mask >> i & 1 or abs(denom) < 1e-12:
                     continue
-                t = (template[j, i] - xa[i]) / denom
+                t = (template[j][i] - s) / denom
                 if -0.2 <= t <= 1.2:
                     times.append(min(max(t, 0.0), 1.0))
             lam = max(sum(times) / len(times) if times else (j + 1) / (k + 1), prev_t)
             prev_t = lam
-            guess[j] = np.clip((1 - lam) * xa + lam * ya, 1e-3, 1.0 - 1e-3)
-    return np.vstack([xa, np.where(free, guess, template), ya])
+            guess.append([min(max((1 - lam) * s + lam * e, 1e-3), 1.0 - 1e-3)
+                          for s, e in zip(xa, ya)])
+    return [xa] + [[g[i] if f.mask >> i & 1 else t for i, t in enumerate(side)]
+                   for f, side, g in zip(faces, template, guess)] + [ya]
 
 
-def _split_direction(chain: np.ndarray, m: int, face_a: Optional[CubeRef],
+def _split_direction(chain: list[list[float]], m: int, face_a: Optional[CubeRef],
                      face_b: Optional[CubeRef], p: float):
     """Directions that pull merged break m apart into two shorter-path breaks.
 
@@ -499,34 +495,46 @@ def _split_direction(chain: np.ndarray, m: int, face_a: Optional[CubeRef],
     break, move of the face_b break).
     """
     z = chain[m]
-    nu, unit = _segments(chain.tolist(), p)
+    nu, unit = _segments(chain, p)
     live = [s for s, t in enumerate(nu) if t >= MERGE_TOL]
     into, out = [s for s in live if s < m], [s for s in live if s >= m]
-    a = np.array(_phi(unit[into[-1]], p)) if into else np.zeros_like(z)
-    c = -np.array(_phi(unit[out[0]], p)) if out else np.zeros_like(z)
-    at0, at1 = z <= MERGE_TOL, z >= 1.0 - MERGE_TOL
-    free_a, free_b = (np.array([face is not None and bool(face.mask >> h & 1)
-                                for h in range(len(z))]) for face in (face_a, face_b))
+    a = _phi(unit[into[-1]], p) if into else [0.0] * len(z)
+    b = _phi(unit[out[0]], p) if out else [0.0] * len(z)      # b = -c
+
+    def moves(face: Optional[CubeRef]) -> tuple[list[bool], list[bool]]:
+        """Per coordinate: whether the break on ``face`` can move up, and down."""
+        free = [face is not None and face.mask >> h & 1 == 1 for h in range(len(z))]
+        return ([f and t < 1.0 - MERGE_TOL for f, t in zip(free, z)],
+                [f and t > MERGE_TOL for f, t in zip(free, z)])
+
+    (up_a, down_a), (up_b, down_b) = moves(face_a), moves(face_b)
     # the face_a break balances a - u: u = a inside, u <= a on side 0, u >= a
-    # on side 1; the face_b break balances u + c: u = -c inside, u >= -c on
-    # side 0, u <= -c on side 1
-    hi = np.minimum(np.where(free_a & ~at1, a, math.inf), np.where(free_b & ~at0, -c, math.inf))
-    lo = np.maximum(np.where(free_a & ~at0, a, -math.inf), np.where(free_b & ~at1, -c, -math.inf))
-    u = np.clip(0.0, lo, np.maximum(lo, hi))
+    # on side 1; the face_b break balances u - b: u = b inside, u >= b on
+    # side 0, u <= b on side 1
+    u = []
+    for s, t, ua, da, ub, db in zip(a, b, up_a, down_a, up_b, down_b):
+        hi = min(s if ua else math.inf, t if db else math.inf)
+        lo = max(s if da else -math.inf, t if ub else -math.inf)
+        u.append(min(max(0.0, lo), max(lo, hi)))
     q = p / (p - 1.0)
     if lp_norm(u, q) <= 1.0 + RESIDUAL_TOL:
         return None
-    e = np.sign(u) * np.abs(u) ** (q - 1.0)
-    e /= np.abs(e).max()
-    # moving the face_a break by -e or the face_b break by +e; each must stay
-    # in its box, and the cheaper of the two gradient terms wins
-    ok_a = free_a & np.where(e > 0.0, ~at0, ~at1)
-    ok_b = free_b & np.where(e > 0.0, ~at1, ~at0)
-    use_a = ok_a & (~ok_b | (-a * e < c * e))
-    return np.where(use_a, -e, 0.0), np.where(ok_b & ~use_a, e, 0.0)
+    e = _phi(u, q)
+    top = max(map(abs, e))
+    move_a, move_b = [0.0] * len(z), [0.0] * len(z)
+    for h, t in enumerate(e):
+        t /= top
+        # moving the face_a break by -e or the face_b break by +e; each must
+        # stay in its box, and the cheaper of the two gradient terms wins
+        ok_a, ok_b = (down_a[h], up_b[h]) if t > 0.0 else (up_a[h], down_b[h])
+        if ok_a and (not ok_b or a[h] * t > b[h] * t):
+            move_a[h] = -t
+        elif ok_b:
+            move_b[h] = t
+    return move_a, move_b
 
 
-def _dual_bound(chain: np.ndarray, faces: Sequence[CubeRef], p: float) -> float:
+def _dual_bound(chain: list[list[float]], faces: Sequence[CubeRef], p: float) -> float:
     """Lower bound on the shortest length through the faces, from any breaks.
 
     Hoelder gives |d_s|_p >= w_s . d_s whenever |w_s|_q <= 1; taking w_s the
@@ -534,26 +542,28 @@ def _dual_bound(chain: np.ndarray, faces: Sequence[CubeRef], p: float) -> float:
     a linear function of the breaks, whose minimum over the face boxes is
     taken per coordinate.  The bound is tight at the optimal breaks.
     """
-    template, free = _face_boxes(faces, chain.shape[1])
-    w = np.array([_phi(u, p) for u in _segments(chain.tolist(), p)[1]])
-    c = w[:-1] - w[1:]
-    return float(w[-1] @ chain[-1] - w[0] @ chain[0] + (c * template).sum()
-                 + np.minimum(c, 0.0)[free].sum())
+    w = [_phi(u, p) for u in _segments(chain, p)[1]]
+    bound = sum([s * t for s, t in zip(w[-1], chain[-1])])
+    bound -= sum([s * t for s, t in zip(w[0], chain[0])])
+    for f, before, after in zip(faces, w, w[1:]):
+        bound += sum([min(s - t, 0.0) if f.mask >> i & 1 else (s - t) * (f.corner >> i & 1)
+                      for i, (s, t) in enumerate(zip(before, after))])
+    return bound
 
 
-def _split(chain: np.ndarray, s: int, split, p: float) -> np.ndarray:
+def _split(chain: list[list[float]], s: int, split, p: float) -> list[list[float]]:
     """Move chain points s and s+1 apart along ``split``, as far as pays.
 
     The length is convex along the ray, so the step is the best of a halving
     sequence: halve while the length keeps falling.
     """
-    best, best_len = chain, sum(_segments(chain.tolist(), p)[0])
+    best, best_len = chain, sum(_segments(chain, p)[0])
     step = 0.5
     for _ in range(50):
-        trial = chain.copy()
-        trial[s] = np.clip(trial[s] + step * split[0], 0.0, 1.0)
-        trial[s + 1] = np.clip(trial[s + 1] + step * split[1], 0.0, 1.0)
-        length = sum(_segments(trial.tolist(), p)[0])
+        trial = chain[:]
+        for r, move in ((s, split[0]), (s + 1, split[1])):
+            trial[r] = [min(max(t + step * d, 0.0), 1.0) for t, d in zip(chain[r], move)]
+        length = sum(_segments(trial, p)[0])
         if length < best_len:
             best, best_len = trial, length
         elif best is not chain:
@@ -564,7 +574,7 @@ def _split(chain: np.ndarray, s: int, split, p: float) -> np.ndarray:
 
 def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Point,
                          p: float, *, max_sweeps: Optional[int] = None,
-                         init: Optional[list[np.ndarray]] = None) -> PiecewisePath:
+                         init: Optional[Sequence[Sequence[float]]] = None) -> PiecewisePath:
     """Shortest piecewise affine path through the gallery's faces.
 
     ``max_sweeps`` caps the Newton iterations (used for coarse screening of
@@ -576,24 +586,25 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
     """
     p = check_p(p, smooth=True)
     n = len(complex.hyperplanes)
-    xa = x.ambient(n)
-    ya = y.ambient(n)
+    xa, ya = x.ambient(n).tolist(), y.ambient(n).tolist()
 
     def solve(cubes: list[CubeRef], seed):
         faces = [cube_intersection(a, b) for a, b in zip(cubes, cubes[1:])]
         if None in faces:
             raise DisjointCubes("consecutive gallery cubes do not intersect")
-        template, free = _face_boxes(faces, n)
-        chain = _start_chain(xa, ya, faces, template, free, seed)
+        template, axes = _face_boxes(faces, n)
+        chain = _start_chain(xa, ya, faces, template, seed)
         k = len(faces)
         # interior breaks can always be pinned together; an end segment only
         # collapses if its endpoint lies on the adjacent face
-        mergeable = np.full(k + 1, max_sweeps is None and k > 0)
+        mergeable = [max_sweeps is None and k > 0] * (k + 1)
         for s, end in ((0, xa), (k, ya)):
-            if k and np.any((end != template[min(s, k - 1)]) & ~free[min(s, k - 1)]):
+            j = min(s, k - 1)
+            if k and any(end[i] != side for i, side in enumerate(template[j])
+                         if not faces[j].mask >> i & 1):
                 mergeable[s] = False
         while True:
-            converged, s = _newton_chain(chain, free, p,
+            converged, s = _newton_chain(chain, axes, p,
                                          NEWTON_CAP if max_sweeps is None else max_sweeps,
                                          mergeable)
             if s is None:
@@ -601,14 +612,14 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
             # the ends of segment s are coalescing: solve with cube s dropped,
             # which pins them together on their shared face, and keep that
             # unless pulling them apart shortens the path
-            pts = list(chain[1:-1])
+            pts = chain[1:-1]
             drop = min(s, k - 1)
             merged = solve(cubes[:s] + cubes[s + 1:], pts[:drop] + pts[drop + 1:])
             # place every break of this gallery on the merged path: break i
             # sits where the path leaves the last kept cube up to cube i
-            kept = np.cumsum([c in merged[0] for c in cubes])
-            full = merged[2][np.concatenate(([0], kept[:-1], [kept[-1]]))]
-            m = kept[min(s, k - 1)]
+            kept = list(itertools.accumulate((c in merged[0] for c in cubes), initial=0))
+            full = [merged[2][i][:] for i in kept]
+            m = kept[min(s, k - 1) + 1]
             split = _split_direction(merged[2], m, faces[s - 1] if s > 0 else None,
                                      faces[s] if s < k else None, p)
             if split is None:
@@ -617,11 +628,8 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
             chain = _split(full, s, split, p)
 
     cubes, faces, chain, converged = solve(list(gallery.cubes), init)
-    breaks = [x]
-    for vec, face in zip(chain[1:-1], faces):
-        breaks.append(point_from_ambient(vec, face))
-    breaks.append(y)
-    return PiecewisePath(complex, p, tuple(breaks), gallery, converged).canonical()
+    breaks = (x, *[point_from_ambient(vec, face) for vec, face in zip(chain[1:-1], faces)], y)
+    return PiecewisePath(complex, p, breaks, gallery, converged).canonical()
 
 
 # -- the geodesic -------------------------------------------------------------
@@ -638,19 +646,15 @@ def _face_bounds(complex: CubeComplex, galleries: Sequence[Gallery], x: Point,
     measured once.
     """
     n = len(complex.hyperplanes)
-    ends = np.stack((x.ambient(n), y.ambient(n)))
+    xa, ya = x.ambient(n).tolist(), y.ambient(n).tolist()
     dmax = max((q.dim for q in complex.maximal_cubes()), default=1)
     l1_factor = 1.0 if dmax <= 1 else dmax ** (1.0 - 1.0 / p)
     gallery_faces = [g.faces() for g in galleries]
-    faces = list({f for fs in gallery_faces for f in fs})
-    free = np.array([[f.mask >> i & 1 for i in range(n)] for f in faces],
-                    dtype=bool).reshape(len(faces), n)
-    sides = np.array([[f.corner >> i & 1 for i in range(n)] for f in faces],
-                     dtype=float).reshape(len(faces), n)
-    gaps = np.where(free, 0.0, np.abs(ends[:, None, :] - sides))     # endpoint x face x axis
-    l1 = (np.cumsum(gaps, axis=2)[:, :, -1].sum(axis=0) / l1_factor).tolist()  # axis order
-    bound = {f: max(lp_norm(gx, p) + lp_norm(gy, p), b)
-             for f, gx, gy, b in zip(faces, gaps[0], gaps[1], l1)}
+    bound = {}
+    for f in {f for fs in gallery_faces for f in fs}:
+        gx, gy = ([0.0 if f.mask >> i & 1 else abs(t - (f.corner >> i & 1))
+                   for i, t in enumerate(end)] for end in (xa, ya))
+        bound[f] = max(lp_norm(gx, p) + lp_norm(gy, p), (sum(gx) + sum(gy)) / l1_factor)
     lb0 = distance_lower_bound(complex, x, y, p)
     return {g: max([lb0] + [bound[f] for f in fs])
             for g, fs in zip(galleries, gallery_faces)}
@@ -684,13 +688,13 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
         if bound > upper + UNIQUENESS_SUP:
             continue
         rough = optimize_breakpoints(complex, g, x, y, p, max_sweeps=3)
-        pts = rough.ambient_breaks()
+        pts = rough._points()
         if len(pts) == len(g.cubes) + 1:
             bound = max(bound, _dual_bound(pts, g.faces(), p))
         upper = min(upper, rough.length)
         if bound > upper + UNIQUENESS_SUP:
             continue
-        path = optimize_breakpoints(complex, g, x, y, p, init=[v.copy() for v in pts[1:-1]])
+        path = optimize_breakpoints(complex, g, x, y, p, init=pts[1:-1])
         results.append(path)
         upper = min(upper, path.length)
         corner = None
@@ -783,17 +787,16 @@ def _interior_data(complex: CubeComplex, path: PiecewisePath):
 
 def _tension_residuals(path: PiecewisePath, data) -> list[float]:
     """Zero-tension residual at each interior break (0 where it is vacuous)."""
-    pts = path.ambient_breaks()
-    segs = path.segment_lengths()
+    pts = path._points()
+    segs = path._lengths()
     out = []
     for i, c_prev, c_next, d in data:
-        idx = [b for b in range(pts.shape[1]) if d.mask >> b & 1]
+        idx = [b for b in range(len(pts[i])) if d.mask >> b & 1]
         if not idx or segs[i - 1] == 0.0 or segs[i] == 0.0:
             out.append(0.0)
             continue
-        r = (pts[i - 1][idx] - pts[i][idx]) / segs[i - 1] \
-            + (pts[i + 1][idx] - pts[i][idx]) / segs[i]
-        out.append(float(np.sqrt(np.dot(r, r))))
+        out.append(lp_norm([(pts[i - 1][b] - pts[i][b]) / segs[i - 1]
+                            + (pts[i + 1][b] - pts[i][b]) / segs[i] for b in idx], 2.0))
     return out
 
 
@@ -806,23 +809,13 @@ def check_zero_tension(complex: CubeComplex, path: PiecewisePath,
                            worst_residual=max(res, default=0.0))
 
 
-def _submask_norms(vec: np.ndarray, mask: int, p: float) -> dict[int, float]:
-    """lp norm of ``vec`` restricted to each submask of ``mask``.
-
-    Plain float arithmetic, scaled by the largest entry as ``lp_norm`` is:
-    the supports have a few coordinates, where numpy calls cost more than
-    the sums.
-    """
+def _submask_norms(vec: Sequence[float], mask: int, p: float) -> dict[int, float]:
+    """lp norm of ``vec`` restricted to each submask of ``mask``."""
     parts: dict[int, list[float]] = {0: []}
-    for b in range(len(vec)):
+    for b, t in enumerate(vec):
         if mask >> b & 1:
-            t = abs(float(vec[b]))
             parts.update({s | 1 << b: a + [t] for s, a in list(parts.items())})
-    out = {}
-    for s, a in parts.items():
-        m = max(a, default=0.0)
-        out[s] = m * sum((t / m) ** p for t in a) ** (1.0 / p) if m > 0.0 else 0.0
-    return out
+    return {s: lp_norm(a, p) for s, a in parts.items()}
 
 
 def _no_shortcut_margins(complex: CubeComplex, path: PiecewisePath,
@@ -836,13 +829,13 @@ def _no_shortcut_margins(complex: CubeComplex, path: PiecewisePath,
     the path can be shortened through that corner cube.
     """
     p = path.p
-    pts = path.ambient_breaks()
+    pts = path._points()
     out = []
     for i, c_prev, c_next, d in data:
         ea = c_prev.mask & ~d.mask
         eb = c_next.mask & ~d.mask
-        nx = _submask_norms(pts[i - 1] - pts[i], ea, p)
-        ny = _submask_norms(pts[i + 1] - pts[i], eb, p)
+        nx = _submask_norms([s - t for s, t in zip(pts[i - 1], pts[i])], ea, p)
+        ny = _submask_norms([s - t for s, t in zip(pts[i + 1], pts[i])], eb, p)
         worst = (math.inf, d)
         for a2, na2 in nx.items():
             na1 = nx[ea & ~a2]

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpcube import complexes as cc
 from lpcube import geometry as geo
@@ -58,6 +61,32 @@ class TestLpNorm:
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             geo.lp_norm([1.0], 0.5)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 64.0, math.inf])
+    @pytest.mark.parametrize("v", [[1.0, math.nan], [math.nan, 1.0], [0.0, math.nan],
+                                   [math.inf, math.nan], [math.nan]])
+    def test_nan_propagates(self, v, p):
+        # Python's max drops a NaN that does not come first
+        assert math.isnan(geo.lp_norm(v, p))
+        assert math.isnan(geo.lp_norm(np.array(v), p))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(v=st.integers(0, 400).flatmap(lambda n: st.lists(
+               st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300)),
+               min_size=n, max_size=n)),
+           p=st.one_of(st.floats(1.01, 64.0), st.just(2.0), st.just(math.inf)),
+           scale=st.floats(1e-3, 1e3))
+    def test_matches_50_digit_reference(self, v, p, scale):
+        with mpmath.workdps(50):
+            a = [abs(mpmath.mpf(t)) for t in v]
+            if p == math.inf:
+                want = float(max(a, default=0))
+            else:
+                want = float(mpmath.fsum(t ** p for t in a) ** (1 / mpmath.mpf(p)))
+        got = geo.lp_norm(v, p)
+        assert abs(got - want) <= 1e-14 * want
+        # homogeneous: scaling the entries scales the norm
+        assert abs(geo.lp_norm([scale * t for t in v], p) - scale * got) <= 2e-14 * scale * got
 
 
 class TestCubeDistance:
