@@ -27,6 +27,14 @@ search reads, per cube and arrival cube, a lazily cut list of the members
 outside the arrival cube.  On the largest wedge nets this skips more than
 half of the member candidates.  The queue is a dense key array searched
 with ``argmin``.
+
+The search is A* with the potential max(|v - t|_p, sum_a c_a |v_a - t_a|)
+toward the target t, one weight c_a per spanned hyperplane, chosen once per
+search so that every maximal cube's weights lie in the dual l^q unit ball.
+By Hoelder the weighted sum is then a lower bound on lp length inside each
+cube, and the potential drops by no more than an arc's weight, so the value
+is the same as a plain Dijkstra's for any such weights; the weights only
+decide how much of the net is searched (see ``_dijkstra``).
 """
 
 from __future__ import annotations
@@ -97,7 +105,6 @@ class NetGraph:
     members: list[np.ndarray]          # per maximal cube: node indices inside it
     free: list[list[int]]              # per maximal cube: its free axes
     blocks: list[np.ndarray]           # per maximal cube: codes[members][:, free].T
-    node_cubes: list[list[int]]        # per node: the maximal cubes containing it
     source: int
     target: int
     step: float
@@ -109,6 +116,10 @@ class NetGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.coords)
+
+    def cubes_at(self, node: int) -> list[int]:
+        """The maximal cubes containing ``node``."""
+        return [ci for ci, mask in enumerate(self.masks) if mask[node]]
 
 
 def build_net(complex: CubeComplex, x: Point, y: Point, eps: float) -> NetGraph:
@@ -157,8 +168,7 @@ def build_net(complex: CubeComplex, x: Point, y: Point, eps: float) -> NetGraph:
     codes = values.searchsorted(mat)    # exact: every coordinate is in values
     axis_codes = codes.T.copy()         # axis-major, for the cubes' blocks
     masks, members, frees, blocks = [], [], [], []
-    node_cubes: list[list[int]] = [[] for _ in range(len(mat))]
-    for ci, q in enumerate(maximal):
+    for q in maximal:
         mask = np.ones(len(mat), dtype=bool)
         for i in bit_indices(spanned & ~q.mask):
             want = 1.0 if q.corner >> i & 1 else 0.0
@@ -169,19 +179,58 @@ def build_net(complex: CubeComplex, x: Point, y: Point, eps: float) -> NetGraph:
         members.append(idxs)
         frees.append(free)
         blocks.append(axis_codes.take(free, 0).take(idxs, 1))
-        for i in idxs.tolist():
-            node_cubes[i].append(ci)
-    return NetGraph(mat, values, codes, masks, members, frees, blocks, node_cubes,
-                    source, target, step)
+    return NetGraph(mat, values, codes, masks, members, frees, blocks, source, target, step)
 
 
 def _norms(diffs: np.ndarray, p: float) -> np.ndarray:
-    """lp norms of the columns of an axis-major block of differences (the A*
-    potential)."""
+    """lp norms of the columns of an axis-major block of differences."""
     diffs = np.abs(diffs)
     if p == 2.0:
         return np.sqrt((diffs * diffs).sum(axis=0))
     return (diffs ** p).sum(axis=0) ** (1.0 / p)
+
+
+def _hyperplane_weights(net: NetGraph, p: float) -> list[float]:
+    """One weight c_a >= 0 per hyperplane a, 0 off the spanned ones, with
+    sum c_a^q <= 1 over the free axes of every maximal cube (q = p / (p - 1)).
+
+    With delta the gap between the endpoints, c_a starts at the least, over
+    the cubes C containing a, of C's Hoelder equality vector
+    delta_a^(p-1) / |delta_C|_p^(p-1), whose q-th power is
+    delta_a^p / |delta_C|_p^p; the least keeps every cube within its bound.
+    One pass in order of decreasing delta_a then raises c_a^q to the least
+    slack left in a cube containing a, and a last shrink by a factor
+    1 - 1e-12 keeps rounding from pushing a cube over its bound.
+    """
+    x, y = net.coords[net.source].tolist(), net.coords[net.target].tolist()
+    cubes_of: dict[int, list[int]] = {}
+    for ci, free in enumerate(net.free):
+        for a in free:
+            cubes_of.setdefault(a, []).append(ci)
+    gap = {a: abs(x[a] - y[a]) for a in sorted(cubes_of)}
+    power = {a: g ** p for a, g in gap.items()}
+    cq = dict.fromkeys(gap, 1.0)
+    for free in net.free:
+        total = sum([power[a] for a in free])
+        for a in free:
+            cq[a] = min(cq[a], power[a] / total if total > 0.0 else 0.0)
+    load = [sum([cq[a] for a in free]) for free in net.free]
+    for a in sorted(gap, key=gap.__getitem__, reverse=True):
+        room = max(0.0, min([1.0 - load[ci] + cq[a] for ci in cubes_of[a]]))
+        for ci in cubes_of[a]:
+            load[ci] += room - cq[a]
+        cq[a] = room
+    weights = [0.0] * len(x)
+    for a, w in cq.items():
+        weights[a] = (1.0 - 1e-12) * w ** (1.0 - 1.0 / p)
+    return weights
+
+
+def _potential(net: NetGraph, p: float) -> np.ndarray:
+    """The A* potential of every node: max(|v - t|_p, sum_a c_a |v_a - t_a|)
+    with t the target and c the ``_hyperplane_weights``."""
+    diffs = np.abs((net.coords - net.coords[net.target]).T)
+    return np.maximum(_norms(diffs, p), np.dot(_hyperplane_weights(net, p), diffs))
 
 
 class _PowerRows(dict):
@@ -199,10 +248,18 @@ class _PowerRows(dict):
 
 
 def _dijkstra(net: NetGraph, p: float) -> float:
-    """Shortest path with an A* potential (ambient distance to the target).
+    """Shortest path with the A* potential of ``_potential``.
 
-    The potential is a lower bound on the remaining path length and satisfies
-    the triangle inequality against the arc weights, so the result is exact.
+    The potential is h(v) = max(|v - t|_p, sum_a c_a |v_a - t_a|), t the
+    target, with sum_{a in C} c_a^q <= 1 on the free axes of every maximal
+    cube C.  It is consistent: an arc u-v lies in some C, where u and v agree
+    on C's fixed axes, so by Hoelder
+        sum_a c_a |u_a - t_a| - sum_a c_a |v_a - t_a|
+            <= sum_{a in C} c_a |u_a - v_a| <= |c_C|_q |u - v|_p <= |u - v|_p,
+    and the ambient term drops by at most |u - v|_p by the triangle
+    inequality.  A consistent potential that is 0 at the target leaves the
+    value exact, so the weights change only which nodes are popped, not the
+    value returned.
 
     Popping u relaxes every cube C containing u, but only on the members of C
     outside the cube A through which dist[u] was last set, which keeps this
@@ -229,9 +286,8 @@ def _dijkstra(net: NetGraph, p: float) -> float:
     for reached, unpopped nodes, inf otherwise) and a pop is its ``argmin``;
     that O(nodes) scan costs less than the relaxation that follows it.
     """
-    coords = net.coords
     target = net.target
-    potential = _norms((coords - coords[target]).T, p)
+    potential = _potential(net, p)
     rows = _PowerRows(net.values, p)
     dist = np.full(net.n_nodes, np.inf)
     key = np.full(net.n_nodes, np.inf)
@@ -246,7 +302,7 @@ def _dijkstra(net: NetGraph, p: float) -> float:
         key[u] = np.inf
         dist[u] = -np.inf       # settled: no candidate is below it any more
         arrived = int(via[u])
-        for ci in net.node_cubes[u]:
+        for ci in net.cubes_at(u):
             if ci == arrived:
                 continue
             if arrived < 0:

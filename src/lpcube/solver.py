@@ -258,14 +258,14 @@ def _face_boxes(faces: Sequence[CubeRef], n: int) -> tuple[list[list[float]], li
 
 def _segments(pts: Sequence[Sequence[float]], p: float) -> tuple[list[float], list[list[float]]]:
     """Lengths of the segments of a polyline given as lists of floats, and
-    each displacement over its length (zero on null segments)."""
-    nus, units = [], []
-    for a, b in zip(pts, pts[1:]):
-        d = [t - s for s, t in zip(a, b)]
-        nu = lp_norm(d, p)
-        nus.append(nu)
-        units.append([t / nu for t in d] if nu > 0.0 else [0.0] * len(d))
-    return nus, units
+    their displacements."""
+    diffs = [[t - s for s, t in zip(a, b)] for a, b in zip(pts, pts[1:])]
+    return [lp_norm(d, p) for d in diffs], diffs
+
+
+def _units(nus: list[float], diffs: list[list[float]]) -> list[list[float]]:
+    """Each displacement over its length (zero on null segments)."""
+    return [[t / nu for t in d] if nu > 0.0 else [0.0] * len(d) for nu, d in zip(nus, diffs)]
 
 
 def _phi(unit: list[float], p: float) -> list[float]:
@@ -373,7 +373,8 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
         for (j, i), t in zip(coords, values):
             chain[j + 1][i] = t
 
-    nu, unit = _segments(chain, p)
+    nu, diffs = _segments(chain, p)
+    unit = _units(nu, diffs)
     res = _tension(chain, axes, nu, unit)
     damp = 0.0
     for _ in range(max_iter):
@@ -423,7 +424,7 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
         for _ in range(50):
             trial = [min(max(b + alpha * t, 0.0), 1.0) for b, t in zip(base, step)]
             put(trial)
-            nu_t, unit_t = _segments(chain, p)
+            nu_t, diffs = _segments(chain, p)
             shrunk = [a < COLLAPSE * b for a, b in zip(nu_t, nu)]
             if any(shrunk):
                 hit = [s for s, (sh, m) in enumerate(zip(shrunk, mergeable)) if sh and m]
@@ -435,7 +436,8 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
                 if gain > 0.0 and gain >= -1e-4 * sum([g * (t - a) for g, t, a
                                                        in zip(grad, trial, v)]):
                     break
-                if abs(gain) <= 4e-16 * length and _tension(chain, axes, nu_t, unit_t) < res:
+                if (abs(gain) <= 4e-16 * length
+                        and _tension(chain, axes, nu_t, _units(nu_t, diffs)) < res):
                     break
             alpha *= 0.5
         else:
@@ -443,7 +445,7 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
             return res <= RESIDUAL_TOL, None
         # a full step that was accepted earns trust; a cut-back step loses it
         damp = (0.0 if damp < 1e-3 else 0.25 * damp) if alpha == 1.0 else max(4.0 * damp, 1e-2)
-        nu, unit = nu_t, unit_t
+        nu, unit = nu_t, _units(nu_t, diffs)
         res = _tension(chain, axes, nu, unit)
     return res <= gate, None
 
@@ -495,7 +497,8 @@ def _split_direction(chain: list[list[float]], m: int, face_a: Optional[CubeRef]
     break, move of the face_b break).
     """
     z = chain[m]
-    nu, unit = _segments(chain, p)
+    nu, diffs = _segments(chain, p)
+    unit = _units(nu, diffs)
     live = [s for s, t in enumerate(nu) if t >= MERGE_TOL]
     into, out = [s for s in live if s < m], [s for s in live if s >= m]
     a = _phi(unit[into[-1]], p) if into else [0.0] * len(z)
@@ -542,7 +545,7 @@ def _dual_bound(chain: list[list[float]], faces: Sequence[CubeRef], p: float) ->
     a linear function of the breaks, whose minimum over the face boxes is
     taken per coordinate.  The bound is tight at the optimal breaks.
     """
-    w = [_phi(u, p) for u in _segments(chain, p)[1]]
+    w = [_phi(u, p) for u in _units(*_segments(chain, p))]
     bound = sum([s * t for s, t in zip(w[-1], chain[-1])])
     bound -= sum([s * t for s, t in zip(w[0], chain[0])])
     for f, before, after in zip(faces, w, w[1:]):

@@ -1,3 +1,4 @@
+import functools
 import heapq
 import math
 import os
@@ -7,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpcube import complexes as cc
 from lpcube import oracle as orc
@@ -14,6 +17,7 @@ from lpcube import solver as sv
 from lpcube.analysis import sample_point
 from lpcube.complexes import Point
 from lpcube.errors import ScaleExceeded
+from lpcube.fixtures import NAMES, load_fixture
 
 from conftest import build_wedge_instance
 
@@ -116,7 +120,7 @@ class TestOracleDistance:
         for cx, x, y in cases:
             for eps in (0.5, 0.25):
                 net = orc.build_net(cx, x, y, eps)
-                for p in (1.5, 2.0, 3.0):
+                for p in (1.05, 1.5, 2.0, 3.0, 8.0):
                     want = textbook_distance(net, p)
                     assert orc.oracle_distance(cx, x, y, p, eps) == pytest.approx(want, abs=1e-12)
 
@@ -172,6 +176,37 @@ class TestOracleDistance:
             exact = sv.distance(cx, x, y, 2.0)
             assert d >= exact - 1e-9
             assert abs(d - exact) <= 0.05
+
+
+cached_fixture = functools.cache(load_fixture)   # load and validate each once
+
+
+class TestPotential:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(case=st.one_of(st.integers(0, 99), st.sampled_from(NAMES)),
+           vertex=st.tuples(st.booleans(), st.booleans()), seed=st.integers(0, 2 ** 16),
+           eps=st.sampled_from([0.5, 0.25]), p=st.floats(1.05, 8.0))
+    def test_consistent_lower_bound(self, case, vertex, seed, eps, p):
+        rng = np.random.default_rng([93, seed])
+        if isinstance(case, int):
+            cx, x, _, y, _ = build_wedge_instance(case)
+        else:
+            cx = cached_fixture(case)
+            verts = sorted(cx.vertices)
+            x, y = (Point.make(verts[rng.integers(len(verts))]) if at else sample_point(cx, rng)
+                    for at in vertex)
+        net = orc.build_net(cx, x, y, eps)
+        q = p / (p - 1.0)
+        weights = orc._hyperplane_weights(net, p)
+        for free in net.free:
+            assert math.fsum([weights[a] ** q for a in free]) <= 1.0
+        h = orc._potential(net, p)
+        assert h[net.target] == 0.0
+        for idxs in net.members:
+            u, v = rng.choice(idxs, size=(2, 50))
+            w = orc._norms((net.coords[u] - net.coords[v]).T, p)
+            assert (h[u] <= w + h[v] + 4 * np.spacing(np.maximum(h[u], w + h[v]))).all()
+        assert h[net.source] <= textbook_distance(net, p)
 
 
 class TestBuildNet:
@@ -233,7 +268,9 @@ class TestBuildNet:
         cubes = range(len(net.members))
         for ci in cubes:
             assert np.array_equal(np.nonzero(net.masks[ci])[0], net.members[ci])
-            assert net.masks[ci].tolist() == [ci in cs for cs in net.node_cubes]
+        member_sets = [set(idxs.tolist()) for idxs in net.members]
+        for u in range(net.n_nodes):
+            assert net.cubes_at(u) == [ci for ci in cubes if u in member_sets[ci]]
         for c in cubes:
             for a in cubes:
                 idxs, block = net.cuts[c, a]
