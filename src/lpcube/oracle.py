@@ -10,6 +10,23 @@ Nodes are laid on a dyadic grid (largest power of two step below the
 requested epsilon) so refinement nets nest, which makes the oracle value
 monotone under halving.
 
+The net is built in numpy from integer grid indices: each face gives one
+block of nodes over the spanned axes, its free axes in ``itertools.product``
+order from ``np.indices``, and index t stands for the grid value t * step,
+exact because the step is a power of two.  The blocks are concatenated in
+face order, and a stable ``np.lexsort`` (a radix sort on these small
+integers) keeps the first occurrence of each node that several faces share,
+so nodes come in first-seen order.  ``np.unique`` would do the same but
+imports ``numpy.ma``, about 1 MB of resident memory per process.  The
+endpoints come last and share no node with a face: the hyperplanes that the
+hull's cubes through x span beyond x's minimal cube all separate a corner c
+of it from one corner of y's, so their edges at c pairwise span squares and
+(flag condition) together span one cube of the hull, which holds every cube
+through x; x lies in one maximal cube, while a face is the meet of two.
+Only y == x shares a node.  Codes come from a lookup table over the grid
+indices, and from the values themselves for the endpoints and for x's 0/1
+on the axes no maximal cube spans.
+
 The graph is never materialized: an arc joins every node pair sharing a
 maximal cube, and the search relaxes the cube-mates of a popped node in one
 vectorized pass per cube.  Each cube keeps its members' coordinates on its
@@ -40,7 +57,6 @@ decide how much of the net is searched (see ``_dijkstra``).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -95,7 +111,8 @@ class NetGraph:
     over the nodes, its member node indices, its free axes, and the members'
     codes on those axes as one axis-major block (free axes x members).
     ``cuts[c, a]`` is the same pair (indices, block) for the members of cube
-    c outside cube a, built on first use.
+    c outside cube a, built on first use.  ``fill`` is what the A* weights
+    need that does not depend on p.
     """
 
     coords: np.ndarray                 # node ambient coordinates, every hyperplane
@@ -108,6 +125,9 @@ class NetGraph:
     source: int
     target: int
     step: float
+    # the spanned hyperplanes as (a, |x_a - y_a|, the cubes with a free), in
+    # order of decreasing endpoint gap, ties by a: the weights' fill order
+    fill: list[tuple[int, float, list[int]]]
     cuts: _CutLists = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -122,11 +142,38 @@ class NetGraph:
         return [ci for ci, mask in enumerate(self.masks) if mask[node]]
 
 
+def _face_nodes(faces: list, axes: list[int], top: int) -> np.ndarray:
+    """The grid nodes of ``faces`` as grid indices on ``axes``, axis-major:
+    one block of columns per face, in order, each face's free axes in
+    ``itertools.product`` order (the last one fastest)."""
+    sizes = [(top + 1) ** f.dim for f in faces]
+    grid = np.array([[top * (f.corner >> i & 1) for f in faces] for i in axes],
+                    np.min_scalar_type(top)).reshape(len(axes), len(faces))
+    if max(sizes, default=1) == 1:      # vertex faces
+        return grid
+    grid = grid.repeat(sizes, 1)
+    start = 0
+    for f, size in zip(faces, sizes):
+        if f.dim:
+            free = [j for j, i in enumerate(axes) if f.mask >> i & 1]
+            block = np.indices((top + 1,) * f.dim, grid.dtype).reshape(f.dim, -1)
+            grid[free, start:start + size] = block
+        start += size
+    return grid
+
+
+def _first_seen(grid: np.ndarray) -> np.ndarray:
+    """The columns of ``grid`` equal to no earlier column, in order."""
+    order = np.lexsort(grid)    # stable, and a radix sort on small ints
+    ranked = grid.take(order, 1)
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(0)
+    return grid.take(np.sort(order[first]), 1)
+
+
 def build_net(complex: CubeComplex, x: Point, y: Point, eps: float) -> NetGraph:
     n = len(complex.hyperplanes)
     k = _step_exponent(eps)
-    step = 2.0 ** -k
-    per_axis = (1 << k) + 1             # grid values per face axis, an exact int
     maximal = sorted(complex.hull_restriction([x, y]).maximal_cubes())
     spanned = functools.reduce(operator.or_, (q.mask for q in maximal))
     axes = bit_indices(spanned)
@@ -136,50 +183,74 @@ def build_net(complex: CubeComplex, x: Point, y: Point, eps: float) -> NetGraph:
             f = cube_intersection(a, b)
             if f is not None:
                 faces.add(f)
-    # the hull is constant on the axes no maximal cube spans, so a node is
-    # keyed by its coordinates on the spanned ``axes``; index in first-seen order
-    node_index: dict[tuple, int] = {}
-
-    def add_node(vec: tuple) -> int:
-        idx = node_index.setdefault(vec, len(node_index))
-        if idx >= NODE_CAP:
-            raise ScaleExceeded(f"epsilon net exceeds {NODE_CAP} nodes")
-        return idx
-
+    faces = list(faces)
     widest = max((f.dim for f in faces), default=0)
-    if widest and per_axis ** widest > NODE_CAP:
+    if widest and ((1 << k) + 1) ** widest > NODE_CAP:
         raise ScaleExceeded("face grid alone exceeds the node cap")
-    grid = [t * step for t in range(per_axis)] if widest else []
-    for f in faces:
-        vec = [float(f.corner >> i & 1) for i in axes]
-        free = [j for j, i in enumerate(axes) if f.mask >> i & 1]
-        for point in itertools.product(grid, repeat=len(free)):
-            for j, t in zip(free, point):
-                vec[j] = t
-            add_node(tuple(vec))
+    # face nodes as grid indices on the spanned axes: t stands for t / top,
+    # on the dyadic grid, or on the corners 0 and 1 where every face is a vertex
+    top = 1 << k if widest else 1
+    # faces in batches of at most NODE_CAP nodes (a face has no more, see
+    # above), so that no more than twice that await a dedupe
+    batch = NODE_CAP // (top + 1) ** widest
+    grid = None
+    for lo in range(0, max(len(faces), 1), batch):
+        block = _face_nodes(faces[lo:lo + batch], axes, top)
+        grid = block if grid is None else np.concatenate([grid, block], axis=1)
+        if len(faces) > 1:
+            grid = _first_seen(grid)
+        if grid.shape[1] > NODE_CAP:
+            raise ScaleExceeded(f"epsilon net exceeds {NODE_CAP} nodes")
+    count = grid.shape[1]
+    # the endpoints come last; neither lies on a face (see the module
+    # docstring), so only y == x shares a node
     xa = x.ambient(n)
-    source = add_node(tuple(xa[axes].tolist()))
-    target = add_node(tuple(y.ambient(n)[axes].tolist()))
-    mat = np.tile(xa, (len(node_index), 1))     # the constant axes as at x
-    mat[:, axes] = list(node_index)
-    # the distinct values, sorted; np.unique would import numpy.ma (about 1 MB)
-    values = np.sort(mat, axis=None)
-    values = values[np.append(True, values[1:] != values[:-1])]
-    codes = values.searchsorted(mat)    # exact: every coordinate is in values
-    axis_codes = codes.T.copy()         # axis-major, for the cubes' blocks
+    xs, ys = xa[axes].tolist(), y.ambient(n)[axes].tolist()
+    ends = [xs] if xs == ys else [xs, ys]
+    source, target = count, count + len(ends) - 1
+    n_nodes = count + len(ends)
+    if n_nodes > NODE_CAP:
+        raise ScaleExceeded(f"epsilon net exceeds {NODE_CAP} nodes")
+    # the distinct coordinates, without np.unique (it imports numpy.ma): the
+    # grid values that occur, the endpoints' and x's 0/1 on the constant axes
+    grid_values = [t / top for t in range(top + 1)]
+    if widest:
+        seen = grid_values
+    else:       # vertex faces: only the corner values that occur
+        seen = {float(f.corner >> i & 1) for f in faces for i in axes}
+    values = np.array(sorted({*seen, *xa.tolist(), *ys}))
+    code = {v: c for c, v in enumerate(values.tolist())}
+    # codes, axis-major: a face node's by its grid index, an endpoint's by value
+    axis_codes = np.concatenate([
+        np.array([code.get(v, -1) for v in grid_values]).take(grid),
+        np.array([[code[v] for v in vec] for vec in ends], np.intp).reshape(len(ends), len(axes)).T,
+    ], axis=1)
+    if len(axes) < n:       # the constant axes as at x
+        spanned_codes, axis_codes = axis_codes, np.empty((n, n_nodes), dtype=np.intp)
+        axis_codes[:] = values.searchsorted(xa)[:, None]
+        axis_codes[axes] = spanned_codes
+    # a cube's members equal its corner on each of its fixed axes
+    at_corner = axis_codes == code.get(0.0, -1), axis_codes == code.get(1.0, -1)
     masks, members, frees, blocks = [], [], [], []
-    for q in maximal:
-        mask = np.ones(len(mat), dtype=bool)
+    cubes_of: dict[int, list[int]] = {i: [] for i in axes}
+    for ci, q in enumerate(maximal):
+        mask = np.ones(n_nodes, dtype=bool)
         for i in bit_indices(spanned & ~q.mask):
-            want = 1.0 if q.corner >> i & 1 else 0.0
-            mask &= mat[:, i] == want
-        idxs = np.nonzero(mask)[0]
+            mask &= at_corner[q.corner >> i & 1][i]
+        idxs = mask.nonzero()[0]
         free = bit_indices(q.mask)
+        for i in free:
+            cubes_of[i].append(ci)
         masks.append(mask)
         members.append(idxs)
         frees.append(free)
         blocks.append(axis_codes.take(free, 0).take(idxs, 1))
-    return NetGraph(mat, values, codes, masks, members, frees, blocks, source, target, step)
+    gap = [abs(a - b) for a, b in zip(xs, ys)]
+    fill = [(axes[j], gap[j], cubes_of[axes[j]])
+            for j in sorted(range(len(axes)), key=gap.__getitem__, reverse=True)]
+    codes = axis_codes.T.copy()
+    return NetGraph(values.take(codes), values, codes, masks, members, frees, blocks,
+                    source, target, 2.0 ** -k, fill)
 
 
 def _norms(diffs: np.ndarray, p: float) -> np.ndarray:
@@ -198,31 +269,28 @@ def _hyperplane_weights(net: NetGraph, p: float) -> list[float]:
     the cubes C containing a, of C's Hoelder equality vector
     delta_a^(p-1) / |delta_C|_p^(p-1), whose q-th power is
     delta_a^p / |delta_C|_p^p; the least keeps every cube within its bound.
-    One pass in order of decreasing delta_a then raises c_a^q to the least
-    slack left in a cube containing a, and a last shrink by a factor
-    1 - 1e-12 keeps rounding from pushing a cube over its bound.
+    One pass in order of decreasing delta_a (``net.fill``, ties by a) then
+    raises c_a^q to the least slack left in a cube containing a, and a last
+    shrink by a factor 1 - 1e-12 keeps rounding from pushing a cube over its
+    bound.
     """
-    x, y = net.coords[net.source].tolist(), net.coords[net.target].tolist()
-    cubes_of: dict[int, list[int]] = {}
-    for ci, free in enumerate(net.free):
-        for a in free:
-            cubes_of.setdefault(a, []).append(ci)
-    gap = {a: abs(x[a] - y[a]) for a in sorted(cubes_of)}
-    power = {a: g ** p for a, g in gap.items()}
-    cq = dict.fromkeys(gap, 1.0)
+    n = net.coords.shape[1]
+    power = [0.0] * n
+    for a, gap, _ in net.fill:
+        power[a] = gap ** p
+    cq = [1.0] * n
     for free in net.free:
         total = sum([power[a] for a in free])
         for a in free:
             cq[a] = min(cq[a], power[a] / total if total > 0.0 else 0.0)
     load = [sum([cq[a] for a in free]) for free in net.free]
-    for a in sorted(gap, key=gap.__getitem__, reverse=True):
-        room = max(0.0, min([1.0 - load[ci] + cq[a] for ci in cubes_of[a]]))
-        for ci in cubes_of[a]:
+    weights = [0.0] * n
+    for a, _, cubes in net.fill:
+        room = max(0.0, min([1.0 - load[ci] + cq[a] for ci in cubes]))
+        for ci in cubes:
             load[ci] += room - cq[a]
         cq[a] = room
-    weights = [0.0] * len(x)
-    for a, w in cq.items():
-        weights[a] = (1.0 - 1e-12) * w ** (1.0 - 1.0 / p)
+        weights[a] = (1.0 - 1e-12) * room ** (1.0 - 1.0 / p)
     return weights
 
 

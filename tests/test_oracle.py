@@ -1,6 +1,8 @@
 import functools
 import heapq
+import itertools
 import math
+import operator
 import os
 import pathlib
 import subprocess
@@ -15,7 +17,7 @@ from lpcube import complexes as cc
 from lpcube import oracle as orc
 from lpcube import solver as sv
 from lpcube.analysis import sample_point
-from lpcube.complexes import Point
+from lpcube.complexes import Point, bit_indices, cube_intersection
 from lpcube.errors import ScaleExceeded
 from lpcube.fixtures import NAMES, load_fixture
 
@@ -45,6 +47,111 @@ def textbook_distance(net: orc.NetGraph, p: float) -> float:
                 dist[v] = d + w
                 heapq.heappush(heap, (d + w, v))
     return dist[net.target]
+
+
+def reference_build_net(complex, x, y, eps):
+    """The dict builder ``orc.build_net`` replaced, verbatim but for the module
+    prefixes and the result: one node per first-seen coordinate tuple on the
+    spanned axes, faces in set order and each face's grid in
+    ``itertools.product`` order, then the endpoints; a dict of the fields."""
+    n = len(complex.hyperplanes)
+    k = orc._step_exponent(eps)
+    step = 2.0 ** -k
+    per_axis = (1 << k) + 1             # grid values per face axis, an exact int
+    maximal = sorted(complex.hull_restriction([x, y]).maximal_cubes())
+    spanned = functools.reduce(operator.or_, (q.mask for q in maximal))
+    axes = bit_indices(spanned)
+    faces = set()
+    for i, a in enumerate(maximal):
+        for b in maximal[i + 1:]:
+            f = cube_intersection(a, b)
+            if f is not None:
+                faces.add(f)
+    # the hull is constant on the axes no maximal cube spans, so a node is
+    # keyed by its coordinates on the spanned ``axes``; index in first-seen order
+    node_index: dict[tuple, int] = {}
+
+    def add_node(vec: tuple) -> int:
+        idx = node_index.setdefault(vec, len(node_index))
+        if idx >= orc.NODE_CAP:
+            raise ScaleExceeded(f"epsilon net exceeds {orc.NODE_CAP} nodes")
+        return idx
+
+    widest = max((f.dim for f in faces), default=0)
+    if widest and per_axis ** widest > orc.NODE_CAP:
+        raise ScaleExceeded("face grid alone exceeds the node cap")
+    grid = [t * step for t in range(per_axis)] if widest else []
+    for f in faces:
+        vec = [float(f.corner >> i & 1) for i in axes]
+        free = [j for j, i in enumerate(axes) if f.mask >> i & 1]
+        for point in itertools.product(grid, repeat=len(free)):
+            for j, t in zip(free, point):
+                vec[j] = t
+            add_node(tuple(vec))
+    xa = x.ambient(n)
+    source = add_node(tuple(xa[axes].tolist()))
+    target = add_node(tuple(y.ambient(n)[axes].tolist()))
+    mat = np.tile(xa, (len(node_index), 1))     # the constant axes as at x
+    mat[:, axes] = list(node_index)
+    # the distinct values, sorted; np.unique would import numpy.ma (about 1 MB)
+    values = np.sort(mat, axis=None)
+    values = values[np.append(True, values[1:] != values[:-1])]
+    codes = values.searchsorted(mat)    # exact: every coordinate is in values
+    axis_codes = codes.T.copy()         # axis-major, for the cubes' blocks
+    masks, members, frees, blocks = [], [], [], []
+    for q in maximal:
+        mask = np.ones(len(mat), dtype=bool)
+        for i in bit_indices(spanned & ~q.mask):
+            want = 1.0 if q.corner >> i & 1 else 0.0
+            mask &= mat[:, i] == want
+        idxs = np.nonzero(mask)[0]
+        free = bit_indices(q.mask)
+        masks.append(mask)
+        members.append(idxs)
+        frees.append(free)
+        blocks.append(axis_codes.take(free, 0).take(idxs, 1))
+    return dict(coords=mat, values=values, codes=codes, masks=masks, members=members,
+                free=frees, blocks=blocks, source=source, target=target, step=step)
+
+
+def assert_same_net(net: orc.NetGraph, ref: dict) -> None:
+    for name in ("coords", "values", "codes"):
+        got, want = getattr(net, name), ref[name]
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    for name in ("masks", "members", "blocks"):
+        got, want = getattr(net, name), ref[name]
+        assert len(got) == len(want), name
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("free", "source", "target", "step"):
+        assert getattr(net, name) == ref[name], name
+
+
+def reference_hyperplane_weights(net: orc.NetGraph, p: float) -> list[float]:
+    """``orc._hyperplane_weights`` before the net carried its fill order:
+    dicts keyed by hyperplane and a sort per search."""
+    x, y = net.coords[net.source].tolist(), net.coords[net.target].tolist()
+    cubes_of: dict[int, list[int]] = {}
+    for ci, free in enumerate(net.free):
+        for a in free:
+            cubes_of.setdefault(a, []).append(ci)
+    gap = {a: abs(x[a] - y[a]) for a in sorted(cubes_of)}
+    power = {a: g ** p for a, g in gap.items()}
+    cq = dict.fromkeys(gap, 1.0)
+    for free in net.free:
+        total = sum([power[a] for a in free])
+        for a in free:
+            cq[a] = min(cq[a], power[a] / total if total > 0.0 else 0.0)
+    load = [sum([cq[a] for a in free]) for free in net.free]
+    for a in sorted(gap, key=gap.__getitem__, reverse=True):
+        room = max(0.0, min([1.0 - load[ci] + cq[a] for ci in cubes_of[a]]))
+        for ci in cubes_of[a]:
+            load[ci] += room - cq[a]
+        cq[a] = room
+    weights = [0.0] * len(x)
+    for a, w in cq.items():
+        weights[a] = (1.0 - 1e-12) * w ** (1.0 - 1.0 / p)
+    return weights
 
 
 class TestDyadicStep:
@@ -208,6 +315,18 @@ class TestPotential:
             assert (h[u] <= w + h[v] + 4 * np.spacing(np.maximum(h[u], w + h[v]))).all()
         assert h[net.source] <= textbook_distance(net, p)
 
+    def test_weights_match_the_per_search_sort(self, corner, grid222):
+        # the fill order comes from build_net; the weights stay bit-identical,
+        # also on the last two, where endpoint gaps tie and filling the tied
+        # hyperplanes in another order gives other weights
+        cases = [(cx, x, y) for cx, x, _, y, _ in map(build_wedge_instance, range(100))]
+        cases += [(corner, Point.make(0, {2: 0.25, 3: 0.25}), Point.make(0, {0: 0.5, 1: 0.75})),
+                  (grid222, Point.make(0, {0: 0.5, 4: 0.5}), Point.make(0b111111))]
+        for cx, x, y in cases:
+            net = orc.build_net(cx, x, y, 0.25)
+            for p in (1.05, 1.5, 2.0, 3.0, 8.0):
+                assert orc._hyperplane_weights(net, p) == reference_hyperplane_weights(net, p)
+
 
 class TestBuildNet:
     @pytest.mark.parametrize("seed, n_nodes", [(29, 12547), (31, 8451)])
@@ -235,6 +354,16 @@ class TestBuildNet:
         assert orc.build_net(cx, x, y, 0.02).n_nodes == 8451
         monkeypatch.setattr(orc, "NODE_CAP", 8450)
         with pytest.raises(ScaleExceeded, match="exceeds 8450 nodes"):
+            orc.build_net(cx, x, y, 0.02)
+
+    def test_faces_past_the_cap_are_merged_in_batches(self, monkeypatch):
+        # wedge 78's faces hold 12,806 grid points for 12,547 nodes at eps
+        # 0.02; with the cap at the node count they come two faces a batch
+        cx, x, _, y, _ = build_wedge_instance(78)
+        monkeypatch.setattr(orc, "NODE_CAP", 12547)
+        assert_same_net(orc.build_net(cx, x, y, 0.02), reference_build_net(cx, x, y, 0.02))
+        monkeypatch.setattr(orc, "NODE_CAP", 12546)
+        with pytest.raises(ScaleExceeded, match="exceeds 12546 nodes"):
             orc.build_net(cx, x, y, 0.02)
 
     def test_face_grid_precheck(self, monkeypatch):
@@ -277,7 +406,7 @@ class TestBuildNet:
                 assert idxs.tolist() == np.setdiff1d(net.members[c], net.members[a]).tolist()
                 assert np.array_equal(block, net.codes[idxs][:, net.free[c]].T)
 
-    def test_equal_nodes_are_shared(self, corner):
+    def test_equal_nodes_are_shared(self, corner, grid222):
         # three squares at the origin: faces a2, b1 and the origin itself share
         # the origin node (3 + 2 + 0 face nodes), and an endpoint equal to an
         # existing node reuses it
@@ -286,6 +415,62 @@ class TestBuildNet:
         assert orc.build_net(corner, x, y, 0.5).n_nodes == 7
         same = orc.build_net(corner, x, x, 0.5)
         assert same.n_nodes == 1 and same.source == same.target == 0
+        # endpoints on grid nodes: the node of face a2 at 0.5 above (its own
+        # hull is squares a2b1 and b1b2), a vertex of grid222 at eps 0.25, and
+        # x == y on that a2 node.  An endpoint lies in one maximal cube of its
+        # own hull, so on no face, and each net equals the dict builder's,
+        # which would key an endpoint on a face to the face node
+        on_a2 = Point.make(0, {1: 0.5})
+        cases = [(corner, on_a2, y, 0.5, 5),
+                 (grid222, Point.make(0), Point.make(0b010101, {1: 0.5, 3: 0.5, 5: 0.5}), 0.25, 219),
+                 (corner, on_a2, on_a2, 0.5, 1)]
+        for cx, u, v, eps, n_nodes in cases:
+            net = orc.build_net(cx, u, v, eps)
+            assert_same_net(net, reference_build_net(cx, u, v, eps))
+            assert net.n_nodes == n_nodes
+            assert len(net.cubes_at(net.source)) == len(net.cubes_at(net.target)) == 1
+        assert net.source == net.target == 0
+
+    @pytest.mark.parametrize("eps, total", [(0.05, 24876), (0.02, 94508)])
+    def test_wedge_nets_match_the_dict_builder(self, eps, total):
+        # 94,508 is the oracle.net_nodes of one wedge-certify pass
+        n_nodes = 0
+        for seed in range(100):
+            cx, x, _, y, _ = build_wedge_instance(seed)
+            net = orc.build_net(cx, x, y, eps)
+            assert_same_net(net, reference_build_net(cx, x, y, eps))
+            n_nodes += net.n_nodes
+        assert n_nodes == total
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_fixture_nets_match_the_dict_builder(self, name):
+        cx = cached_fixture(name)
+        verts = sorted(cx.vertices)
+        rng = np.random.default_rng([17, NAMES.index(name)])
+        for _ in range(20):
+            x, y = (Point.make(verts[rng.integers(len(verts))]) if rng.random() < 0.3
+                    else sample_point(cx, rng) for _ in range(2))
+            assert_same_net(orc.build_net(cx, x, y, 0.05), reference_build_net(cx, x, y, 0.05))
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_dyadic_endpoints_lie_on_no_face(self, name):
+        # endpoints with grid coordinates, equal one time in ten: were one on
+        # a face, the dict builder would key it to the face node
+        cx = cached_fixture(name)
+        cubes = cx.all_cubes()
+        rng = np.random.default_rng([19, NAMES.index(name)])
+
+        def grid_point():
+            q = cubes[rng.integers(len(cubes))]
+            return Point.make(q.corner, {h: float(rng.choice([0.25, 0.5, 0.75]))
+                                         for h in bit_indices(q.mask)})
+
+        for _ in range(40):
+            x = grid_point()
+            y = x if rng.random() < 0.1 else grid_point()
+            net = orc.build_net(cx, x, y, 0.25)
+            assert_same_net(net, reference_build_net(cx, x, y, 0.25))
+            assert len(net.cubes_at(net.source)) == len(net.cubes_at(net.target)) == 1
 
 
 class TestCertify:
