@@ -365,18 +365,21 @@ class CubeComplex:
     def hull_restriction(self, points: Sequence[Point]) -> "CubeComplex":
         """The median hull of the points' minimal cubes, on this complex's own
         hyperplanes (those the hull does not cross keep their constant side),
-        so that its cubes and points are the complex's; memoized per hull."""
-        seeds: set[int] = set()
+        so that its cubes and points are the complex's; memoized per hull.
+
+        The hull is fixed by the AND and the OR of the cubes' corners, which
+        are the AND of the cubes' base corners and the OR of corner | mask, so
+        the corners themselves are listed only on a cache miss."""
+        lo, hi = -1, 0
         for p in points:
             self.check_point(p)
-            seeds.update(p.minimal_cube().corners())
-        lo = hi = next(iter(seeds))
-        for s in seeds:
-            lo &= s
-            hi |= s
+            cube = p.minimal_cube()
+            lo &= cube.corner
+            hi |= cube.corner | cube.mask
         key = (lo, hi)
         hull = self._hull_cache.get(key)
         if hull is None:
+            seeds = {v for p in points for v in p.minimal_cube().corners()}
             hull = self._hull_cache[key] = CubeComplex(
                 self.hyperplanes, self.convex_hull_vertices(seeds), validate=False)
         return hull

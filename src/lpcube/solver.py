@@ -25,10 +25,14 @@ shows that pulling them apart cannot shorten the path; otherwise they are split
 along the descent direction the test yields.
 
 geodesic() searches the galleries for a certified path.  It takes them in
-order of a lower bound from the faces, screens each with a few Newton steps,
-which give an upper bound (the length) and a lower bound (the Hoelder dual
-bound at those breaks), and solves in full the galleries that can still be
-optimal.  A solved path that passes the zero-tension and no-shortcut
+order of the length of their start chain, except that a gallery G comes after
+all others when the list also holds G' = G with one cube E inserted between
+consecutive cubes C, C' where E contains C n C': a break on C n C' lies on
+C n E and on E n C', so every chain of G is a chain of G' of the same length,
+and G' is never longer.  It screens each gallery with a few Newton steps,
+which give an upper bound (the length) and a lower bound (the larger of a
+bound from the faces and the Hoelder dual bound at those breaks), and solves
+in full the galleries that can still be optimal.  A solved path that passes the zero-tension and no-shortcut
 conditions is a local geodesic, hence by Busemann convexity the geodesic, and
 ends the search.  A path that fails no-shortcut is shortened through its
 most violated corner cube, so the next gallery tried is the first one that
@@ -450,35 +454,37 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
     return res <= gate, None
 
 
-def _start_chain(xa: list[float], ya: list[float], faces: Sequence[CubeRef],
-                 template: list[list[float]],
-                 init: Optional[Sequence[Sequence[float]]]) -> list[list[float]]:
-    """Chain x, breaks, y with the breaks (new lists) placed in their face boxes."""
+def _start_chain(xa: list[float], ya: list[float], cubes: Sequence[CubeRef], n: int,
+                 init: Optional[Sequence[Sequence[float]]]
+                 ) -> tuple[list[CubeRef], list[list[float]], list[list[int]], list[list[float]]]:
+    """The faces of a cube sequence, their boxes (``_face_boxes``) and the
+    start chain x, breaks, y with the breaks (new lists) placed in the boxes."""
+    faces = [cube_intersection(a, b) for a, b in zip(cubes, cubes[1:])]
+    if None in faces:
+        raise DisjointCubes("consecutive gallery cubes do not intersect")
+    template, axes = _face_boxes(faces, n)
     k = len(faces)
+    chain = [xa] + [side[:] for side in template] + [ya]
     if init is not None and len(init) == k:
         # warm starts are kept exactly (they may sit on a side on purpose)
-        guess = [[min(max(float(t), 0.0), 1.0) for t in v] for v in init]
-    else:
-        # start on the straight ambient segment at the time it crosses the
-        # walls each face fixes, a nudge off the sides so no segment starts
-        # on a kink; exact for flat configurations
-        guess = []
-        prev_t = 0.0
-        for j, face in enumerate(faces):
-            times = []
-            for i, (s, e) in enumerate(zip(xa, ya)):
-                denom = e - s
-                if face.mask >> i & 1 or abs(denom) < 1e-12:
-                    continue
-                t = (template[j][i] - s) / denom
-                if -0.2 <= t <= 1.2:
-                    times.append(min(max(t, 0.0), 1.0))
-            lam = max(sum(times) / len(times) if times else (j + 1) / (k + 1), prev_t)
-            prev_t = lam
-            guess.append([min(max((1 - lam) * s + lam * e, 1e-3), 1.0 - 1e-3)
-                          for s, e in zip(xa, ya)])
-    return [xa] + [[g[i] if f.mask >> i & 1 else t for i, t in enumerate(side)]
-                   for f, side, g in zip(faces, template, guess)] + [ya]
+        for row, free, v in zip(chain[1:], axes, init):
+            for i in free:
+                row[i] = min(max(float(v[i]), 0.0), 1.0)
+        return faces, template, axes, chain
+    # start on the straight ambient segment at the time it crosses the walls
+    # each face fixes, a nudge off the sides so no segment starts on a kink;
+    # exact for flat configurations
+    crossing = [(i, s, e - s) for i, (s, e) in enumerate(zip(xa, ya))
+                if abs(e - s) >= 1e-12]
+    lam = 0.0
+    for j, (face, row, free) in enumerate(zip(faces, chain[1:], axes)):
+        times = [min(max(t, 0.0), 1.0)
+                 for t in [(row[i] - s) / d for i, s, d in crossing if not face.mask >> i & 1]
+                 if -0.2 <= t <= 1.2]
+        lam = max(sum(times) / len(times) if times else (j + 1) / (k + 1), lam)
+        for i in free:
+            row[i] = min(max((1 - lam) * xa[i] + lam * ya[i], 1e-3), 1.0 - 1e-3)
+    return faces, template, axes, chain
 
 
 def _split_direction(chain: list[list[float]], m: int, face_a: Optional[CubeRef],
@@ -592,11 +598,7 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
     xa, ya = x.ambient(n).tolist(), y.ambient(n).tolist()
 
     def solve(cubes: list[CubeRef], seed):
-        faces = [cube_intersection(a, b) for a, b in zip(cubes, cubes[1:])]
-        if None in faces:
-            raise DisjointCubes("consecutive gallery cubes do not intersect")
-        template, axes = _face_boxes(faces, n)
-        chain = _start_chain(xa, ya, faces, template, seed)
+        faces, template, axes, chain = _start_chain(xa, ya, cubes, n, seed)
         k = len(faces)
         # interior breaks can always be pinned together; an end segment only
         # collapses if its endpoint lies on the adjacent face
@@ -663,6 +665,26 @@ def _face_bounds(complex: CubeComplex, galleries: Sequence[Gallery], x: Point,
             for g, fs in zip(galleries, gallery_faces)}
 
 
+def _undominated(galleries: Sequence[Gallery]) -> list[Gallery]:
+    """The galleries of the list that no other gallery of the list dominates.
+
+    G' dominates G when it is G with one cube E inserted between consecutive
+    cubes C, C' of G, where E contains the face C n C'; G' is never longer
+    (see the module docstring).  A dominator is one cube longer, so every
+    dominated gallery has an undominated dominator in the list.
+    """
+    listed = {g.cubes for g in galleries}
+    dominated = set()
+    for g in galleries:
+        cubes = g.cubes
+        for j in range(1, len(cubes) - 1):
+            shorter = cubes[:j] + cubes[j + 1:]
+            if shorter in listed:
+                if cubes[j].contains_cube(cube_intersection(cubes[j - 1], cubes[j + 1])):
+                    dominated.add(shorter)
+    return [g for g in galleries if g.cubes not in dominated]
+
+
 def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath:
     """The unique lp geodesic from x to y, as a constant-speed piecewise path."""
     p = check_p(p, smooth=True)
@@ -674,8 +696,15 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
     galleries = enumerate_galleries(complex, x, y)
     if len(galleries) == 1:
         return _select([optimize_breakpoints(complex, galleries[0], x, y, p)])
-    bounds = _face_bounds(complex, galleries, x, y, p)
-    untried = sorted(galleries, key=lambda g: (bounds[g], g.cubes))
+    n = len(complex.hyperplanes)
+    xa, ya = x.ambient(n).tolist(), y.ambient(n).tolist()
+    start = {g: sum(_segments(_start_chain(xa, ya, g.cubes, n, None)[3], p)[0])
+             for g in _undominated(galleries)}
+    untried = sorted(start, key=lambda g: (start[g], g.cubes))
+    bounds = _face_bounds(complex, untried, x, y, p)
+    # dominated galleries come last, for when no other path certifies: at
+    # large p a dominator's chain solve can stall where theirs does not
+    untried += [g for g in galleries if g not in start]
     # a certified path ends the search; one that fails no-shortcut can be
     # shortened through its most violated corner cube, which picks the next
     # candidate (see the module docstring)
@@ -687,7 +716,7 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
         if corner is not None:
             g = next((h for h in untried if any(c.contains_cube(corner) for c in h.cubes)), g)
         untried.remove(g)
-        bound = bounds[g]
+        bound = bounds[g] if g in bounds else _face_bounds(complex, [g], x, y, p)[g]
         if bound > upper + UNIQUENESS_SUP:
             continue
         rough = optimize_breakpoints(complex, g, x, y, p, max_sweeps=3)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lpcube import complexes as cc
+from lpcube import solver as sv
 from lpcube.complexes import CubeComplex, Point
 
 
@@ -38,6 +39,32 @@ def rect():
 @pytest.fixture(scope="session")
 def book2():
     return cc.book_of_squares(2)
+
+
+class SolveLog:
+    """The ``optimize_breakpoints`` calls made through ``lpcube.solver``, as
+    ("screen" or "full", gallery) pairs; a screen is a call with ``max_sweeps``."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[str, object]] = []
+
+    def counts(self) -> dict[str, int]:
+        kinds = [kind for kind, _ in self.calls]
+        return {"full": kinds.count("full"), "screen": kinds.count("screen")}
+
+
+@pytest.fixture
+def solve_log(monkeypatch):
+    log = SolveLog()
+    solve = sv.optimize_breakpoints
+
+    def logged(complex, gallery, *args, **kwargs):
+        log.calls.append(("screen" if kwargs.get("max_sweeps") is not None else "full",
+                          gallery))
+        return solve(complex, gallery, *args, **kwargs)
+
+    monkeypatch.setattr(sv, "optimize_breakpoints", logged)
+    return log
 
 
 def build_wedge_instance(seed: int):

@@ -305,6 +305,27 @@ class TestHulls:
                 assert cx.median_hull(pts) is hull
                 assert all(hull.is_cube(p.minimal_cube()) for p in pts)
 
+    def test_hull_cache_key_is_the_corner_set_interval(self):
+        # the key taken from the minimal cubes' base corners and corner | mask
+        # is the AND and the OR of their corner sets, on points of every
+        # dimension from vertices to maximal cubes
+        rng = np.random.default_rng(18)
+        for name in fixtures.NAMES:
+            cx = fixtures.load_fixture(name)
+            for _ in range(12):
+                pts = []
+                for _ in range(int(rng.integers(1, 4))):
+                    p = sample_point(cx, rng)
+                    pts.append(Point.make(p.base, [c for c in p.coords if rng.random() < 0.6]))
+                seeds = set().union(*(p.minimal_cube().corners() for p in pts))
+                cx._hull_cache.clear()
+                hull = cx.hull_restriction(pts)
+                lo = hi = next(iter(seeds))
+                for s in seeds:
+                    lo, hi = lo & s, hi | s
+                assert list(cx._hull_cache) == [(lo, hi)]
+                assert hull.vertices == cx.convex_hull_vertices(seeds)
+
 
 class TestSplitHull:
     def test_shared_edge(self, book2):

@@ -40,6 +40,22 @@ COALESCE_Y = Point(5, ((1, 0.8582492854957865), (3, 0.8581070091172366),
 COALESCE_CUBES = (CubeRef(16, 37), CubeRef(17, 38), CubeRef(1, 22), CubeRef(5, 26))
 
 
+def brute_dominated(galleries):
+    """(G, G') cube tuples with G' = G plus one cube E inserted between
+    consecutive cubes C, C' of G, E containing the face C n C'."""
+    out = []
+    for g in galleries:
+        for h in galleries:
+            a, b = g.cubes, h.cubes
+            if len(b) != len(a) + 1:
+                continue
+            for j in range(1, len(a)):
+                if (b[:j] == a[:j] and b[j + 1:] == a[j:]
+                        and b[j].contains_cube(cc.cube_intersection(a[j - 1], a[j]))):
+                    out.append((a, b))
+    return out
+
+
 class TestEnumerateGalleries:
     def test_single_cube(self, square):
         x = Point.make(0, {0: 0.2, 1: 0.3})
@@ -275,27 +291,87 @@ class TestGeodesic:
         assert path.length == pytest.approx(1.12942158698474, abs=1e-13)
         assert sv.check_local_geodesic(grid222, path, tol=1e-8).all_ok
 
-    def test_first_certified_candidate_ends_the_search(self, grid222, monkeypatch):
+    def test_first_certified_candidate_ends_the_search(self, grid222, solve_log):
         # corner to corner of grid(2,2,2): 13 galleries, all optimal.  Solving
         # every candidate took 13 full chain solves; the first one certifies.
         x, y = Point.make(0), Point.make(0b111111)
         assert len(sv.enumerate_galleries(grid222, x, y)) == 13
-        calls = {"full": 0, "screen": 0}
-        solve = sv.optimize_breakpoints
-
-        def counted(*args, **kwargs):
-            calls["screen" if kwargs.get("max_sweeps") is not None else "full"] += 1
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(sv, "optimize_breakpoints", counted)
         for p in (1.5, 2.0, 3.0):
-            calls.update(full=0, screen=0)
+            solve_log.calls.clear()
             path = sv.geodesic(grid222, x, y, p)
             assert path.length == pytest.approx(2 * 3 ** (1 / p), abs=1e-12)
-            assert calls == {"full": 1, "screen": 1}
+            assert solve_log.counts() == {"full": 1, "screen": 1}
+
+    def test_dominated_galleries_are_never_longer(self, corner, scb, grid222):
+        # G' dominates G when it is G with one cube inserted between two
+        # consecutive cubes that contains their shared face; G' is never longer
+        rng = np.random.default_rng(15)
+        pairs = 0
+        for cx in (corner, scb, grid222):
+            for _ in range(8):
+                x, y = sample_point(cx, rng), sample_point(cx, rng)
+                if cx.minimal_cube_pair(x, y) is not None:
+                    continue
+                galleries = sv.enumerate_galleries(cx, x, y)
+                dominated = brute_dominated(galleries)
+                assert {g.cubes for g in sv._undominated(galleries)} == \
+                    {g.cubes for g in galleries} - {g for g, _ in dominated}
+                for p in (1.5, 2.0, 3.0):
+                    for g, h in dominated:
+                        pairs += 1
+                        short = sv.optimize_breakpoints(cx, sv.Gallery(g), x, y, p)
+                        long = sv.optimize_breakpoints(cx, sv.Gallery(h), x, y, p)
+                        assert long.length <= short.length + 1e-12, (g, h, p)
+        assert pairs >= 30
+
+    def test_dominated_galleries_are_never_solved(self, corner, scb, grid222, solve_log):
+        # they come after every other gallery, and at these p a path certifies
+        # before the search gets to them
+        rng = np.random.default_rng(16)
+        seen = 0
+        for cx in (corner, scb, grid222):
+            for _ in range(20):
+                x, y = sample_point(cx, rng), sample_point(cx, rng)
+                if cx.minimal_cube_pair(x, y) is not None:
+                    continue
+                dominated = {g for g, _ in brute_dominated(sv.enumerate_galleries(cx, x, y))}
+                seen += len(dominated)
+                for p in (1.5, 2.0, 3.0):
+                    solve_log.calls.clear()
+                    sv.geodesic(cx, x, y, p)
+                    assert not dominated & {g.cubes for _, g in solve_log.calls}
+        assert seen >= 20
+
+    def test_dominated_gallery_is_tried_when_nothing_else_certifies(self, corner):
+        # at p = 64 the chain solve through the edge square stalls (converged
+        # False, at the same length); the two-square gallery it dominates
+        # certifies
+        rng = np.random.default_rng([77, 42])
+        x, y = sample_point(corner, rng), sample_point(corner, rng)
+        galleries = sv.enumerate_galleries(corner, x, y)
+        assert [len(g.cubes) for g in sv._undominated(galleries)] == [3]
+        path = sv.geodesic(corner, x, y, 64.0)
+        assert len(path.gallery.cubes) == 2
+        assert sv.check_local_geodesic(corner, path, tol=1e-8).all_ok
+
+    def test_full_solves_per_multi_gallery_geodesic(self, grid222, solve_log):
+        # the candidate with the shortest start chain is mostly the one that
+        # certifies (about 1.5 full solves each in face-lower-bound order)
+        rng = np.random.default_rng(0)
+        multi = 0
+        for _ in range(60):
+            x, y = sample_point(grid222, rng), sample_point(grid222, rng)
+            if (grid222.minimal_cube_pair(x, y) is not None
+                    or len(sv.enumerate_galleries(grid222, x, y)) == 1):
+                continue
+            for p in (1.5, 2.0, 3.0):
+                sv.geodesic(grid222, x, y, p)
+                multi += 1
+        assert multi >= 60
+        assert solve_log.counts()["full"] <= 1.10 * multi
 
     def test_face_bounds_match_box_clamping(self, grid222):
-        # the candidate-ordering bounds equal, to the last bit, the per-face,
+        # the pruning bounds equal, to the last bit, the per-face,
         # per-coordinate box clamping and l1 sums they are computed from
         rng = np.random.default_rng(61)
         n = len(grid222.hyperplanes)
