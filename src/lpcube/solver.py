@@ -29,13 +29,14 @@ order of the length of their start chain, except that a gallery G comes after
 all others when the list also holds G' = G with one cube E inserted between
 consecutive cubes C, C' where E contains C n C': a break on C n C' lies on
 C n E and on E n C', so every chain of G is a chain of G' of the same length,
-and G' is never longer.  It screens each gallery with a few Newton steps,
-which give an upper bound (the length) and a lower bound (the larger of a
-bound from the faces and the Hoelder dual bound at those breaks), and solves
-in full the galleries that can still be optimal.  A solved path that passes the zero-tension and no-shortcut
-conditions is a local geodesic, hence by Busemann convexity the geodesic, and
-ends the search.  A path that fails no-shortcut is shortened through its
-most violated corner cube, so the next gallery tried is the first one that
+and G' is never longer.  It screens each gallery with a few Newton steps from
+its start chain, which give an upper bound (the length) and a lower bound
+(the larger of a bound from the faces and the Hoelder dual bound at those
+breaks), and solves in full the galleries that can still be optimal.  A
+solved path that passes the zero-tension and no-shortcut conditions is a
+local geodesic, hence by Busemann convexity the geodesic, and ends the
+search.  A path that fails no-shortcut is shortened through its most
+violated corner cube, so the next gallery tried is the first one that
 contains that cube.  If no path certifies, the shortest converged one is
 taken, and tied galleries must agree.
 
@@ -698,13 +699,14 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
         return _select([optimize_breakpoints(complex, galleries[0], x, y, p)])
     n = len(complex.hyperplanes)
     xa, ya = x.ambient(n).tolist(), y.ambient(n).tolist()
-    start = {g: sum(_segments(_start_chain(xa, ya, g.cubes, n, None)[3], p)[0])
+    # the screen starts from the chain built for the ordering
+    start = {g: _start_chain(xa, ya, g.cubes, n, None)[3][1:-1]
              for g in _undominated(galleries)}
-    untried = sorted(start, key=lambda g: (start[g], g.cubes))
-    bounds = _face_bounds(complex, untried, x, y, p)
+    untried = sorted(start, key=lambda g: (sum(_segments([xa, *start[g], ya], p)[0]), g.cubes))
     # dominated galleries come last, for when no other path certifies: at
     # large p a dominator's chain solve can stall where theirs does not
     untried += [g for g in galleries if g not in start]
+    bounds = _face_bounds(complex, galleries, x, y, p)
     # a certified path ends the search; one that fails no-shortcut can be
     # shortened through its most violated corner cube, which picks the next
     # candidate (see the module docstring)
@@ -716,10 +718,10 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
         if corner is not None:
             g = next((h for h in untried if any(c.contains_cube(corner) for c in h.cubes)), g)
         untried.remove(g)
-        bound = bounds[g] if g in bounds else _face_bounds(complex, [g], x, y, p)[g]
+        bound = bounds[g]
         if bound > upper + UNIQUENESS_SUP:
             continue
-        rough = optimize_breakpoints(complex, g, x, y, p, max_sweeps=3)
+        rough = optimize_breakpoints(complex, g, x, y, p, max_sweeps=3, init=start.get(g))
         pts = rough._points()
         if len(pts) == len(g.cubes) + 1:
             bound = max(bound, _dual_bound(pts, g.faces(), p))

@@ -356,18 +356,21 @@ class TestGeodesic:
 
     def test_full_solves_per_multi_gallery_geodesic(self, grid222, solve_log):
         # the candidate with the shortest start chain is mostly the one that
-        # certifies (about 1.5 full solves each in face-lower-bound order)
-        rng = np.random.default_rng(0)
+        # certifies (about 1.5 full solves each in face-lower-bound order);
+        # the ratio depends on the pairs (1.01 to 1.17 over 60 pairs from
+        # each of these seeds), so the bound is on all 300
         multi = 0
-        for _ in range(60):
-            x, y = sample_point(grid222, rng), sample_point(grid222, rng)
-            if (grid222.minimal_cube_pair(x, y) is not None
-                    or len(sv.enumerate_galleries(grid222, x, y)) == 1):
-                continue
-            for p in (1.5, 2.0, 3.0):
-                sv.geodesic(grid222, x, y, p)
-                multi += 1
-        assert multi >= 60
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for _ in range(60):
+                x, y = sample_point(grid222, rng), sample_point(grid222, rng)
+                if (grid222.minimal_cube_pair(x, y) is not None
+                        or len(sv.enumerate_galleries(grid222, x, y)) == 1):
+                    continue
+                for p in (1.5, 2.0, 3.0):
+                    sv.geodesic(grid222, x, y, p)
+                    multi += 1
+        assert multi >= 300
         assert solve_log.counts()["full"] <= 1.10 * multi
 
     def test_face_bounds_match_box_clamping(self, grid222):
