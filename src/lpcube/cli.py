@@ -91,10 +91,10 @@ def _parse_grid(text: str) -> list[float]:
 
 def _load_file(path: str) -> CubeComplex:
     try:
-        text = pathlib.Path(path).read_text()
+        data = pathlib.Path(path).read_bytes()
     except OSError as e:
         raise LpCubeError(f"cannot read {path}: {e}") from None
-    return load(text)
+    return load(data)
 
 
 def _emit(args, obj: dict, human: str) -> None:
@@ -188,7 +188,10 @@ def cmd_sweep_p(args) -> int:
     elif name == "break0":
         fn = _default_break_functional(cx)
     elif name.startswith("break0:"):
-        fn = analysis.break_coordinate_functional(cx, name.split(":", 1)[1])
+        label = name.split(":", 1)[1]
+        if label not in cx.label_index:
+            raise LpCubeError(f"unknown hyperplane {label!r} in functional {name!r}")
+        fn = analysis.break_coordinate_functional(cx, label)
     else:
         raise LpCubeError(f"unknown functional {name!r}; use length, break0, or break0:<label>")
     table = analysis.p_sweep(cx, x, y, fn, grid)
@@ -266,8 +269,11 @@ def cmd_examples(args) -> int:
                      "vertices": len(cx.vertices)})
         if args.write_dir:
             target = pathlib.Path(args.write_dir)
-            target.mkdir(parents=True, exist_ok=True)
-            (target / f"{name}.json").write_text(fixtures.fixture_text(name))
+            try:
+                target.mkdir(parents=True, exist_ok=True)
+                (target / f"{name}.json").write_text(fixtures.fixture_text(name))
+            except OSError as e:
+                raise LpCubeError(f"cannot write {target}: {e}") from None
     if args.json:
         print(json.dumps(rows, indent=1))
     else:

@@ -486,7 +486,7 @@ def load(document) -> CubeComplex:
     if isinstance(document, (str, bytes)):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as e:
+        except ValueError as e:     # also bytes that are not UTF-8, -16 or -32
             raise ParseError(f"invalid JSON: {e}") from None
     elif isinstance(document, Mapping):
         doc = document

@@ -150,9 +150,7 @@ def canonical_decomposition(complex: CubeComplex, x: Point, v: int, y: Point,
     i = 0
     while i + 1 < len(a_parts):
         r0, r1 = ratios[i], ratios[i + 1]
-        gap = math.inf if math.isinf(r1) and not math.isinf(r0) else r1 - r0
-        if math.isinf(r0) and math.isinf(r1):
-            gap = 0.0
+        gap = 0.0 if r0 == r1 else r1 - r0
         if gap < MERGE_TOL:
             a_parts[i] |= a_parts.pop(i + 1)
             b_parts[i] |= b_parts.pop(i + 1)

@@ -111,10 +111,7 @@ def distance_lower_bound(complex: CubeComplex, x: Point, y: Point, p: PValue) ->
     diff = np.abs(x.ambient(n) - y.ambient(n))
     lp = lp_norm(diff, p)
     dmax = max((q.dim for q in complex.maximal_cubes()), default=1)
-    if dmax <= 1 or p == INF:
-        l1_bound = float(diff.sum()) if p != INF else 0.0
-        return max(lp, l1_bound) if p != INF else lp
-    return max(lp, float(diff.sum()) / dmax ** (1.0 - 1.0 / p))
+    return max(lp, float(diff.sum()) / max(dmax, 1) ** (1.0 - 1.0 / p))
 
 
 def box_clamp_distance(point_vec: Sequence[float], cube: CubeRef, n: int, p: PValue) -> float:

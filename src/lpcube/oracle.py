@@ -3,9 +3,10 @@
 Within a cube, geodesic segments are exact lp norms, so net nodes are only
 needed where a path can switch cubes: on the pairwise intersection faces of
 the maximal cubes of the endpoints' median hull.  The hull is a complex on
-the complex's own hyperplanes, so the endpoints, the faces and the nodes
-share one set of ambient coordinates; the hull is constant on the axes none
-of its cubes spans, so nodes are told apart by the spanned axes alone.
+the complex's own hyperplanes and is constant on the axes none of its cubes
+spans, where no distance changes, so the net lives on the spanned axes
+alone: a node's coordinates, a cube's free axes and the A* weights all
+count axes among the spanned hyperplanes, in hyperplane order.
 Nodes are laid on a dyadic grid (largest power of two step below the
 requested epsilon) so refinement nets nest, which makes the oracle value
 monotone under halving.
@@ -24,8 +25,7 @@ of it from one corner of y's, so their edges at c pairwise span squares and
 (flag condition) together span one cube of the hull, which holds every cube
 through x; x lies in one maximal cube, while a face is the meet of two.
 Only y == x shares a node.  Codes come from a lookup table over the grid
-indices, and from the values themselves for the endpoints and for x's 0/1
-on the axes no maximal cube spans.
+indices, and from the values themselves for the endpoints.
 
 The graph is never materialized: an arc joins every node pair sharing a
 maximal cube, and the search relaxes the cube-mates of a popped node in one
@@ -105,6 +105,7 @@ class _CutLists(dict):
 class NetGraph:
     """Sampled net on the hull's internal faces plus the two endpoints.
 
+    Every axis is one of the hull's spanned hyperplanes, in hyperplane order.
     Each node coordinate is also stored as a code: ``values[codes] == coords``,
     where ``values`` holds the distinct coordinates (the grid values and the
     endpoints' coordinates), sorted.  Per maximal cube: its membership mask
@@ -115,18 +116,17 @@ class NetGraph:
     need that does not depend on p.
     """
 
-    coords: np.ndarray                 # node ambient coordinates, every hyperplane
+    coords: np.ndarray                 # per node and spanned axis: its coordinate
     values: np.ndarray                 # the distinct coordinates, sorted
     codes: np.ndarray                  # per node and axis: index into values
     masks: list[np.ndarray]            # per maximal cube: True on its members
     members: list[np.ndarray]          # per maximal cube: node indices inside it
-    free: list[list[int]]              # per maximal cube: its free axes
+    free: list[list[int]]              # per maximal cube: its free spanned axes
     blocks: list[np.ndarray]           # per maximal cube: codes[members][:, free].T
     source: int
     target: int
-    step: float
-    # the spanned hyperplanes as (a, |x_a - y_a|, the cubes with a free), in
-    # order of decreasing endpoint gap, ties by a: the weights' fill order
+    # the spanned axes as (a, |x_a - y_a|, the cubes with a free), in order
+    # of decreasing endpoint gap, ties by a: the weights' fill order
     fill: list[tuple[int, float, list[int]]]
     cuts: _CutLists = field(init=False, repr=False)
 
@@ -149,8 +149,6 @@ def _face_nodes(faces: list, axes: list[int], top: int) -> np.ndarray:
     sizes = [(top + 1) ** f.dim for f in faces]
     grid = np.array([[top * (f.corner >> i & 1) for f in faces] for i in axes],
                     np.min_scalar_type(top)).reshape(len(axes), len(faces))
-    if max(sizes, default=1) == 1:      # vertex faces
-        return grid
     grid = grid.repeat(sizes, 1)
     start = 0
     for f, size in zip(faces, sizes):
@@ -204,66 +202,60 @@ def build_net(complex: CubeComplex, x: Point, y: Point, eps: float) -> NetGraph:
     count = grid.shape[1]
     # the endpoints come last; neither lies on a face (see the module
     # docstring), so only y == x shares a node
-    xa = x.ambient(n)
-    xs, ys = xa[axes].tolist(), y.ambient(n)[axes].tolist()
+    xs, ys = x.ambient(n)[axes].tolist(), y.ambient(n)[axes].tolist()
     ends = [xs] if xs == ys else [xs, ys]
     source, target = count, count + len(ends) - 1
     n_nodes = count + len(ends)
     if n_nodes > NODE_CAP:
         raise ScaleExceeded(f"epsilon net exceeds {NODE_CAP} nodes")
     # the distinct coordinates, without np.unique (it imports numpy.ma): the
-    # grid values that occur, the endpoints' and x's 0/1 on the constant axes
+    # grid values that occur and the endpoints'
     grid_values = [t / top for t in range(top + 1)]
     if widest:
         seen = grid_values
     else:       # vertex faces: only the corner values that occur
         seen = {float(f.corner >> i & 1) for f in faces for i in axes}
-    values = np.array(sorted({*seen, *xa.tolist(), *ys}))
+    values = np.array(sorted({*seen, *xs, *ys}))
     code = {v: c for c, v in enumerate(values.tolist())}
     # codes, axis-major: a face node's by its grid index, an endpoint's by value
     axis_codes = np.concatenate([
         np.array([code.get(v, -1) for v in grid_values]).take(grid),
         np.array([[code[v] for v in vec] for vec in ends], np.intp).reshape(len(ends), len(axes)).T,
     ], axis=1)
-    if len(axes) < n:       # the constant axes as at x
-        spanned_codes, axis_codes = axis_codes, np.empty((n, n_nodes), dtype=np.intp)
-        axis_codes[:] = values.searchsorted(xa)[:, None]
-        axis_codes[axes] = spanned_codes
     # a cube's members equal its corner on each of its fixed axes
     at_corner = axis_codes == code.get(0.0, -1), axis_codes == code.get(1.0, -1)
     masks, members, frees, blocks = [], [], [], []
-    cubes_of: dict[int, list[int]] = {i: [] for i in axes}
+    pos = {i: j for j, i in enumerate(axes)}
+    cubes_of: list[list[int]] = [[] for _ in axes]
     for ci, q in enumerate(maximal):
         mask = np.ones(n_nodes, dtype=bool)
         for i in bit_indices(spanned & ~q.mask):
-            mask &= at_corner[q.corner >> i & 1][i]
+            mask &= at_corner[q.corner >> i & 1][pos[i]]
         idxs = mask.nonzero()[0]
-        free = bit_indices(q.mask)
-        for i in free:
-            cubes_of[i].append(ci)
+        free = [pos[i] for i in bit_indices(q.mask)]
+        for j in free:
+            cubes_of[j].append(ci)
         masks.append(mask)
         members.append(idxs)
         frees.append(free)
         blocks.append(axis_codes.take(free, 0).take(idxs, 1))
     gap = [abs(a - b) for a, b in zip(xs, ys)]
-    fill = [(axes[j], gap[j], cubes_of[axes[j]])
+    fill = [(j, gap[j], cubes_of[j])
             for j in sorted(range(len(axes)), key=gap.__getitem__, reverse=True)]
     codes = axis_codes.T.copy()
     return NetGraph(values.take(codes), values, codes, masks, members, frees, blocks,
-                    source, target, 2.0 ** -k, fill)
+                    source, target, fill)
 
 
 def _norms(diffs: np.ndarray, p: float) -> np.ndarray:
     """lp norms of the columns of an axis-major block of differences."""
     diffs = np.abs(diffs)
-    if p == 2.0:
-        return np.sqrt((diffs * diffs).sum(axis=0))
     return (diffs ** p).sum(axis=0) ** (1.0 / p)
 
 
 def _hyperplane_weights(net: NetGraph, p: float) -> list[float]:
-    """One weight c_a >= 0 per hyperplane a, 0 off the spanned ones, with
-    sum c_a^q <= 1 over the free axes of every maximal cube (q = p / (p - 1)).
+    """One weight c_a >= 0 per spanned axis a, with sum c_a^q <= 1 over the
+    free axes of every maximal cube (q = p / (p - 1)).
 
     With delta the gap between the endpoints, c_a starts at the least, over
     the cubes C containing a, of C's Hoelder equality vector
@@ -311,20 +303,22 @@ class _PowerRows(dict):
 
     def __missing__(self, c: int) -> np.ndarray:
         dv = np.abs(self.values - self.values[c])
-        row = self[c] = dv * dv if self.p == 2.0 else dv ** self.p
+        row = self[c] = dv ** self.p
         return row
 
 
 def _dijkstra(net: NetGraph, p: float) -> float:
     """Shortest path with the A* potential of ``_potential``.
 
-    The potential is h(v) = max(|v - t|_p, sum_a c_a |v_a - t_a|), t the
+    Every sum runs over the hull's spanned axes, the net's only axes; the
+    others are constant on the hull and add nothing to a distance.  The
+    potential is h(v) = max(|v - t|_p, sum_a c_a |v_a - t_a|), t the
     target, with sum_{a in C} c_a^q <= 1 on the free axes of every maximal
     cube C.  It is consistent: an arc u-v lies in some C, where u and v agree
     on C's fixed axes, so by Hoelder
         sum_a c_a |u_a - t_a| - sum_a c_a |v_a - t_a|
             <= sum_{a in C} c_a |u_a - v_a| <= |c_C|_q |u - v|_p <= |u - v|_p,
-    and the ambient term drops by at most |u - v|_p by the triangle
+    and the lp term drops by at most |u - v|_p by the triangle
     inequality.  A consistent potential that is 0 at the target leaves the
     value exact, so the weights change only which nodes are popped, not the
     value returned.
@@ -349,7 +343,7 @@ def _dijkstra(net: NetGraph, p: float) -> float:
     members' codes on a, and then takes one root per member.  Each term is the
     same float |v_a - u_a| raised by the same ufunc as a direct evaluation,
     and the terms are summed in the same order, so every arc weight is
-    bit-identical to ``_norms`` on the difference block; the fixed axes would
+    bit-identical to ``_norms`` on the difference block; C's fixed axes would
     only add exact zeros.  The queue is the array ``key`` (dist + potential
     for reached, unpopped nodes, inf otherwise) and a pop is its ``argmin``;
     that O(nodes) scan costs less than the relaxation that follows it.
@@ -381,7 +375,7 @@ def _dijkstra(net: NetGraph, p: float) -> float:
             acc = rows[at[free[0]]].take(block[0])
             for j in range(1, len(free)):
                 acc += rows[at[free[j]]].take(block[j])
-            cand = d + (np.sqrt(acc) if p == 2.0 else acc ** (1.0 / p))
+            cand = d + acc ** (1.0 / p)
             better = cand < dist[idxs]
             if better.any():
                 upd = idxs[better]

@@ -654,7 +654,7 @@ def _face_bounds(complex: CubeComplex, galleries: Sequence[Gallery], x: Point,
     n = len(complex.hyperplanes)
     xa, ya = x.ambient(n).tolist(), y.ambient(n).tolist()
     dmax = max((q.dim for q in complex.maximal_cubes()), default=1)
-    l1_factor = 1.0 if dmax <= 1 else dmax ** (1.0 - 1.0 / p)
+    l1_factor = max(dmax, 1) ** (1.0 - 1.0 / p)
     gallery_faces = [g.faces() for g in galleries]
     bound = {}
     for f in {f for fs in gallery_faces for f in fs}:

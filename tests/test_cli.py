@@ -9,6 +9,7 @@ from lpcube import complexes as cc
 from lpcube import oracle as orc
 from lpcube import solver as sv
 from lpcube.complexes import point_from_obj
+from lpcube.errors import NoConvergence
 
 
 # the 6-cycle in the 3-cube: connected but not median-closed
@@ -70,6 +71,45 @@ class TestBasics:
         err = json.loads(out)["error"]
         assert err["type"] == "NotMedian"
         assert "witness" in err
+
+    def test_unwritable_write_dir_is_a_domain_error(self, tmp_path, capsys):
+        # the directory would lie under a regular file
+        (tmp_path / "plain").write_text("")
+        code, out = run(capsys, ["examples", "--write-dir", str(tmp_path / "plain" / "sub")])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "LpCubeError"
+        assert error["message"].startswith("cannot write")
+
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff{"a":1}')
+        code, out = run(capsys, ["validate", str(bad)])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
+    def test_disconnected_error_payload(self, tmp_path, capsys):
+        # two opposite corners of a square: vertex 00 reaches only itself
+        doc = tmp_path / "two.json"
+        doc.write_text(json.dumps({"hyperplanes": ["h1", "h2"],
+                                   "vertices": [{"h1": 0, "h2": 0}, {"h1": 1, "h2": 1}]}))
+        code, out = run(capsys, ["validate", str(doc)])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "Disconnected"
+        assert error["component"] == [{"h1": 0, "h2": 0}]
+
+    def test_no_convergence_error_payload(self, fx_dir, capsys, monkeypatch):
+        def stalls(*args):
+            raise NoConvergence("no gallery optimization converged", residual=0.25)
+
+        monkeypatch.setattr(sv, "distance", stalls)
+        code, out = run(capsys, ["distance", "--p", "2", "--from", "0:", "--to", "3:",
+                                 str(fx_dir / "square.json")])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error == {"type": "NoConvergence", "message": "no gallery optimization converged",
+                         "residual": 0.25}
 
 
 class TestParserReuse:
@@ -212,6 +252,30 @@ class TestSweep:
         for (p, val) in rows:
             assert abs(val - 3 ** (1 / p)) < 1e-9
 
+    def test_break_coordinate_functional(self, fx_dir, capsys):
+        path = fx_dir / "square_cube_book.json"
+        code, out = run(capsys, ["sweep-p", "--functional", "break0:d", "--json",
+                                 "--grid", "1.5,2,3", "--from", "2:", "--to", "9:", str(path)])
+        assert code == 0
+        cx = cc.load(path.read_text())
+        x, y = (cc.Point.make(cx.vertex_order[i]) for i in (2, 9))
+        want = an.p_sweep(cx, x, y, an.break_coordinate_functional(cx, "d"), [1.5, 2.0, 3.0])
+        assert json.loads(out) == json.loads(json.dumps(want.to_obj()))
+        assert abs(want.rows[1][1] - (math.sqrt(2) - 1)) < 1e-9
+
+    @pytest.mark.parametrize("functional, message", [
+        ("nope", "unknown functional 'nope'"),
+        ("break0:zz", "unknown hyperplane 'zz'"),
+    ])
+    def test_unknown_functional_is_a_domain_error(self, fx_dir, capsys, functional, message):
+        code, out = run(capsys, ["sweep-p", "--functional", functional, "--grid", "1.5,2",
+                                 "--from", "2:", "--to", "9:",
+                                 str(fx_dir / "square_cube_book.json")])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "LpCubeError"
+        assert error["message"].startswith(message)
+
 
 class TestSuiteCommand:
     def test_midpoint_reproducible(self, fx_dir, capsys):
@@ -253,6 +317,18 @@ class TestSuiteCommand:
                                            2.0, 30, 4).to_obj()
         assert code == 0
         assert out == json.dumps(want, indent=1, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("name, suite", [
+        ("busemann", lambda cx: an.busemann_suite(cx, 2.0, 4, 3)),
+        ("uniform-convexity", lambda cx: an.uniform_convexity_suite(cx, 2.0, None, 4, 3)),
+    ])
+    def test_named_suite_matches_library(self, fx_dir, capsys, name, suite):
+        path = fx_dir / "corner_complex.json"
+        code, out = run(capsys, ["suite", str(path), "--json", "--name", name, "--p", "2",
+                                 "--samples", "4", "--seed", "3"])
+        want = suite(cc.load(path.read_text()))
+        assert code == (0 if want.ok else 1)
+        assert out == json.dumps(want.to_obj(), indent=1, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ["--name", "midpoint", "--samples", "-5"],

@@ -98,6 +98,10 @@ class TestLoad:
         with pytest.raises(ParseError):
             cc.load(json.dumps({"hyperplanes": ["h1"]}))
 
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            cc.load(b'\xff{"a":1}')
+
     def test_dump_round_trip(self, corner):
         again = cc.load(cc.dump(corner))
         assert again.vertices == corner.vertices

@@ -118,6 +118,34 @@ class TestCubeDistance:
             geo.cube_distance(corner, x, y, 2)
 
 
+class TestDistanceLowerBound:
+    def test_tree_bound_is_the_l1_distance(self):
+        # d_max = 1: a path moves one coordinate at a time, so on a tree the
+        # l1 bound is the distance itself, at every p and at p = inf
+        from lpcube import solver as sv
+        from lpcube.analysis import sample_point
+        cx = cc.tree([("a", "b"), ("b", "c"), ("b", "d"), ("d", "e")])
+        rng = np.random.default_rng(7)
+        n = len(cx.hyperplanes)
+        for _ in range(10):
+            x, y = sample_point(cx, rng), sample_point(cx, rng)
+            l1 = float(np.abs(x.ambient(n) - y.ambient(n)).sum())
+            assert geo.distance_lower_bound(cx, x, y, math.inf) == l1
+            for p in (1.5, 2.0, 4.0):
+                assert geo.distance_lower_bound(cx, x, y, p) == l1
+                assert abs(sv.distance(cx, x, y, p) - l1) < 1e-9
+
+    def test_max_norm_bound_divides_l1_by_d_max(self, grid222):
+        # corner to corner of the 2x2x2 grid: |x - y|_inf = 1 but |x - y|_1 = 6,
+        # and a path in 3-cubes moves at most 3 coordinates per unit of
+        # max-norm length; 2 is the max-norm distance (the diagonal of
+        # [0, 2]^3), so no lp length is below it
+        from lpcube import solver as sv
+        x, y = Point.make(0), Point.make(0b111111)
+        assert geo.distance_lower_bound(grid222, x, y, math.inf) == 2.0
+        assert sv.distance(grid222, x, y, 8.0) >= 2.0
+
+
 class TestFactorComponent:
     def test_full_support(self, square):
         x = Point.make(0, {0: 0.2, 1: 0.8})
