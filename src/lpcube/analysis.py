@@ -20,7 +20,7 @@ import numpy as np
 
 from .complexes import CubeComplex, Point, bit_indices, point_from_ambient
 from .complexes import point_from_obj, point_to_obj
-from .errors import InsufficientDiameter, PreconditionViolated
+from .errors import InsufficientDiameter, LpCubeError, PreconditionViolated
 from .geometry import check_p, distance_lower_bound, lp_norm
 from .solver import PiecewisePath, distance, geodesic
 from .solver import bicombing as _bicombing
@@ -420,18 +420,23 @@ def p_sweep(complex: CubeComplex, x: Point, y: Point,
     return SweepTable(rows, gap)
 
 
-def break_coordinate_functional(complex: CubeComplex, label: str) -> Callable:
-    """Functional reading the first interior break's coordinate on a hyperplane."""
-    idx = complex.label_index[label]
+def break_coordinate_functional(complex: CubeComplex, label: Optional[str] = None) -> Callable:
+    """Functional reading the first interior break's coordinate on a hyperplane;
+    without a label, on the hyperplane of the edge that break lies on."""
+    if label is not None and label not in complex.label_index:
+        raise LpCubeError(f"unknown hyperplane {label!r}")
+    idx = None if label is None else complex.label_index[label]
 
     def read(path: PiecewisePath) -> float:
         if len(path.breaks) < 3:
-            raise ValueError("path has no interior break point")
+            raise LpCubeError("geodesic has no interior break point")
         b = path.breaks[1]
-        for h, t in b.coords:
-            if h == idx:
-                return t
-        return float(b.base >> idx & 1)
+        if idx is not None:
+            return dict(b.coords).get(idx, float(b.base >> idx & 1))
+        if len(b.coords) != 1:
+            raise LpCubeError(
+                "first break is not on an edge; use break0:<label> to pick a hyperplane")
+        return b.coords[0][1]
 
     return read
 

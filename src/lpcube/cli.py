@@ -185,12 +185,8 @@ def cmd_sweep_p(args) -> int:
     name = args.functional
     if name == "length":
         fn = lambda path: path.length
-    elif name == "break0":
-        fn = _default_break_functional(cx)
-    elif name.startswith("break0:"):
-        label = name.split(":", 1)[1]
-        if label not in cx.label_index:
-            raise LpCubeError(f"unknown hyperplane {label!r} in functional {name!r}")
+    elif name == "break0" or name.startswith("break0:"):
+        label = name[len("break0:"):] if ":" in name else None
         fn = analysis.break_coordinate_functional(cx, label)
     else:
         raise LpCubeError(f"unknown functional {name!r}; use length, break0, or break0:<label>")
@@ -202,18 +198,6 @@ def cmd_sweep_p(args) -> int:
             print(f"{q:.6f}\t{val:.10f}")
         print(f"# max adjacent gap: {table.max_gap:.6f}", file=sys.stderr)
     return 0
-
-
-def _default_break_functional(cx: CubeComplex):
-    def read(path):
-        if len(path.breaks) < 3:
-            raise LpCubeError("geodesic has no interior break point")
-        b = path.breaks[1]
-        if len(b.coords) != 1:
-            raise LpCubeError(
-                "first break is not on an edge; use break0:<label> to pick a hyperplane")
-        return b.coords[0][1]
-    return read
 
 
 def cmd_oracle(args) -> int:

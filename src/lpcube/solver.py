@@ -29,16 +29,15 @@ order of the length of their start chain, except that a gallery G comes after
 all others when the list also holds G' = G with one cube E inserted between
 consecutive cubes C, C' where E contains C n C': a break on C n C' lies on
 C n E and on E n C', so every chain of G is a chain of G' of the same length,
-and G' is never longer.  It screens each gallery with a few Newton steps from
-its start chain, which give an upper bound (the length) and a lower bound
-(the larger of a bound from the faces and the Hoelder dual bound at those
-breaks), and solves in full the galleries that can still be optimal.  A
-solved path that passes the zero-tension and no-shortcut conditions is a
-local geodesic, hence by Busemann convexity the geodesic, and ends the
-search.  A path that fails no-shortcut is shortened through its most
-violated corner cube, so the next gallery tried is the first one that
-contains that cube.  If no path certifies, the shortest converged one is
-taken, and tied galleries must agree.
+and G' is never longer.  A gallery whose face bound exceeds the shortest path
+solved so far is skipped; each other one is solved in full, from the breaks
+of a few Newton steps on its start chain.  A solved path that passes the
+zero-tension and no-shortcut conditions is a local geodesic, hence by
+Busemann convexity the geodesic, and ends the search.  A path that fails
+no-shortcut is shortened through its most violated corner cube, so the next
+gallery tried is the first one that contains that cube.  If no path
+certifies, ``_select`` takes the shortest converged one, and tied galleries
+must agree.
 
 The tolerances are fixed module constants, not options: a certified path is
 the geodesic whatever the solve's stopping rule, so no caller has a reason to
@@ -84,13 +83,15 @@ class Gallery:
     cubes: tuple[CubeRef, ...]
 
     def faces(self) -> tuple[CubeRef, ...]:
-        out = []
-        for a, b in zip(self.cubes, self.cubes[1:]):
-            f = cube_intersection(a, b)
-            if f is None:
-                raise ValueError("consecutive gallery cubes do not intersect")
-            out.append(f)
-        return tuple(out)
+        return tuple(_faces(self.cubes))
+
+
+def _faces(cubes: Sequence[CubeRef]) -> list[CubeRef]:
+    """The intersections of consecutive cubes."""
+    faces = [cube_intersection(a, b) for a, b in zip(cubes, cubes[1:])]
+    if None in faces:
+        raise DisjointCubes("consecutive gallery cubes do not intersect")
+    return faces
 
 
 @dataclass
@@ -460,9 +461,7 @@ def _start_chain(xa: list[float], ya: list[float], cubes: Sequence[CubeRef], n: 
                  ) -> tuple[list[CubeRef], list[list[float]], list[list[int]], list[list[float]]]:
     """The faces of a cube sequence, their boxes (``_face_boxes``) and the
     start chain x, breaks, y with the breaks (new lists) placed in the boxes."""
-    faces = [cube_intersection(a, b) for a, b in zip(cubes, cubes[1:])]
-    if None in faces:
-        raise DisjointCubes("consecutive gallery cubes do not intersect")
+    faces = _faces(cubes)
     template, axes = _face_boxes(faces, n)
     k = len(faces)
     chain = [xa] + [side[:] for side in template] + [ya]
@@ -542,23 +541,6 @@ def _split_direction(chain: list[list[float]], m: int, face_a: Optional[CubeRef]
         elif ok_b:
             move_b[h] = t
     return move_a, move_b
-
-
-def _dual_bound(chain: list[list[float]], faces: Sequence[CubeRef], p: float) -> float:
-    """Lower bound on the shortest length through the faces, from any breaks.
-
-    Hoelder gives |d_s|_p >= w_s . d_s whenever |w_s|_q <= 1; taking w_s the
-    length gradient of segment s at the given chain, the sum telescopes into
-    a linear function of the breaks, whose minimum over the face boxes is
-    taken per coordinate.  The bound is tight at the optimal breaks.
-    """
-    w = [_phi(u, p) for u in _units(*_segments(chain, p))]
-    bound = sum([s * t for s, t in zip(w[-1], chain[-1])])
-    bound -= sum([s * t for s, t in zip(w[0], chain[0])])
-    for f, before, after in zip(faces, w, w[1:]):
-        bound += sum([min(s - t, 0.0) if f.mask >> i & 1 else (s - t) * (f.corner >> i & 1)
-                      for i, (s, t) in enumerate(zip(before, after))])
-    return bound
 
 
 def _split(chain: list[list[float]], s: int, split, p: float) -> list[list[float]]:
@@ -661,6 +643,7 @@ def _face_bounds(complex: CubeComplex, galleries: Sequence[Gallery], x: Point,
         gx, gy = ([0.0 if f.mask >> i & 1 else abs(t - (f.corner >> i & 1))
                    for i, t in enumerate(end)] for end in (xa, ya))
         bound[f] = max(lp_norm(gx, p) + lp_norm(gy, p), (sum(gx) + sum(gy)) / l1_factor)
+    # lb0 never exceeds a solved length; kept for bench/test_bench.py's geometry.lower_bound span
     lb0 = distance_lower_bound(complex, x, y, p)
     return {g: max([lb0] + [bound[f] for f in fs])
             for g, fs in zip(galleries, gallery_faces)}
@@ -718,17 +701,11 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
         if corner is not None:
             g = next((h for h in untried if any(c.contains_cube(corner) for c in h.cubes)), g)
         untried.remove(g)
-        bound = bounds[g]
-        if bound > upper + UNIQUENESS_SUP:
+        if bounds[g] > upper + UNIQUENESS_SUP:
             continue
+        # the screen only seeds the full solve; kept for bench/test_bench.py's coarse_opt span
         rough = optimize_breakpoints(complex, g, x, y, p, max_sweeps=3, init=start.get(g))
-        pts = rough._points()
-        if len(pts) == len(g.cubes) + 1:
-            bound = max(bound, _dual_bound(pts, g.faces(), p))
-        upper = min(upper, rough.length)
-        if bound > upper + UNIQUENESS_SUP:
-            continue
-        path = optimize_breakpoints(complex, g, x, y, p, init=pts[1:-1])
+        path = optimize_breakpoints(complex, g, x, y, p, init=rough._points()[1:-1])
         results.append(path)
         upper = min(upper, path.length)
         corner = None
@@ -743,40 +720,30 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
 
 
 def _select(results: list[PiecewisePath]) -> PiecewisePath:
-    """The shortest solved path, for a lone gallery or when none certified.
+    """The shortest converged path, for a lone gallery or when none certified.
 
-    Prefers fully converged paths, then the lexicographically smallest gallery
-    encoding among ties; raises if nothing converged or if tied converged
-    paths disagree.
+    Ties go to the lexicographically smallest gallery encoding.  Raises if no
+    converged path lies within 10 LENGTH_TOL of the shortest solved one, or
+    if a converged path tied with the chosen one disagrees with it.
     """
-    best_len = min(path.length for path in results)
-
-    def rank(path: PiecewisePath) -> tuple:
-        tied = path.length <= best_len + LENGTH_TOL
-        return (not (tied and path.converged), path.length, path.gallery.cubes)
-
-    results = sorted(results, key=rank)
-    best = results[0]
-    best_len = best.length
-    if not best.converged:
-        # prefer a converged path unless the unconverged one is materially better
-        converged = [pa for pa in results if pa.converged]
-        if converged and min(pa.length for pa in converged) <= best_len + 10 * LENGTH_TOL:
-            best = min(converged, key=lambda pa: (pa.length, pa.gallery.cubes))
-            best_len = best.length
-        else:
-            raise NoConvergence(
-                "no gallery optimization converged",
-                residual=best_len)
+    results = sorted(results, key=lambda pa: (pa.length, pa.gallery.cubes))
+    converged = [pa for pa in results if pa.converged]
+    if not converged or converged[0].length > results[0].length + 10 * LENGTH_TOL:
+        shortest = results[0]
+        raise NoConvergence("no gallery optimization converged", residual=max(
+            _tension_residuals(shortest, _interior_data(shortest.complex, shortest)),
+            default=0.0))
+    best = converged[0]
     # tie window well below LENGTH_TOL: per-gallery optima are accurate to
     # ~1e-12, and distinct galleries routinely have genuinely different optima
     # separated by less than LENGTH_TOL when the valley between routes is flat
-    for path in results[1:]:
-        if path.length <= best_len + LENGTH_TOL / 100 and path.converged:
-            if path_sup_distance(path, best) > UNIQUENESS_SUP:
+    for path in converged[1:]:
+        if path.length <= best.length + LENGTH_TOL / 100:
+            sup = path_sup_distance(path, best)
+            if sup > UNIQUENESS_SUP:
                 raise UniquenessViolation(
-                    f"two optimal galleries disagree: lengths {path.length} vs {best_len}, "
-                    f"sup distance {path_sup_distance(path, best)}")
+                    f"two optimal galleries disagree: lengths {path.length} vs {best.length}, "
+                    f"sup distance {sup}")
     return best
 
 
@@ -902,8 +869,12 @@ def check_no_shortcut(complex: CubeComplex, path: PiecewisePath,
 
 def check_local_geodesic(complex: CubeComplex, path: PiecewisePath,
                          tol: float = RESIDUAL_TOL) -> ConditionReport:
-    zt = check_zero_tension(complex, path, tol)
-    ns = check_no_shortcut(complex, path, tol)
-    return ConditionReport(zero_tension_ok=zt.zero_tension_ok,
-                           no_shortcut_ok=ns.no_shortcut_ok,
-                           worst_residual=max(zt.worst_residual, ns.worst_residual))
+    """Both checks above, on one pass over the interior breaks."""
+    check_p(path.p, smooth=True)
+    data = _interior_data(complex, path)
+    res = _tension_residuals(path, data)
+    margins = [m for m, _ in _no_shortcut_margins(complex, path, data)]
+    return ConditionReport(zero_tension_ok=tuple(r <= tol for r in res),
+                           no_shortcut_ok=tuple(m >= -tol for m in margins),
+                           worst_residual=max(max(res, default=0.0),
+                                              max([0.0] + [-m for m in margins])))

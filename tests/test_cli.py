@@ -266,6 +266,7 @@ class TestSweep:
     @pytest.mark.parametrize("functional, message", [
         ("nope", "unknown functional 'nope'"),
         ("break0:zz", "unknown hyperplane 'zz'"),
+        ("break0:", "unknown hyperplane ''"),
     ])
     def test_unknown_functional_is_a_domain_error(self, fx_dir, capsys, functional, message):
         code, out = run(capsys, ["sweep-p", "--functional", functional, "--grid", "1.5,2",
@@ -275,6 +276,17 @@ class TestSweep:
         error = json.loads(out)["error"]
         assert error["type"] == "LpCubeError"
         assert error["message"].startswith(message)
+
+    @pytest.mark.parametrize("functional", ["break0", "break0:a1"])
+    def test_path_without_a_break_is_a_domain_error(self, fx_dir, capsys, functional):
+        # both points lie in one square, so the geodesic is a single segment
+        code, out = run(capsys, ["sweep-p", str(fx_dir / "corner_complex.json"),
+                                 "--from", "0:a1=0.3", "--to", "0:a2=0.4",
+                                 "--grid", "1.5,2", "--functional", functional])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error == {"type": "LpCubeError",
+                         "message": "geodesic has no interior break point"}
 
 
 class TestSuiteCommand:

@@ -9,7 +9,8 @@ from lpcube import fixtures
 from lpcube import solver as sv
 from lpcube.analysis import sample_point
 from lpcube.complexes import CubeRef, Point
-from lpcube.errors import LpCubeError, ScaleExceeded
+from lpcube.errors import (DisjointCubes, LpCubeError, NoConvergence, ScaleExceeded,
+                           UniquenessViolation)
 from lpcube.geometry import box_clamp_distance, distance_lower_bound
 
 from conftest import build_wedge_instance
@@ -111,6 +112,14 @@ class TestEnumerateGalleries:
         gals = sv.enumerate_galleries(g, Point.make(0), Point.make(max(g.vertices)))
         assert len(gals) == len(set(gals)) == 409
         assert gals == sorted(gals, key=lambda gal: gal.cubes)
+
+    def test_disjoint_cubes_are_a_domain_error(self, square):
+        # opposite corners of the square share no face
+        g = sv.Gallery((CubeRef(0, 0), CubeRef(3, 0)))
+        with pytest.raises(DisjointCubes):
+            g.faces()
+        with pytest.raises(DisjointCubes):
+            sv.optimize_breakpoints(square, g, Point.make(0), Point.make(3), 2.0)
 
     def test_cap(self, grid222, monkeypatch):
         x = Point.make(0, {0: 0.5, 2: 0.5, 4: 0.5})
@@ -452,6 +461,62 @@ PINNED_LENGTHS = {
 }
 
 
+def _square_path(square, *pts, converged=True, cubes=(CubeRef(0, 0b11),)):
+    """Path through the points of the unit square at p = 2, under a gallery
+    whose cubes only rank it."""
+    breaks = tuple(Point.make(0, {i: t for i, t in enumerate(pt) if t}) for pt in pts)
+    return sv.PiecewisePath(square, 2.0, breaks, sv.Gallery(cubes), converged)
+
+
+class TestSelect:
+    """The fallback rule: the shortest converged path, unless it is more than
+    10 LENGTH_TOL above the shortest solved one."""
+
+    BENT = ((0, 0), (0.25, 0.25), (0.5, 0))     # tension residual sqrt(2)
+    BENT_LEN = 2 * math.hypot(0.25, 0.25)
+
+    @pytest.mark.parametrize("paths, picked", [
+        # (end point, converged, vertex ranking the gallery) per path
+        # a converged path tied with a shorter unconverged one
+        ([((0.5, 0), False, 0), ((0.5 + 5e-10, 0), True, 0)], 1),
+        # a converged path 5e-9 above the unconverged shortest
+        ([((0.5, 0), False, 0), ((0.5 + 5e-9, 0), True, 0), ((0.6, 0), True, 0)], 1),
+        # equal lengths: the smaller gallery cubes win
+        ([((0.5, 0), True, 2), ((0.5, 0), True, 1), ((0.7, 0), False, 0)], 1),
+        # converged paths more than LENGTH_TOL / 100 apart need not agree
+        ([((0.5, 0), True, 0), ((0, 0.5 + 2e-11), True, 1)], 0),
+    ])
+    def test_picks_the_shortest_converged_path(self, square, paths, picked):
+        built = [_square_path(square, (0, 0), end, converged=ok, cubes=(CubeRef(v, 0),))
+                 for end, ok, v in paths]
+        assert sv._select(built) is built[picked]
+
+    @pytest.mark.parametrize("above", [2e-8, None])
+    def test_no_close_converged_path_raises(self, square, above):
+        bent = _square_path(square, *self.BENT, converged=False)
+        paths = [bent, _square_path(square, (0, 0), (0.9, 0), converged=False)]
+        if above is not None:
+            paths.append(_square_path(square, (0, 0), (self.BENT_LEN + above, 0)))
+        with pytest.raises(NoConvergence) as err:
+            sv._select(paths)
+        # the residual is the shortest solved path's, not its length
+        assert err.value.residual == pytest.approx(math.sqrt(2), rel=1e-12)
+
+    def test_disagreeing_tied_paths_raise(self, square):
+        paths = [_square_path(square, (0, 0), (0.5, 0)),
+                 _square_path(square, (0, 0), (0, 0.5 + 1e-12), cubes=(CubeRef(1, 0),))]
+        with pytest.raises(UniquenessViolation, match="sup distance"):
+            sv._select(paths)
+
+    def test_no_convergence_reports_a_tension_residual(self, grid222):
+        rng = np.random.default_rng([77, 2])
+        x, y = sample_point(grid222, rng), sample_point(grid222, rng)
+        with pytest.raises(NoConvergence) as err:
+            sv.geodesic(grid222, x, y, 64.0)
+        # its length is 1.62; the tension residual of its path is 1.04e-4
+        assert err.value.residual == pytest.approx(1.04e-4, rel=0.01)
+
+
 class TestSweeps:
     @staticmethod
     def _pinned_pairs(cx, j):
@@ -773,6 +838,9 @@ class TestUniquenessAndLocality:
             bad = sv.PiecewisePath(grid222, 2.0, tuple(breaks))
             zt = sv.check_zero_tension(grid222, bad)
             ns = sv.check_no_shortcut(grid222, bad)
+            rep = sv.check_local_geodesic(grid222, bad)
+            assert (rep.zero_tension_ok, rep.no_shortcut_ok, rep.worst_residual) == (
+                zt.zero_tension_ok, ns.no_shortcut_ok, max(zt.worst_residual, ns.worst_residual))
             failed = not (all(zt.zero_tension_ok) and all(ns.no_shortcut_ok))
             longer = bad.length > path.length + 1e-6
             assert failed or longer
