@@ -13,8 +13,8 @@ step solves the zero-tension equations, whose Jacobian is block-tridiagonal
 (each segment couples the two breaks at its ends); where that step does not
 shorten the path, a Levenberg-Marquardt step on the length Hessian is taken.
 Both systems are assembled only on the free break coordinates that move and
-solved by Gaussian elimination.  The whole solve path, from the face bounds to
-the certificate, runs on lists of floats and measures with ``lp_norm``, the
+solved by Gaussian elimination.  The whole solve path, from the start chains
+to the certificate, runs on lists of floats and measures with ``lp_norm``, the
 one norm: a chain has a few breaks of a few coordinates, where numpy calls
 would cost more than the arithmetic.
 A backtracking search on the length projects every step into the face boxes,
@@ -29,15 +29,16 @@ order of the length of their start chain, except that a gallery G comes after
 all others when the list also holds G' = G with one cube E inserted between
 consecutive cubes C, C' where E contains C n C': a break on C n C' lies on
 C n E and on E n C', so every chain of G is a chain of G' of the same length,
-and G' is never longer.  A gallery whose face bound exceeds the shortest path
-solved so far is skipped; each other one is solved in full, from the breaks
-of a few Newton steps on its start chain.  A solved path that passes the
-zero-tension and no-shortcut conditions is a local geodesic, hence by
-Busemann convexity the geodesic, and ends the search.  A path that fails
-no-shortcut is shortened through its most violated corner cube, so the next
-gallery tried is the first one that contains that cube.  If no path
-certifies, ``_select`` takes the shortest converged one, and tied galleries
-must agree.
+and G' is never longer.  Once a path is solved, a gallery whose face bound
+exceeds the shortest path solved so far is skipped; the bound is taken only
+then, so a search that certifies its first candidate measures no face.  Each
+other gallery is solved in full, from the breaks of a few Newton steps on its
+start chain.  A solved path that passes the zero-tension and no-shortcut
+conditions is a local geodesic, hence by Busemann convexity the geodesic, and
+ends the search.  A path that fails no-shortcut is shortened through its most
+violated corner cube, so the next gallery tried is the first one that
+contains that cube.  If no path certifies, ``_select`` takes the shortest
+converged one, and tied galleries must agree.
 
 The tolerances are fixed module constants, not options: a certified path is
 the geodesic whatever the solve's stopping rule, so no caller has a reason to
@@ -62,6 +63,7 @@ from .complexes import (
 )
 from .errors import (
     DisjointCubes,
+    NoCommonCube,
     NoConvergence,
     ScaleExceeded,
     UniquenessViolation,
@@ -623,30 +625,18 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
 # -- the geodesic -------------------------------------------------------------
 
 
-def _face_bounds(complex: CubeComplex, galleries: Sequence[Gallery], x: Point,
-                 y: Point, p: float) -> dict[Gallery, float]:
-    """Per gallery: a lower bound on the length of its paths.
+def _face_bound(face: CubeRef, xa: list[float], ya: list[float], p: float,
+                l1_factor: float) -> float:
+    """A lower bound on the length of the paths from xa to ya through the face.
 
-    A path through a face is at least as long as the lp distances of x and y
-    to that face, and, as in ``distance_lower_bound``, as their l1 distances
-    over d_max^(1 - 1/p).  The endpoints lie in [0, 1]^n, so a distance to a
-    face comes from the face's fixed axes alone.  Each distinct face is
-    measured once.
+    Such a path is at least as long as the lp distances of its ends to the
+    face, and, as in ``distance_lower_bound``, as their l1 distances over
+    ``l1_factor`` = d_max^(1 - 1/p).  The ends lie in [0, 1]^n, so a distance
+    to a face comes from the face's fixed axes alone.
     """
-    n = len(complex.hyperplanes)
-    xa, ya = x.ambient(n).tolist(), y.ambient(n).tolist()
-    dmax = max((q.dim for q in complex.maximal_cubes()), default=1)
-    l1_factor = max(dmax, 1) ** (1.0 - 1.0 / p)
-    gallery_faces = [g.faces() for g in galleries]
-    bound = {}
-    for f in {f for fs in gallery_faces for f in fs}:
-        gx, gy = ([0.0 if f.mask >> i & 1 else abs(t - (f.corner >> i & 1))
-                   for i, t in enumerate(end)] for end in (xa, ya))
-        bound[f] = max(lp_norm(gx, p) + lp_norm(gy, p), (sum(gx) + sum(gy)) / l1_factor)
-    # lb0 never exceeds a solved length; kept for bench/test_bench.py's geometry.lower_bound span
-    lb0 = distance_lower_bound(complex, x, y, p)
-    return {g: max([lb0] + [bound[f] for f in fs])
-            for g, fs in zip(galleries, gallery_faces)}
+    gx, gy = ([0.0 if face.mask >> i & 1 else abs(t - (face.corner >> i & 1))
+               for i, t in enumerate(end)] for end in (xa, ya))
+    return max(lp_norm(gx, p) + lp_norm(gy, p), (sum(gx) + sum(gy)) / l1_factor)
 
 
 def _undominated(galleries: Sequence[Gallery]) -> list[Gallery]:
@@ -689,7 +679,13 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
     # dominated galleries come last, for when no other path certifies: at
     # large p a dominator's chain solve can stall where theirs does not
     untried += [g for g in galleries if g not in start]
-    bounds = _face_bounds(complex, galleries, x, y, p)
+    # a gallery is pruned at its face bound once a path is solved; each face is
+    # measured at most once, on first use.  lb0 never exceeds a solved length;
+    # kept for bench/test_bench.py's geometry.lower_bound span
+    lb0 = distance_lower_bound(complex, x, y, p)
+    dmax = max((q.dim for q in complex.maximal_cubes()), default=1)
+    l1_factor = max(dmax, 1) ** (1.0 - 1.0 / p)
+    face_bounds: dict[CubeRef, float] = {}
     # a certified path ends the search; one that fails no-shortcut can be
     # shortened through its most violated corner cube, which picks the next
     # candidate (see the module docstring)
@@ -701,8 +697,13 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
         if corner is not None:
             g = next((h for h in untried if any(c.contains_cube(corner) for c in h.cubes)), g)
         untried.remove(g)
-        if bounds[g] > upper + UNIQUENESS_SUP:
-            continue
+        if upper < math.inf:
+            faces = g.faces()
+            for f in faces:
+                if f not in face_bounds:
+                    face_bounds[f] = _face_bound(f, xa, ya, p, l1_factor)
+            if max([lb0] + [face_bounds[f] for f in faces]) > upper + UNIQUENESS_SUP:
+                continue
         # the screen only seeds the full solve; kept for bench/test_bench.py's coarse_opt span
         rough = optimize_breakpoints(complex, g, x, y, p, max_sweeps=3, init=start.get(g))
         path = optimize_breakpoints(complex, g, x, y, p, init=rough._points()[1:-1])
@@ -780,7 +781,7 @@ def _interior_data(complex: CubeComplex, path: PiecewisePath):
         c_prev = complex.minimal_cube_pair(breaks[i - 1], breaks[i])
         c_next = complex.minimal_cube_pair(breaks[i], breaks[i + 1])
         if c_prev is None or c_next is None:
-            raise ValueError("path breaks do not share cubes")
+            raise NoCommonCube("path breaks do not share cubes")
         d = cube_intersection(c_prev, c_next)
         out.append((i, c_prev, c_next, d))
     return out

@@ -9,9 +9,9 @@ from lpcube import fixtures
 from lpcube import solver as sv
 from lpcube.analysis import sample_point
 from lpcube.complexes import CubeRef, Point
-from lpcube.errors import (DisjointCubes, LpCubeError, NoConvergence, ScaleExceeded,
-                           UniquenessViolation)
-from lpcube.geometry import box_clamp_distance, distance_lower_bound
+from lpcube.errors import (DisjointCubes, LpCubeError, NoCommonCube, NoConvergence,
+                           ScaleExceeded, UniquenessViolation)
+from lpcube.geometry import box_clamp_distance
 
 from conftest import build_wedge_instance
 
@@ -365,9 +365,8 @@ class TestGeodesic:
 
     def test_full_solves_per_multi_gallery_geodesic(self, grid222, solve_log):
         # the candidate with the shortest start chain is mostly the one that
-        # certifies (about 1.5 full solves each in face-lower-bound order);
-        # the ratio depends on the pairs (1.01 to 1.17 over 60 pairs from
-        # each of these seeds), so the bound is on all 300
+        # certifies; the ratio depends on the pairs (1.01 to 1.17 over 60
+        # pairs from each of these seeds), so the bound is on all 300
         multi = 0
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -391,23 +390,34 @@ class TestGeodesic:
         for _ in range(12):
             x = sample_point(grid222, rng)
             y = sample_point(grid222, rng)
+            xa, ya = x.ambient(n), y.ambient(n)
             galleries = sv.enumerate_galleries(grid222, x, y)
             multi += len(galleries) > 1
             for p in (1.5, 2.0, 3.0):
-                bounds = sv._face_bounds(grid222, galleries, x, y, p)
-                for g in galleries:
-                    want = distance_lower_bound(grid222, x, y, p)
-                    for f in g.faces():
-                        lp, l1 = [], []
-                        for vec in (x.ambient(n), y.ambient(n)):
-                            lp.append(box_clamp_distance(vec, f, n, p))
-                            l1.append(0.0)
-                            for i in range(n):
-                                if not f.mask >> i & 1:
-                                    l1[-1] += abs(vec[i] - float(f.corner >> i & 1))
-                        want = max(want, lp[0] + lp[1], (l1[0] + l1[1]) / 3 ** (1 - 1 / p))
-                    assert bounds[g] == want
+                l1_factor = 3 ** (1 - 1 / p)
+                for f in {f for g in galleries for f in g.faces()}:
+                    lp, l1 = [], []
+                    for vec in (xa, ya):
+                        lp.append(box_clamp_distance(vec, f, n, p))
+                        l1.append(0.0)
+                        for i in range(n):
+                            if not f.mask >> i & 1:
+                                l1[-1] += abs(vec[i] - float(f.corner >> i & 1))
+                    want = max(lp[0] + lp[1], (l1[0] + l1[1]) / l1_factor)
+                    assert sv._face_bound(f, xa.tolist(), ya.tolist(), p, l1_factor) == want
         assert multi >= 3
+
+    def test_no_face_bound_before_a_path_is_solved(self, grid222, monkeypatch):
+        # the prune needs a solved length, so a search that certifies its
+        # first candidate measures no face: corner to corner, 13 galleries
+        measured = []
+        bound = sv._face_bound
+        monkeypatch.setattr(sv, "_face_bound", lambda f, *args: measured.append(f) or bound(f, *args))
+        x, y = Point.make(0), Point.make(0b111111)
+        assert len(sv.enumerate_galleries(grid222, x, y)) == 13
+        for p in (1.5, 2.0, 3.0):
+            sv.geodesic(grid222, x, y, p)
+        assert measured == []
 
     def test_hyperplane_discipline(self, grid222, corner):
         # the chosen gallery never re-enters a dropped hyperplane
@@ -696,6 +706,14 @@ class TestNoShortcut:
                 idx = [b for b in range(6) if sub >> b & 1]
                 assert value == (sv.lp_norm(vec[idx], p) if idx else 0.0)
 
+    def test_breaks_without_a_common_cube_raise(self, corner):
+        # the middle break and y lie in no common cube of the corner complex
+        x = Point.make(0, {0: 0.5, 1: 0.5})
+        y = Point.make(0, {2: 0.5, 3: 0.5})
+        path = sv.PiecewisePath(corner, 2.0, (x, Point.make(0, {0: 0.5}), y))
+        with pytest.raises(NoCommonCube, match="do not share cubes"):
+            sv.check_local_geodesic(corner, path)
+
     def test_solver_outputs_pass(self, corner, grid222, scb):
         rng = np.random.default_rng(70)
         count = 0
@@ -800,16 +818,21 @@ class TestUniquenessAndLocality:
             pairs += 1
         assert pairs >= 30
 
-    def test_uncertified_search_returns_the_same_length(self, monkeypatch):
+    def test_uncertified_search_returns_the_same_length(self, monkeypatch, solve_log):
         # with every no-shortcut margin failing, no candidate certifies and the
-        # search falls back to ranking every gallery it could not prune
+        # search falls back to ranking every gallery it could not prune; the
+        # face-bound prune skips some of them
         certified = {(x, y, p): sv.geodesic(cx, x, y, p).length for cx, x, y, p in self._pairs()}
         margins = sv._no_shortcut_margins
         monkeypatch.setattr(sv, "_no_shortcut_margins", lambda cx, path, data: [
             (m - 1.0, c) for m, c in margins(cx, path, data)])
+        solve_log.calls.clear()
+        galleries = 0
         for cx, x, y, p in self._pairs():
             length = sv.geodesic(cx, x, y, p).length
             assert abs(length - certified[x, y, p]) <= 1e-12, (x, y, p)
+            galleries += len(sv.enumerate_galleries(cx, x, y))
+        assert solve_log.counts()["full"] < galleries
 
     def test_fault_injection_longer_or_fails(self, grid222):
         rng = np.random.default_rng(92)
