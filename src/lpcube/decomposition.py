@@ -99,6 +99,12 @@ def canonical_decomposition(complex: CubeComplex, x: Point, v: int, y: Point,
 
     Inputs where {x,v} or {y,v} span more than the stated minimal cubes are
     handled by restricting to those minimal cubes first.
+
+    The geodesic comes from ``geodesic()``, which returns the answer the
+    complex remembers when it was the last query there, so a decomposition
+    right after ``geodesic(complex, x, y, p)`` solves nothing.  The record
+    holds the path's fields, not the path, which would hold the complex in
+    a cycle.
     """
     p = check_p(p, smooth=True)
     c, cp = _wedge_cubes(complex, x, v, y)

@@ -38,7 +38,9 @@ conditions is a local geodesic, hence by Busemann convexity the geodesic, and
 ends the search.  A path that fails no-shortcut is shortened through its most
 violated corner cube, so the next gallery tried is the first one that
 contains that cube.  If no path certifies, ``_select`` takes the shortest
-converged one, and tied galleries must agree.
+converged one, and tied galleries must agree.  The complex remembers the
+last answer, so the same query again (as ``canonical_decomposition`` makes
+after a caller's own solve) returns a new path built from it.
 
 The tolerances are fixed module constants, not options: a certified path is
 the geodesic whatever the solve's stopping rule, so no caller has a reason to
@@ -660,10 +662,29 @@ def _undominated(galleries: Sequence[Gallery]) -> list[Gallery]:
 
 
 def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath:
-    """The unique lp geodesic from x to y, as a constant-speed piecewise path."""
+    """The unique lp geodesic from x to y, as a constant-speed piecewise path.
+
+    The complex remembers the last answer: the same x, y and p again (p
+    compared after ``check_p``, so 2 and 2.0 match) return a new path with
+    the remembered breaks, gallery and converged flag, without a solve.  The
+    record holds those fields, not the path: a path holds its complex, and
+    the cycle would leave every dropped complex to the cyclic collector.
+    A solve that raises leaves no record.
+    """
     p = check_p(p, smooth=True)
     complex.check_point(x)
     complex.check_point(y)
+    query = (x, y, p)
+    last = complex._solver_cache.get("last geodesic")
+    if last is not None and last[0] == query:
+        return PiecewisePath(complex, p, *last[1:])
+    path = _search(complex, x, y, p)
+    complex._solver_cache["last geodesic"] = (query, path.breaks, path.gallery, path.converged)
+    return path
+
+
+def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath:
+    """The geodesic's gallery search, on checked inputs."""
     pair = complex.minimal_cube_pair(x, y)
     if pair is not None:
         return PiecewisePath(complex, p, (x, y), Gallery((pair,)))

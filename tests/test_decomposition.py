@@ -77,6 +77,21 @@ class TestCanonicalDecomposition:
         assert [remap_mask(m) for m in dec.b_factors] == list(dec2.b_factors)
         assert np.allclose(dec.ratios, dec2.ratios)
 
+    def test_after_geodesic_it_solves_nothing(self, solve_log):
+        # the chains are read off the geodesic the complex remembers, and
+        # they are those of a complex that has to solve it
+        for seed in range(10):
+            cx, x, v, y, _ = build_wedge_instance(seed)
+            fresh = build_wedge_instance(seed)[0]
+            for p in (1.5, 2.0, 3.0):
+                solve_log.calls.clear()
+                sv.geodesic(cx, x, y, p)
+                assert solve_log.counts()["full"] > 0
+                solve_log.calls.clear()
+                dec = dc.canonical_decomposition(cx, x, v, y, p)
+                assert solve_log.calls == []
+                assert dec == dc.canonical_decomposition(fresh, x, v, y, p)
+
     def test_not_vertex_intersection(self, book2):
         x = Point.make(0, {0: 0.5, 1: 0.5})
         y = Point.make(0, {0: 0.4, 2: 0.5})

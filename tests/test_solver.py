@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -194,10 +196,11 @@ class TestNewtonChain:
     def test_singular_tension_system_takes_the_lm_step(self, grid222, monkeypatch):
         # refuse every tension system (the Jacobian is not symmetric at
         # p = 3): each step falls back to the Levenberg-Marquardt system on
-        # the symmetrized length Hessian, which reaches the same geodesic
+        # the symmetrized length Hessian, which reaches the same geodesic.
+        # want is solved on another instance: grid222 would remember it
         rng = np.random.default_rng([77, 1])
         x, y = sample_point(grid222, rng), sample_point(grid222, rng)
-        want = sv.geodesic(grid222, x, y, 3.0)
+        want = sv.geodesic(cc.grid(2, 2, 2), x, y, 3.0)
         eliminate = sv._eliminate
         systems = {"tension": 0, "hessian": 0}
 
@@ -300,9 +303,11 @@ class TestGeodesic:
         assert path.length == pytest.approx(1.12942158698474, abs=1e-13)
         assert sv.check_local_geodesic(grid222, path, tol=1e-8).all_ok
 
-    def test_first_certified_candidate_ends_the_search(self, grid222, solve_log):
+    def test_first_certified_candidate_ends_the_search(self, solve_log):
         # corner to corner of grid(2,2,2): 13 galleries, all optimal.  Solving
         # every candidate took 13 full chain solves; the first one certifies.
+        # A fresh complex, so that no remembered answer stands in for a solve
+        grid222 = cc.grid(2, 2, 2)
         x, y = Point.make(0), Point.make(0b111111)
         assert len(sv.enumerate_galleries(grid222, x, y)) == 13
         for p in (1.5, 2.0, 3.0):
@@ -333,12 +338,13 @@ class TestGeodesic:
                         assert long.length <= short.length + 1e-12, (g, h, p)
         assert pairs >= 30
 
-    def test_dominated_galleries_are_never_solved(self, corner, scb, grid222, solve_log):
+    def test_dominated_galleries_are_never_solved(self, solve_log):
         # they come after every other gallery, and at these p a path certifies
-        # before the search gets to them
+        # before the search gets to them; fresh complexes, which remember no
+        # answer from another test
         rng = np.random.default_rng(16)
         seen = 0
-        for cx in (corner, scb, grid222):
+        for cx in (cc.corner_complex(), cc.square_cube_book(), cc.grid(2, 2, 2)):
             for _ in range(20):
                 x, y = sample_point(cx, rng), sample_point(cx, rng)
                 if cx.minimal_cube_pair(x, y) is not None:
@@ -363,10 +369,12 @@ class TestGeodesic:
         assert len(path.gallery.cubes) == 2
         assert sv.check_local_geodesic(corner, path, tol=1e-8).all_ok
 
-    def test_full_solves_per_multi_gallery_geodesic(self, grid222, solve_log):
+    def test_full_solves_per_multi_gallery_geodesic(self, solve_log):
         # the candidate with the shortest start chain is mostly the one that
         # certifies; the ratio depends on the pairs (1.01 to 1.17 over 60
-        # pairs from each of these seeds), so the bound is on all 300
+        # pairs from each of these seeds), so the bound is on all 300.  A
+        # fresh complex, which remembers no answer from another test
+        grid222 = cc.grid(2, 2, 2)
         multi = 0
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -407,9 +415,11 @@ class TestGeodesic:
                     assert sv._face_bound(f, xa.tolist(), ya.tolist(), p, l1_factor) == want
         assert multi >= 3
 
-    def test_no_face_bound_before_a_path_is_solved(self, grid222, monkeypatch):
+    def test_no_face_bound_before_a_path_is_solved(self, monkeypatch):
         # the prune needs a solved length, so a search that certifies its
-        # first candidate measures no face: corner to corner, 13 galleries
+        # first candidate measures no face: corner to corner, 13 galleries,
+        # on a fresh complex, so that each geodesic() is a search
+        grid222 = cc.grid(2, 2, 2)
         measured = []
         bound = sv._face_bound
         monkeypatch.setattr(sv, "_face_bound", lambda f, *args: measured.append(f) or bound(f, *args))
@@ -434,6 +444,62 @@ class TestGeodesic:
                         assert not q.mask & dropped
                         dropped |= prev.mask & ~q.mask
                     prev = q
+
+
+class TestLastAnswer:
+    """geodesic() remembers the last answer per complex."""
+
+    X = Point.make(0, {0: 0.3, 1: 0.9})
+    Y = Point.make(0, {2: 0.8, 3: 0.7})
+
+    def test_a_repeat_is_a_new_path_with_the_same_answer(self, solve_log):
+        cx = cc.corner_complex()
+        first = sv.geodesic(cx, self.X, self.Y, 2.0)
+        assert solve_log.counts()["full"] > 0
+        solve_log.calls.clear()
+        again = sv.geodesic(cx, self.X, self.Y, 2.0)
+        assert solve_log.calls == []
+        assert again is not first
+        assert (again.breaks, again.gallery, again.converged) == \
+            (first.breaks, first.gallery, first.converged)
+        assert again.length == first.length
+
+    def test_only_the_same_query_on_the_same_complex_is_remembered(self, solve_log):
+        cx = cc.corner_complex()
+        sv.geodesic(cx, self.X, self.Y, 2.0)
+        solve_log.calls.clear()
+        assert sv.geodesic(cx, self.X, self.Y, 2).p == 2.0
+        assert solve_log.calls == []
+        for other, x, y, p in ((cx, self.X, self.Y, 3.0), (cx, self.Y, self.X, 3.0),
+                               (cc.corner_complex(), self.Y, self.X, 3.0)):
+            solve_log.calls.clear()
+            sv.geodesic(other, x, y, p)
+            assert solve_log.counts()["full"] > 0, (x, y, p)
+
+    def test_a_raised_solve_leaves_no_record(self, solve_log, monkeypatch):
+        cx = cc.corner_complex()
+        cap = sv.GALLERY_CAP
+        monkeypatch.setattr(sv, "GALLERY_CAP", 0)
+        with pytest.raises(ScaleExceeded):
+            sv.geodesic(cx, self.X, self.Y, 2.0)
+        monkeypatch.setattr(sv, "GALLERY_CAP", cap)
+        sv.geodesic(cx, self.X, self.Y, 2.0)
+        assert solve_log.counts()["full"] > 0
+
+    def test_a_dropped_complex_needs_no_cyclic_collection(self):
+        # the record holds a path's fields, not the path, whose complex
+        # would close a cycle: complex -> record -> path -> complex
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            cx = cc.corner_complex()
+            path = sv.geodesic(cx, self.X, self.Y, 2.0)
+            gone = weakref.ref(cx)
+            del cx, path
+            assert gone() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 SWEEP_FIXTURES = ("corner_complex", "square_cube_book", "grid222", "long_rectangle",

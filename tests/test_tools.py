@@ -51,3 +51,12 @@ def test_a_case_in_one_dump_only_differs(tmp_path, capsys, extra_on_left):
     assert "grid333 corner to corner p=2.0:" in out
     assert "grid222" not in out
     assert "1 of 3 cases differ" in err
+
+
+def test_wedge_cases_are_vertex_wedges_with_a_formula():
+    cases = list(answers.wedge_cases())
+    assert len(cases) == len({name for name, *_ in cases}) == 600
+    name, cx, x, v, y, p = cases[0]
+    assert cx.minimal_cube_pair(x, y) is None
+    got = answers.wedge_answer(cx, x, v, y, p)
+    assert abs(float(got["formula"]) - answers.geodesic(cx, x, y, p).length) <= 1e-8

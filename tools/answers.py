@@ -14,6 +14,14 @@ The cases:
 - 60 ``default_rng([78, i])`` pairs on grid(3,3,3) at p in {2, 32};
 - corner to corner on grid(3,3,3) at p in {1.5, 2, 3}.
 
+It then runs ``geodesic``, ``canonical_decomposition`` and
+``distance_formula``, in that order and on the same complex, on 600 vertex
+wedges, and writes the factor masks, the ratio reprs and the formula repr,
+or the error: for each pair of maximal cubes of corner_complex and
+grid(2,2,2) that meet in exactly one vertex (one and four pairs), 40
+``default_rng([79, i])`` draws of an interior point of each cube, at p in
+{1.5, 2, 3}.
+
 ``compare`` lists the cases whose answers differ (or that only one dump
 has) and exits 1 if there are any.  A change that claims to keep every
 answer runs ``dump`` in a checkout of its parent and in its own and
@@ -23,6 +31,7 @@ answer runs ``dump`` in a checkout of its parent and in its own and
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -33,7 +42,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lpcube import complexes as cc
 from lpcube.analysis import sample_point
-from lpcube.complexes import Point
+from lpcube.complexes import Point, bit_indices, cube_intersection
+from lpcube.decomposition import canonical_decomposition, distance_formula
 from lpcube.errors import LpCubeError
 from lpcube.solver import check_local_geodesic, geodesic
 
@@ -73,8 +83,36 @@ def answer(cx, x, y, p) -> dict:
             "worst_residual": repr(rep.worst_residual)}
 
 
+def wedge_cases():
+    """(name, complex, x, v, y, p) for every vertex-wedge case, in a fixed order."""
+    for name, cx in (("corner_complex", cc.corner_complex()), ("grid222", cc.grid(2, 2, 2))):
+        for c, d in itertools.combinations(sorted(cx.maximal_cubes()), 2):
+            v = cube_intersection(c, d)
+            if v is None or v.mask:
+                continue
+            for i in range(40):
+                rng = np.random.default_rng([79, i])
+                x, y = (Point.make(q.corner, {h: float(rng.uniform(0.05, 0.95))
+                                              for h in bit_indices(q.mask)})
+                        for q in (c, d))
+                for p in (1.5, 2.0, 3.0):
+                    yield f"{name} wedge {c}|{d} [79, {i}] p={p}", cx, x, v.corner, y, p
+
+
+def wedge_answer(cx, x, v, y, p) -> dict:
+    try:
+        geodesic(cx, x, y, p)
+        dec = canonical_decomposition(cx, x, v, y, p)
+        formula = distance_formula(cx, x, v, y, dec, p)
+    except LpCubeError as err:
+        return {"error": type(err).__name__, "message": str(err)}
+    return {"a_factors": list(dec.a_factors), "b_factors": list(dec.b_factors),
+            "ratios": [repr(r) for r in dec.ratios], "formula": repr(formula)}
+
+
 def dump(out: str) -> int:
     answers = {name: answer(cx, x, y, p) for name, cx, x, y, p in cases()}
+    answers.update((name, wedge_answer(*case)) for name, *case in wedge_cases())
     with open(out, "w") as f:
         json.dump(answers, f, indent=0)
     errors = sum("error" in a for a in answers.values())
