@@ -12,6 +12,7 @@ replay reproduces the run's margin exactly.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -20,7 +21,7 @@ import numpy as np
 
 from .complexes import CubeComplex, Point, bit_indices, point_from_ambient
 from .complexes import point_from_obj, point_to_obj
-from .errors import InsufficientDiameter, LpCubeError, PreconditionViolated
+from .errors import InsufficientDiameter, LpCubeError, ParseError, PreconditionViolated
 from .geometry import check_p, distance_lower_bound, lp_norm
 from .solver import PiecewisePath, distance, geodesic
 from .solver import bicombing as _bicombing
@@ -379,8 +380,11 @@ def replay_witness(complex: CubeComplex, witness: dict) -> float:
     if suite not in _MARGINS:
         raise ValueError(f"unknown suite {suite!r}")
     c = dict(witness, t_values=[witness["t"]]) if suite == "busemann" else witness
-    points = {key: point_from_obj(complex, obj) for key, obj in witness.items()
-              if isinstance(obj, dict)}
+    names = list(inspect.signature(_MARGINS[suite]).parameters)[2:]
+    lacking = [key for key in names if not isinstance(witness.get(key), dict)]
+    if lacking:
+        raise ParseError(f"{suite} witness lacks the points {', '.join(lacking)}")
+    points = {key: point_from_obj(complex, witness[key]) for key in names}
     value = _MARGINS[suite](complex, c, **points)
     return value[0] if isinstance(value, tuple) else value
 

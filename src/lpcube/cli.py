@@ -49,6 +49,8 @@ def _parse_point(complex: CubeComplex, text: str) -> Point:
             label, _, val = part.partition("=")
             if label not in complex.label_index:
                 raise LpCubeError(f"unknown hyperplane {label!r} in point literal")
+            if complex.label_index[label] in coords:
+                raise LpCubeError(f"hyperplane {label!r} repeated in point literal {text!r}")
             try:
                 coords[complex.label_index[label]] = float(val)
             except ValueError:

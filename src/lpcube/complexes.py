@@ -27,10 +27,8 @@ from .errors import (
     ScaleExceeded,
 )
 
-SCALE_CAP = 10_000          # vertex cap for generators
-EXHAUSTIVE_MEDIAN_CAP = 600  # generator-built complexes above this skip the median check,
-                             # which makes O(hyperplanes x vertices) big-int operations
-SNAP_TOL = 1e-12             # coordinates closer than this to 0/1 snap onto the face
+SCALE_CAP = 10_000   # vertex cap for generators
+SNAP_TOL = 1e-12     # coordinates closer than this to 0/1 snap onto the face
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -48,42 +46,48 @@ def median_of(u: int, v: int, w: int) -> int:
     return (u & v) | (u & w) | (v & w)
 
 
-def median_closed(vertices: Sequence[int], n_bits: int) -> bool:
-    """Whether a nonempty vertex set is closed under ``median_of``.
-
-    A set is median exactly when it is the solution set of the 2-CNF of all
-    2-clauses it satisfies.  Those clauses are closed under resolution, so a
-    partial assignment whose literals pairwise co-occur in some vertex extends
-    to a solution.  The depth-first search over hyperplane prefixes keeps the
-    literals compatible with the whole prefix and the vertices matching it; a
-    compatible prefix that matches no vertex extends to a solution outside the
-    set.  Each depth holds at most |V| prefixes, so with the O(n |V|)
-    compatibility table the cost is O(n |V|) big-int operations.
-    """
-    full = (1 << n_bits) - 1
-    # literal i is side 1 of hyperplane i, literal n_bits + i is its side 0
-    lits = [v | (full ^ v) << n_bits for v in vertices]
-    holders = [0] * (2 * n_bits)      # vertex positions holding each literal
-    compatible = [0] * (2 * n_bits)   # literals sharing a vertex with each literal
-    occurring = 0
-    for k, lit in enumerate(lits):
-        bit = 1 << k
-        occurring |= lit
-        for i in bit_indices(lit):
-            holders[i] |= bit
-            compatible[i] |= lit
-    stack = [(0, occurring, (1 << len(lits)) - 1)]
-    while stack:
-        i, allowed, match = stack.pop()
-        if i == n_bits:
-            continue
-        for lit in (i, n_bits + i):
-            if allowed >> lit & 1:
-                sub = match & holders[lit]
-                if not sub:
-                    return False
-                stack.append((i + 1, allowed & compatible[lit], sub))
-    return True
+def missing_square(edges: Mapping[int, int],
+                   n_bits: int) -> Optional[tuple[int, int, int, int]]:
+    """Local median check of a connected vertex set, given as each vertex's
+    mask of edge hyperplanes.  Hyperplanes i != j cross when all four pairs of
+    their sides occur; the set is median exactly when at every vertex u, two
+    edges on crossing hyperplanes i and j span a square (u ^ e_i ^ e_j is a
+    vertex).  Returns None, or (u ^ e_i, u ^ e_j, w, u ^ e_i ^ e_j) for some w
+    on the far side of both from u: the median of the first three is the last.
+    That gives necessity.  Sufficiency: (1) shortest paths in the set cross no
+    hyperplane twice.  At an innermost repeat of i, let j be the hyperplane of
+    the edge right after the first i-crossing.  The path shows all four side
+    pairs of i and j, and their square moves the i-crossing one edge later;
+    repeated, the two i-crossings meet and cancel.  (2) Say m = median(x, y, z)
+    is missing.  Take u nearest m, and w nearest u among the vertices on m's
+    side of some hyperplane k separating u from m.  On a geodesic from u to w
+    the edge before the last crosses an h that does not separate u from m; h
+    and k cross, as by majority one of x, y, z has m's sides of both.  Their
+    square at the end of that edge lies on m's side of k and nearer u than w
+    (with a one-edge geodesic, w is nearer m than u is).  At u, an edge whose
+    far side misses those of the edges before it crosses none of them."""
+    order = list(edges)
+    full = (1 << len(order)) - 1
+    nbytes = (n_bits + 7) // 8
+    rows = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in order),
+                         np.uint8).reshape(len(order), nbytes)
+    sides = np.packbits(np.unpackbits(rows, axis=1, count=n_bits, bitorder="little").T,
+                        axis=1, bitorder="little")    # row i: the positions on side 1 of i
+    ones = [int.from_bytes(row.tobytes(), "little") for row in sides]
+    far = [(s, full ^ s) for s in ones]    # far[i][b]: the positions on side 1 - b of i
+    for u, mask in edges.items():
+        union, seen = 0, []
+        for i in bit_indices(mask):
+            f = far[i][u >> i & 1]
+            if f & union:
+                for j, g in seen:
+                    corner = u ^ 1 << i ^ 1 << j
+                    if corner not in edges and f & g:
+                        w = order[(f & g).bit_length() - 1]
+                        return u ^ 1 << j, u ^ 1 << i, w, corner
+            union |= f
+            seen.append((i, f))
+    return None
 
 
 class CubeRef(NamedTuple):
@@ -202,8 +206,7 @@ class CubeComplex:
     """
 
     def __init__(self, hyperplanes: Sequence[str], vertices: Iterable[int], *,
-                 vertex_order: Optional[Sequence[int]] = None, validate: bool = True,
-                 check_median: bool = True):
+                 vertex_order: Optional[Sequence[int]] = None, validate: bool = True):
         self.hyperplanes: tuple[str, ...] = tuple(hyperplanes)
         if len(set(self.hyperplanes)) != len(self.hyperplanes):
             raise ParseError("duplicate hyperplane labels")
@@ -218,69 +221,44 @@ class CubeComplex:
         self._all_cubes: Optional[tuple[CubeRef, ...]] = None
         self._maximal_cubes: Optional[tuple[CubeRef, ...]] = None
         if validate:
-            self._validate(check_median)
+            self._validate()
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self, check_median: bool) -> None:
+    def _validate(self) -> None:
         if not self.vertices:
             raise ParseError("vertex set is empty")
         n_bits = len(self.hyperplanes)
-        full = (1 << n_bits) - 1
-        for v in self.vertices:
-            if v & ~full:
-                raise ParseError("vertex assigns a side to an unknown hyperplane")
-        self._check_connected()
-        if check_median:
-            self._check_median()
+        if any(v >> n_bits for v in self.vertices):
+            raise ParseError("vertex assigns a side to an unknown hyperplane")
+        witness = missing_square(self._check_connected(), n_bits)
+        if witness is not None:
+            raise NotMedian("vertex set is not median-closed", witness=dict(zip(
+                ("u", "v", "w", "missing_median"), map(self.vertex_sides, witness))))
 
-    def _check_connected(self) -> None:
+    def _check_connected(self) -> dict[int, int]:
+        """Depth-first search of the vertex graph; each vertex's edge hyperplanes."""
         verts = self.vertices
         start = next(iter(verts))
-        seen = {start}
+        edges = {start: 0}
         stack = [start]
-        nbits = len(self.hyperplanes)
+        bits = [1 << i for i in range(len(self.hyperplanes))]
         while stack:
             v = stack.pop()
-            for i in range(nbits):
-                w = v ^ (1 << i)
-                if w in verts and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(verts):
+            for bit in bits:
+                w = v ^ bit
+                if w in verts:
+                    edges[v] |= bit
+                    if w not in edges:
+                        edges[w] = 0
+                        stack.append(w)
+        if len(edges) != len(verts):
             raise Disconnected(
-                f"vertex graph has {len(verts) - len(seen)} vertices unreachable "
+                f"vertex graph has {len(verts) - len(edges)} vertices unreachable "
                 f"from vertex {start:b}",
-                component=[self.vertex_sides(v) for v in sorted(seen)],
+                component=[self.vertex_sides(v) for v in sorted(edges)],
             )
-
-    def _check_median(self) -> None:
-        verts = sorted(self.vertices)
-        if median_closed(verts, len(self.hyperplanes)):
-            return
-        # the witness comes from the triple search, which only runs on a set
-        # already known not to be median, so it always finds one
-        vset = self.vertices
-        n = len(verts)
-        for i in range(n):
-            u = verts[i]
-            for j in range(i + 1, n):
-                v = verts[j]
-                a = u & v
-                o = u | v
-                for w in verts:
-                    m = a | (w & o)
-                    if m not in vset:
-                        raise NotMedian(
-                            "vertex set is not median-closed",
-                            witness={
-                                "u": self.vertex_sides(u),
-                                "v": self.vertex_sides(v),
-                                "w": self.vertex_sides(w),
-                                "missing_median": self.vertex_sides(m),
-                            },
-                        )
-        raise AssertionError("prefix search and triple search disagree")
+        return edges
 
     # -- vertex helpers -----------------------------------------------------
 
@@ -477,9 +455,8 @@ class SubComplex:
 
 def load(document) -> CubeComplex:
     """Parse and validate a complex description: nonempty, connected, and
-    median-closed by the 2-CNF prefix search of ``median_closed`` (a failing
-    set is searched for a ``NotMedian`` witness triple).
-
+    median-closed by the local rule of ``missing_square``: one O(n |V|) edge
+    search serves both checks, then each pair of edges at a vertex is tested.
     Accepts a JSON text, bytes, or an already-decoded mapping with keys
     "hyperplanes" (list of labels) and "vertices" (list of label->side maps).
     """
@@ -512,7 +489,7 @@ def load(document) -> CubeComplex:
             raise ParseError(f"vertex {k} must assign exactly the declared hyperplanes")
         v = 0
         for h, s in entry.items():
-            if s not in (0, 1):
+            if type(s) is not int or s not in (0, 1):
                 raise ParseError(f"vertex {k}: side of {h} must be 0 or 1")
             if s:
                 v |= 1 << index[h]
@@ -530,20 +507,23 @@ def point_to_obj(complex: CubeComplex, p: Point) -> dict:
 
 
 def point_from_obj(complex: CubeComplex, obj: Mapping) -> Point:
-    """Inverse of ``point_to_obj``; ParseError on an index outside the vertex
-    list, an unknown hyperplane label or a non-numeric coordinate."""
-    index = obj["vertex"]
-    if not isinstance(index, int) or not 0 <= index < len(complex.vertex_order):
+    """Inverse of ``point_to_obj``; ParseError on any object that does not
+    name a point of the complex."""
+    index = obj.get("vertex") if isinstance(obj, Mapping) else None
+    if type(index) is not int or not 0 <= index < len(complex.vertex_order):
         raise ParseError(f"vertex index {index!r} is not in [0, {len(complex.vertex_order)})")
+    raw = obj.get("coords", {})
+    if not isinstance(raw, Mapping):
+        raise ParseError(f"coords must be an object, got {raw!r}")
     coords = {}
-    for h, t in obj.get("coords", {}).items():
+    for h, t in raw.items():
         if h not in complex.label_index:
             raise ParseError(f"unknown hyperplane {h!r}")
-        try:
-            coords[complex.label_index[h]] = float(t)
-        except (TypeError, ValueError):
-            raise ParseError(f"coordinate of {h} is not a number: {t!r}") from None
-    return complex.check_point(Point.make(complex.vertex_order[index], coords))
+        coords[complex.label_index[h]] = t
+    try:    # a coordinate that is no number, outside (0, 1) or off the complex's cubes
+        return complex.check_point(Point.make(complex.vertex_order[index], coords))
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"coordinates {dict(raw)!r}: {e}") from None
 
 
 def dump(complex: CubeComplex) -> str:
@@ -565,9 +545,7 @@ def _finish(labels: Sequence[str], vertices: Iterable[int],
     vertices = list(vertices)
     if len(vertices) > SCALE_CAP:
         raise ScaleExceeded(f"{len(vertices)} vertices exceeds the desk-scale cap {SCALE_CAP}")
-    check = len(vertices) <= EXHAUSTIVE_MEDIAN_CAP
-    return CubeComplex(labels, vertices, vertex_order=order or sorted(vertices),
-                       validate=True, check_median=check)
+    return CubeComplex(labels, vertices, vertex_order=order or sorted(vertices))
 
 
 def hypercube(n: int) -> CubeComplex:

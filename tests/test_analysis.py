@@ -7,7 +7,7 @@ from lpcube import analysis as an
 from lpcube import complexes as cc
 from lpcube import solver as sv
 from lpcube.complexes import Point
-from lpcube.errors import InsufficientDiameter
+from lpcube.errors import InsufficientDiameter, ParseError
 
 
 class TestMidpointSuite:
@@ -230,6 +230,20 @@ def test_replay_matches_run_exactly(request, fixture, run, index, margin):
     assert rep.witness["index"] == index
     assert rep.worst_margin == margin
     assert an.replay_witness(cx, rep.witness) == rep.worst_margin
+
+
+@pytest.mark.parametrize("fixture, run, index, margin", REPLAY_CASES,
+                         ids=["midpoint", "busemann", "uniform_convexity",
+                              "uniform_smoothness", "bolicity_b1", "bolicity_b2"])
+def test_replay_of_a_witness_without_a_point_is_a_parse_error(request, fixture, run,
+                                                              index, margin):
+    cx = request.getfixturevalue(fixture)
+    witness = run(cx).witness
+    points = [key for key, obj in witness.items() if isinstance(obj, dict)]
+    assert len(points) >= 3
+    for key in points:
+        with pytest.raises(ParseError, match=key):
+            an.replay_witness(cx, {k: v for k, v in witness.items() if k != key})
 
 
 class TestPSweep:

@@ -199,8 +199,10 @@ class TestBadArguments:
         DECOMPOSE + ["--vertex", "-1"],
         ["distance", "--p", "2", "--from", "-1", "--to", "0"],
         ["distance", "--p", "2", "--from", "0", "--to", "99:"],
+        ["distance", "--p", "2", "--from", "0:a1=0.2,a1=0.9", "--to", "3:"],
     ], ids=["grid-decreasing", "grid-below-1", "grid-nan", "log-grid-overflow", "p-nan",
-            "p-overflow", "vertex-99", "vertex-negative", "point-negative", "point-99"])
+            "p-overflow", "vertex-99", "vertex-negative", "point-negative", "point-99",
+            "point-repeated-label"])
     def test_is_a_domain_error(self, fx_dir, capsys, argv):
         code, out = run(capsys, argv + [str(fx_dir / "corner_complex.json")])
         assert code == 1

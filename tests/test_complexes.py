@@ -13,8 +13,8 @@ from lpcube.geometry import lp_norm
 
 
 def reference_median_witness(vertices):
-    """The triple search the median check used before its 2-CNF prefix search:
-    the first (u, v, w, missing median) in sorted order, or None if median."""
+    """Median closure by trying every triple: the first (u, v, w, missing
+    median) in sorted order, or None if the set is median-closed."""
     verts = sorted(vertices)
     for i, u in enumerate(verts):
         for v in verts[i + 1:]:
@@ -23,6 +23,24 @@ def reference_median_witness(vertices):
                 if m not in vertices:
                     return u, v, w, m
     return None
+
+
+def is_connected(vertices):
+    seen, stack = set(), [min(vertices)]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack += [w for w in vertices if bin(v ^ w).count("1") == 1]
+    return seen == set(vertices)
+
+
+def assert_valid_witness(vertices, labels, witness):
+    """u, v and w are vertices and missing_median is their median, which is not."""
+    u, v, w, m = (sum(s << labels.index(h) for h, s in witness[key].items())
+                  for key in ("u", "v", "w", "missing_median"))
+    assert {u, v, w} <= vertices
+    assert m == median_of(u, v, w) and m not in vertices
 
 
 def median_closure(vertices):
@@ -98,6 +116,12 @@ class TestLoad:
         with pytest.raises(ParseError):
             cc.load(json.dumps({"hyperplanes": ["h1"]}))
 
+    @pytest.mark.parametrize("side", [True, False, 0.0, 1.0, "1", None])
+    def test_a_side_that_is_not_the_integer_0_or_1_is_a_parse_error(self, side):
+        text = json.dumps({"hyperplanes": ["h1"], "vertices": [{"h1": 0}, {"h1": side}]})
+        with pytest.raises(ParseError, match="must be 0 or 1"):
+            cc.load(text)
+
     def test_bytes_that_are_not_utf8_are_a_parse_error(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             cc.load(b'\xff{"a":1}')
@@ -110,19 +134,22 @@ class TestLoad:
 
 class TestMedianCheck:
     def assert_matches_reference(self, vertices, n_bits):
-        """Verdict and NotMedian witness agree with the triple search."""
+        """Building the complex raises Disconnected on a disconnected set, and
+        on any other set raises NotMedian, with a valid witness, exactly when
+        the triple search finds one.  Returns whether the set is median."""
         verts = frozenset(vertices)
         want = reference_median_witness(verts)
-        assert cc.median_closed(sorted(verts), n_bits) == (want is None)
-        cx = CubeComplex([f"h{i}" for i in range(n_bits)], verts, validate=False)
-        if want is None:
-            cx._check_median()
-            return True
-        with pytest.raises(NotMedian) as ei:
-            cx._check_median()
-        assert ei.value.witness == dict(zip(("u", "v", "w", "missing_median"),
-                                            map(cx.vertex_sides, want)))
-        return False
+        labels = [f"h{i}" for i in range(n_bits)]
+        if not is_connected(verts):
+            with pytest.raises(Disconnected):
+                CubeComplex(labels, verts)
+        elif want is None:
+            CubeComplex(labels, verts)
+        else:
+            with pytest.raises(NotMedian) as ei:
+                CubeComplex(labels, verts)
+            assert_valid_witness(verts, labels, ei.value.witness)
+        return want is None
 
     def test_every_subset_of_the_3_cube(self):
         verdicts = [self.assert_matches_reference([v for v in range(8) if s >> v & 1], 3)
@@ -149,11 +176,20 @@ class TestMedianCheck:
         assert min(verdicts.count(False), verdicts.count(True)) > 400
 
     def test_random_tree_400_builds_with_the_check(self):
-        edges = random_tree_edges(400)
-        assert len(edges) + 1 <= cc.EXHAUSTIVE_MEDIAN_CAP
-        t = cc.tree(edges)
-        assert len(t.vertices) == 400
-        assert cc.median_closed(sorted(t.vertices), len(t.hyperplanes))
+        for n in (400, 2000):
+            assert len(cc.tree(random_tree_edges(n)).vertices) == n
+
+    def test_generators_above_600_vertices_run_the_check(self, monkeypatch):
+        calls = []
+        check = cc.missing_square
+        monkeypatch.setattr(cc, "missing_square", lambda *a: calls.append(a) or check(*a))
+        g = cc.grid(12, 12, 12)
+        assert len(g.vertices) == 2197 and len(calls) == 1
+        hole = g.vertex_order[6 * 169 + 6 * 13 + 6]    # (6, 6, 6)
+        with pytest.raises(NotMedian) as ei:
+            CubeComplex(g.hyperplanes, g.vertices - {hole})
+        assert_valid_witness(g.vertices - {hole}, list(g.hyperplanes), ei.value.witness)
+        assert len(calls) == 2
 
     def test_random_tree_plus_one_vertex_is_not_median(self):
         # x lies two edges below a; flipping the edge above a puts x across it,
@@ -419,6 +455,16 @@ class TestGenerators:
                          if not any(c.dim == q.dim + 1 and c.contains_cube(q) for c in cubes))
             assert cx.maximal_cubes() == want
 
+    def test_bundled_fixtures_are_their_generators_dumped(self):
+        # the vertex order fixes the CLI's vertex indices
+        makers = {"square": lambda: cc.hypercube(2), "hypercube3": lambda: cc.hypercube(3),
+                  "book_of_squares2": lambda: cc.book_of_squares(2),
+                  "corner_complex": cc.corner_complex, "square_cube_book": cc.square_cube_book,
+                  "grid222": lambda: cc.grid(2, 2, 2), "long_rectangle": lambda: cc.grid(12, 1, 0)}
+        assert set(makers) == set(fixtures.NAMES)
+        for name, make in makers.items():
+            assert fixtures.fixture_text(name) == cc.dump(make()) + "\n", name
+
     def test_scale_cap(self):
         with pytest.raises(ScaleExceeded):
             cc.hypercube(20)
@@ -452,6 +498,11 @@ class TestPoints:
         {"vertex": 0, "coords": {"zz": 0.5}},
         {"vertex": 0, "coords": {"a1": "half"}},
         {"vertex": 0, "coords": {"a1": None}},
+        {},
+        {"vertex": True},
+        {"vertex": 0, "coords": [1, 2]},
+        {"vertex": 0, "coords": {"a1": 1.5}},
+        {"vertex": 0, "coords": {"a1": 0.5, "b1": 0.5}},   # a1 x b1 is no square
     ])
     def test_point_from_obj_rejects_bad_input(self, corner, obj):
         with pytest.raises(ParseError):

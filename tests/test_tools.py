@@ -1,5 +1,6 @@
-"""tools/answers.py compare on small hand-written dumps."""
+"""tools/answers.py: compare on small hand-written dumps, and its case sets."""
 
+import collections
 import importlib.util
 import json
 import pathlib
@@ -60,3 +61,10 @@ def test_wedge_cases_are_vertex_wedges_with_a_formula():
     assert cx.minimal_cube_pair(x, y) is None
     got = answers.wedge_answer(cx, x, v, y, p)
     assert abs(float(got["formula"]) - answers.geodesic(cx, x, y, p).length) <= 1e-8
+
+
+def test_validation_cases_are_the_nonempty_subsets_of_the_4_cube():
+    cases = list(answers.validation_cases())
+    assert len(cases) == len({name for name, _ in cases}) == 65_535
+    tally = collections.Counter(answers.validation_answer(v) for _, v in cases)
+    assert tally == {"ok": 2_873, "NotMedian": 34_420, "Disconnected": 28_242}

@@ -22,6 +22,13 @@ grid(2,2,2) that meet in exactly one vertex (one and four pairs), 40
 ``default_rng([79, i])`` draws of an interior point of each cube, at p in
 {1.5, 2, 3}.
 
+Last it builds a complex on the hyperplanes h1..h4 from each of the 65,535
+nonempty subsets of the 4-cube's vertices and writes the verdict: "ok",
+"Disconnected" or "NotMedian" (the type of the error raised), where a
+``NotMedian`` whose witness is not a missing median of three vertices is
+written as "NotMedian with an invalid witness".  The witness itself is not
+written, so the verdicts of two median checks can be compared.
+
 ``compare`` lists the cases whose answers differ (or that only one dump
 has) and exits 1 if there are any.  A change that claims to keep every
 answer runs ``dump`` in a checkout of its parent and in its own and
@@ -42,9 +49,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lpcube import complexes as cc
 from lpcube.analysis import sample_point
-from lpcube.complexes import Point, bit_indices, cube_intersection
+from lpcube.complexes import CubeComplex, Point, bit_indices, cube_intersection, median_of
 from lpcube.decomposition import canonical_decomposition, distance_formula
-from lpcube.errors import LpCubeError
+from lpcube.errors import LpCubeError, NotMedian
 from lpcube.solver import check_local_geodesic, geodesic
 
 SWEEP_PS = (1.01, 1.05, 1.5, 2.0, 3.0, 16.0, 32.0, 64.0)
@@ -110,12 +117,34 @@ def wedge_answer(cx, x, v, y, p) -> dict:
             "ratios": [repr(r) for r in dec.ratios], "formula": repr(formula)}
 
 
+def validation_cases():
+    """(name, vertex set) for every nonempty subset of the 4-cube's vertices."""
+    for s in range(1, 1 << 16):
+        yield f"Q4 subset {s:#06x}", frozenset(v for v in range(16) if s >> v & 1)
+
+
+def validation_answer(vertices) -> str:
+    labels = ["h1", "h2", "h3", "h4"]
+    try:
+        CubeComplex(labels, vertices)
+    except NotMedian as err:
+        u, v, w, m = (sum(s << labels.index(h) for h, s in err.witness[key].items())
+                      for key in ("u", "v", "w", "missing_median"))
+        if {u, v, w} <= vertices and m not in vertices and m == median_of(u, v, w):
+            return "NotMedian"
+        return "NotMedian with an invalid witness"
+    except LpCubeError as err:
+        return type(err).__name__
+    return "ok"
+
+
 def dump(out: str) -> int:
     answers = {name: answer(cx, x, y, p) for name, cx, x, y, p in cases()}
     answers.update((name, wedge_answer(*case)) for name, *case in wedge_cases())
+    answers.update((name, validation_answer(v)) for name, v in validation_cases())
     with open(out, "w") as f:
         json.dump(answers, f, indent=0)
-    errors = sum("error" in a for a in answers.values())
+    errors = sum(isinstance(a, dict) and "error" in a for a in answers.values())
     print(f"{len(answers)} cases, {errors} errors", file=sys.stderr)
     return 0
 
