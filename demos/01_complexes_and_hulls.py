@@ -28,7 +28,7 @@ print("y lives in", y.minimal_cube())
 print("common cube of x and y:", grid.minimal_cube_pair(x, y))
 
 print("\n=== hulls contain every geodesic between their defining points ===")
-hull = grid.median_hull([x, y])
+hull = grid.hull_restriction([x, y])
 print("hull of the two diagonal cubes:", hull, "(the whole grid)")
 
 print("\n=== splitting along a shared face ===")

@@ -100,16 +100,18 @@ def _check_constants(p: float, n_samples: int, *, r: float = None, R: float = No
         raise PreconditionViolated(f"R must be at least 2r = {2 * r}, got {R}")
 
 
-def _drive(complex: CubeComplex, name: str, sample: Callable, margin: Callable,
-           n_samples: int, c: dict, witness_keys: Sequence[str]) -> CheckReport:
+def _drive(complex: CubeComplex, name: str, sample: Callable, n_samples: int,
+           c: dict) -> CheckReport:
     """Run one suite and keep the first strictly worst sample as the witness.
 
     ``c`` is the report's constants_used, with "tol" and "seed".
-    ``sample(complex, rng, c)`` returns the named points and
-    ``margin(complex, c, **points)`` their margin, or for Busemann a (margin,
-    extra witness entries) pair.  The witness holds the suite name, the
-    constants named by ``witness_keys``, the sample index and the points.
+    ``sample(complex, rng, c)`` returns the named points, and the suite's
+    margin in ``_MARGINS``, ``margin(complex, c, **points)``, their margin or
+    for Busemann a (margin, extra witness entries) pair.  The witness holds
+    the suite name, the constants the margin reads, the sample index and the
+    points.
     """
+    margin, witness_keys = _MARGINS[name]
     violations, worst, witness = 0, math.inf, None
     for i in range(n_samples):
         points = sample(complex, _rng(c["seed"], i), c)
@@ -145,9 +147,8 @@ def midpoint_convexity_suite(complex: CubeComplex, p: float, n_samples: int,
                              seed: int, scale: float = 1.0) -> CheckReport:
     """d(mid(x,y), mid(x,y')) <= d(y,y')/2 on sampled triples."""
     _check_constants(p, n_samples)
-    return _drive(complex, "midpoint", _uniform_points("x", "y", "y2"), _midpoint_margin,
-                  n_samples, {"p": p, "tol": SUITE_TOL, "scale": scale, "seed": seed},
-                  ("p", "scale"))
+    return _drive(complex, "midpoint", _uniform_points("x", "y", "y2"), n_samples,
+                  {"p": p, "tol": SUITE_TOL, "scale": scale, "seed": seed})
 
 
 def _busemann_margin(complex: CubeComplex, c: dict, x: Point, y: Point, x2: Point,
@@ -172,10 +173,9 @@ def busemann_suite(complex: CubeComplex, p: float, n_samples: int, seed: int,
     """d(s1(t), s2(t)) <= (1-t) d(x,x') + t d(y,y') on sampled quadruples,
     at t = 0.1, 0.2, ..., 0.9."""
     _check_constants(p, n_samples)
-    return _drive(complex, "busemann", _uniform_points("x", "y", "x2", "y2"),
-                  _busemann_margin, n_samples,
+    return _drive(complex, "busemann", _uniform_points("x", "y", "x2", "y2"), n_samples,
                   {"p": p, "tol": SUITE_TOL, "scale": scale, "seed": seed,
-                   "t_values": [i / 10 for i in range(1, 10)]}, ("p", "scale"))
+                   "t_values": [i / 10 for i in range(1, 10)]})
 
 
 def _uniform_convexity_margin(complex: CubeComplex, c: dict, x: Point, y: Point,
@@ -199,10 +199,9 @@ def uniform_convexity_suite(complex: CubeComplex, p: float, k: Optional[float],
     if k is None:
         k = default_convexity_constant(p)
     _check_constants(p, n_samples, k=k)
-    return _drive(complex, "uniform_convexity", _uniform_points("x", "y", "z"),
-                  _uniform_convexity_margin, n_samples,
+    return _drive(complex, "uniform_convexity", _uniform_points("x", "y", "z"), n_samples,
                   {"p": p, "k": k, "q": max(p, 2.0), "tol": SUITE_TOL, "scale": scale,
-                   "seed": seed}, ("p", "k", "q", "scale"))
+                   "seed": seed})
 
 
 # -- smoothness / bolicity suites ----------------------------------------------
@@ -271,9 +270,8 @@ def uniform_smoothness_suite(complex: CubeComplex, p: float, C: Optional[float],
         C = default_smoothness_constant(p)
     if _diameter_lower_bound(complex, p) < R:
         raise InsufficientDiameter(f"complex cannot realize d(y,z) >= {R}")
-    return _drive(complex, "uniform_smoothness", _smoothness_sample, _smoothness_margin,
-                  n_samples, {"p": p, "C": C, "r": r, "R": R, "tol": SUITE_TOL, "seed": seed},
-                  ("p", "C", "r", "R"))
+    return _drive(complex, "uniform_smoothness", _smoothness_sample, n_samples,
+                  {"p": p, "C": C, "r": r, "R": R, "tol": SUITE_TOL, "seed": seed})
 
 
 def b1_witness_radius(delta: float, r: float, C: float) -> float:
@@ -315,9 +313,9 @@ def bolicity_b1_suite(complex: CubeComplex, p: float, delta: float, r: float,
     R = b1_witness_radius(delta, r, C)
     if _diameter_lower_bound(complex, p) < R:
         raise InsufficientDiameter(f"complex cannot realize the scale R = {R}")
-    return _drive(complex, "bolicity_b1", _b1_sample, _b1_margin, n_samples,
+    return _drive(complex, "bolicity_b1", _b1_sample, n_samples,
                   {"p": p, "delta": delta, "r": r, "R": R, "C": C, "tol": SUITE_TOL,
-                   "seed": seed}, ("p", "delta", "r", "R"))
+                   "seed": seed})
 
 
 def b2_threshold(k: float, C: float, p: float) -> float:
@@ -359,33 +357,41 @@ def bolicity_b2_suite(complex: CubeComplex, p: float, k: Optional[float],
     N = b2_threshold(k, C, max(p, 2.0))  # exponent of the convexity type in use
     if _diameter_lower_bound(complex, p) <= N:
         raise InsufficientDiameter(f"complex diameter does not exceed N = {N}")
-    return _drive(complex, "bolicity_b2", _b2_sample, _b2_margin, n_samples,
-                  {"p": p, "k": k, "C": C, "N": N, "tol": SUITE_TOL, "seed": seed},
-                  ("p", "k", "C", "N"))
+    return _drive(complex, "bolicity_b2", _b2_sample, n_samples,
+                  {"p": p, "k": k, "C": C, "N": N, "tol": SUITE_TOL, "seed": seed})
 
 
+# per suite: its margin and the constants that margin reads, which its witness keeps
 _MARGINS = {
-    "midpoint": _midpoint_margin,
-    "busemann": _busemann_margin,
-    "uniform_convexity": _uniform_convexity_margin,
-    "uniform_smoothness": _smoothness_margin,
-    "bolicity_b1": _b1_margin,
-    "bolicity_b2": _b2_margin,
+    "midpoint": (_midpoint_margin, ("p", "scale")),
+    "busemann": (_busemann_margin, ("p", "scale")),
+    "uniform_convexity": (_uniform_convexity_margin, ("p", "k", "q", "scale")),
+    "uniform_smoothness": (_smoothness_margin, ("p", "C", "r", "R")),
+    "bolicity_b1": (_b1_margin, ("p", "delta", "r", "R")),
+    "bolicity_b2": (_b2_margin, ("p", "k", "C", "N")),
 }
 
 
 def replay_witness(complex: CubeComplex, witness: dict) -> float:
-    """Recompute a witness's margin from its serialization, with the suite's margin."""
-    suite = witness["suite"]
-    if suite not in _MARGINS:
-        raise ValueError(f"unknown suite {suite!r}")
+    """Recompute a witness's margin from its serialization, with the suite's
+    margin; ParseError if the witness names no suite of ``_MARGINS`` or lacks
+    a constant or point that margin reads."""
+    suite = witness.get("suite")
+    if not isinstance(suite, str) or suite not in _MARGINS:
+        raise ParseError(f"witness names no known suite: {suite!r}")
+    margin, constants = _MARGINS[suite]
+    # a Busemann witness keeps the worst t, which the margin reads as t_values
+    constants += ("t",) if suite == "busemann" else ()
+    lacking = [key for key in constants if key not in witness]
+    if lacking:
+        raise ParseError(f"{suite} witness lacks the constants {', '.join(lacking)}")
     c = dict(witness, t_values=[witness["t"]]) if suite == "busemann" else witness
-    names = list(inspect.signature(_MARGINS[suite]).parameters)[2:]
+    names = list(inspect.signature(margin).parameters)[2:]
     lacking = [key for key in names if not isinstance(witness.get(key), dict)]
     if lacking:
         raise ParseError(f"{suite} witness lacks the points {', '.join(lacking)}")
     points = {key: point_from_obj(complex, witness[key]) for key in names}
-    value = _MARGINS[suite](complex, c, **points)
+    value = margin(complex, c, **points)
     return value[0] if isinstance(value, tuple) else value
 
 

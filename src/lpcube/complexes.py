@@ -362,11 +362,6 @@ class CubeComplex:
                 self.hyperplanes, self.convex_hull_vertices(seeds), validate=False)
         return hull
 
-    def median_hull(self, points: Sequence[Point]) -> "CubeComplex":
-        """Hull sub-complex containing the points' minimal cubes and all
-        geodesics between them; the same object as ``hull_restriction``."""
-        return self.hull_restriction(points)
-
     def split_hull(self, c1: CubeRef, c2: CubeRef) -> tuple[CubeRef, "SubComplex"]:
         """Split the hull of two intersecting cubes as (shared cube D) x Y."""
         if not (self.is_cube(c1) and self.is_cube(c2)):

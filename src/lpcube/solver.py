@@ -24,23 +24,21 @@ them, and the merge is kept only if a subgradient test at the merged break
 shows that pulling them apart cannot shorten the path; otherwise they are split
 along the descent direction the test yields.
 
-geodesic() searches the galleries for a certified path.  It takes them in
-order of the length of their start chain, except that a gallery G comes after
-all others when the list also holds G' = G with one cube E inserted between
+geodesic() searches the galleries for a certified path, in one fixed order:
+by the length of their start chain, except that a gallery G comes after all
+others when the list also holds G' = G with one cube E inserted between
 consecutive cubes C, C' where E contains C n C': a break on C n C' lies on
 C n E and on E n C', so every chain of G is a chain of G' of the same length,
 and G' is never longer.  Once a path is solved, a gallery whose face bound
 exceeds the shortest path solved so far is skipped; the bound is taken only
 then, so a search that certifies its first candidate measures no face.  Each
 other gallery is solved in full, from the breaks of a few Newton steps on its
-start chain.  A solved path that passes the zero-tension and no-shortcut
-conditions is a local geodesic, hence by Busemann convexity the geodesic, and
-ends the search.  A path that fails no-shortcut is shortened through its most
-violated corner cube, so the next gallery tried is the first one that
-contains that cube.  If no path certifies, ``_select`` takes the shortest
-converged one, and tied galleries must agree.  The complex remembers the
-last answer, so the same query again (as ``canonical_decomposition`` makes
-after a caller's own solve) returns a new path built from it.
+start chain.  A converged path that passes ``check_local_geodesic`` (zero
+tension and no shortcut) is a local geodesic, hence by Busemann convexity the
+geodesic, and ends the search.  If no path certifies, ``_select`` takes the
+shortest converged one, and tied galleries must agree.  The complex remembers
+the last answer, so the same query again (as a vertex-wedge decomposition
+makes after a caller's own solve) returns a new path built from it.
 
 The tolerances are fixed module constants, not options: a certified path is
 the geodesic whatever the solve's stopping rule, so no caller has a reason to
@@ -62,6 +60,7 @@ from .complexes import (
     Point,
     cube_intersection,
     point_from_ambient,
+    point_to_obj,
 )
 from .errors import (
     DisjointCubes,
@@ -154,37 +153,9 @@ class PiecewisePath:
             acc += s
         return self.breaks[-1]
 
-    def canonical(self) -> "PiecewisePath":
-        """Drop zero-length segments (coincident consecutive breaks); the path
-        itself, with its measured segments, if it has none."""
-        segs = self._lengths()
-        if all(s > MERGE_TOL for s in segs):
-            return self
-        pts = list(self.breaks)
-        keep = [pts[0]]
-        for i, s in enumerate(segs):
-            if s > MERGE_TOL:
-                keep.append(pts[i + 1])
-        if len(keep) == 1:
-            keep.append(pts[-1])
-        if keep[-1] != pts[-1]:
-            keep[-1] = pts[-1]
-        return PiecewisePath(self.complex, self.p, tuple(keep), self.gallery,
-                             self.converged)
-
     def to_obj(self) -> dict:
-        cx = self.complex
-        return {
-            "p": self.p,
-            "length": self.length,
-            "breaks": [
-                {
-                    "vertex": cx.vertex_index[b.base],
-                    "coords": {cx.hyperplanes[h]: t for h, t in b.coords},
-                }
-                for b in self.breaks
-            ],
-        }
+        return {"p": self.p, "length": self.length,
+                "breaks": [point_to_obj(self.complex, b) for b in self.breaks]}
 
 
 @dataclass
@@ -621,7 +592,7 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
 
     cubes, faces, chain, converged = solve(list(gallery.cubes), init)
     breaks = (x, *[point_from_ambient(vec, face) for vec, face in zip(chain[1:-1], faces)], y)
-    return PiecewisePath(complex, p, breaks, gallery, converged).canonical()
+    return PiecewisePath(complex, p, breaks, gallery, converged)
 
 
 # -- the geodesic -------------------------------------------------------------
@@ -696,10 +667,10 @@ def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath
     # the screen starts from the chain built for the ordering
     start = {g: _start_chain(xa, ya, g.cubes, n, None)[3][1:-1]
              for g in _undominated(galleries)}
-    untried = sorted(start, key=lambda g: (sum(_segments([xa, *start[g], ya], p)[0]), g.cubes))
+    order = sorted(start, key=lambda g: (sum(_segments([xa, *start[g], ya], p)[0]), g.cubes))
     # dominated galleries come last, for when no other path certifies: at
     # large p a dominator's chain solve can stall where theirs does not
-    untried += [g for g in galleries if g not in start]
+    order += [g for g in galleries if g not in start]
     # a gallery is pruned at its face bound once a path is solved; each face is
     # measured at most once, on first use.  lb0 never exceeds a solved length;
     # kept for bench/test_bench.py's geometry.lower_bound span
@@ -707,17 +678,9 @@ def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath
     dmax = max((q.dim for q in complex.maximal_cubes()), default=1)
     l1_factor = max(dmax, 1) ** (1.0 - 1.0 / p)
     face_bounds: dict[CubeRef, float] = {}
-    # a certified path ends the search; one that fails no-shortcut can be
-    # shortened through its most violated corner cube, which picks the next
-    # candidate (see the module docstring)
     results: list[PiecewisePath] = []
     upper = math.inf
-    corner = None
-    while untried:
-        g = untried[0]
-        if corner is not None:
-            g = next((h for h in untried if any(c.contains_cube(corner) for c in h.cubes)), g)
-        untried.remove(g)
+    for g in order:
         if upper < math.inf:
             faces = g.faces()
             for f in faces:
@@ -730,14 +693,9 @@ def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath
         path = optimize_breakpoints(complex, g, x, y, p, init=rough._points()[1:-1])
         results.append(path)
         upper = min(upper, path.length)
-        corner = None
-        if path.converged:
-            data = _interior_data(complex, path)
-            if max(_tension_residuals(path, data), default=0.0) <= RESIDUAL_TOL:
-                least, corner = min(_no_shortcut_margins(complex, path, data),
-                                    key=lambda m: m[0], default=(0.0, None))
-                if least >= -RESIDUAL_TOL:
-                    return path
+        # a local geodesic is the geodesic (see the module docstring)
+        if path.converged and check_local_geodesic(complex, path).all_ok:
+            return path
     return _select(results)
 
 
@@ -841,9 +799,8 @@ def _submask_norms(vec: Sequence[float], mask: int, p: float) -> dict[int, float
     return {s: lp_norm(a, p) for s, a in parts.items()}
 
 
-def _no_shortcut_margins(complex: CubeComplex, path: PiecewisePath,
-                         data) -> list[tuple[float, CubeRef]]:
-    """Least no-shortcut margin at each interior break, with its corner cube.
+def _no_shortcut_margins(complex: CubeComplex, path: PiecewisePath, data) -> list[float]:
+    """Least no-shortcut margin at each interior break.
 
     At a break whose previous/next minimal cubes C, C' share the cube D, the
     margin of a bipartition C = D x A1 x A2, C' = D x B1 x B2 is
@@ -859,17 +816,13 @@ def _no_shortcut_margins(complex: CubeComplex, path: PiecewisePath,
         eb = c_next.mask & ~d.mask
         nx = _submask_norms([s - t for s, t in zip(pts[i - 1], pts[i])], ea, p)
         ny = _submask_norms([s - t for s, t in zip(pts[i + 1], pts[i])], eb, p)
-        worst = (math.inf, d)
+        worst = math.inf
         for a2, na2 in nx.items():
             na1 = nx[ea & ~a2]
             for b1, nb1 in ny.items():
                 corner_mask = d.mask | b1 | a2
-                corner = CubeRef(d.corner & ~corner_mask, corner_mask)
-                if not complex.is_cube(corner):
-                    continue
-                margin = na1 * ny[eb & ~b1] - na2 * nb1
-                if margin < worst[0]:
-                    worst = (margin, corner)
+                if complex.is_cube(CubeRef(d.corner & ~corner_mask, corner_mask)):
+                    worst = min(worst, na1 * ny[eb & ~b1] - na2 * nb1)
         out.append(worst)
     return out
 
@@ -884,7 +837,7 @@ def check_no_shortcut(complex: CubeComplex, path: PiecewisePath,
     cube of the complex.
     """
     check_p(path.p, smooth=True)
-    margins = [m for m, _ in _no_shortcut_margins(complex, path, _interior_data(complex, path))]
+    margins = _no_shortcut_margins(complex, path, _interior_data(complex, path))
     return ConditionReport(no_shortcut_ok=tuple(m >= -tol for m in margins),
                            worst_residual=max([0.0] + [-m for m in margins]))
 
@@ -895,7 +848,7 @@ def check_local_geodesic(complex: CubeComplex, path: PiecewisePath,
     check_p(path.p, smooth=True)
     data = _interior_data(complex, path)
     res = _tension_residuals(path, data)
-    margins = [m for m, _ in _no_shortcut_margins(complex, path, data)]
+    margins = _no_shortcut_margins(complex, path, data)
     return ConditionReport(zero_tension_ok=tuple(r <= tol for r in res),
                            no_shortcut_ok=tuple(m >= -tol for m in margins),
                            worst_residual=max(max(res, default=0.0),

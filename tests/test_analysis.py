@@ -246,6 +246,33 @@ def test_replay_of_a_witness_without_a_point_is_a_parse_error(request, fixture, 
             an.replay_witness(cx, {k: v for k, v in witness.items() if k != key})
 
 
+@pytest.mark.parametrize("fixture, run, index, margin", REPLAY_CASES,
+                         ids=["midpoint", "busemann", "uniform_convexity",
+                              "uniform_smoothness", "bolicity_b1", "bolicity_b2"])
+def test_replay_of_a_witness_without_a_constant_is_a_parse_error(request, fixture, run,
+                                                                 index, margin):
+    cx = request.getfixturevalue(fixture)
+    witness = run(cx).witness
+    constants = [key for key, obj in witness.items()
+                 if key not in ("suite", "index") and not isinstance(obj, dict)]
+    assert "p" in constants
+    for key in constants:
+        with pytest.raises(ParseError, match=f"lacks the constants {key}$"):
+            an.replay_witness(cx, {k: v for k, v in witness.items() if k != key})
+
+
+def test_replay_of_a_witness_without_a_suite_is_a_parse_error(corner):
+    witness = an.midpoint_convexity_suite(corner, 2.0, 2, seed=9).witness
+    with pytest.raises(ParseError, match="no known suite: None"):
+        an.replay_witness(corner, {k: v for k, v in witness.items() if k != "suite"})
+
+
+def test_replay_of_a_witness_of_an_unknown_suite_is_a_parse_error(corner):
+    witness = an.midpoint_convexity_suite(corner, 2.0, 2, seed=9).witness
+    with pytest.raises(ParseError, match="no known suite: 'median'"):
+        an.replay_witness(corner, dict(witness, suite="median"))
+
+
 class TestPSweep:
     def test_constant_functional(self, scb):
         x, y = Point.make(0b0010), Point.make(0b1101)

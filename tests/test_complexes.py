@@ -286,17 +286,17 @@ class TestCubes:
 class TestHulls:
     def test_single_point(self, corner):
         p = Point.make(0, {0: 0.5, 1: 0.5})
-        hull = corner.median_hull([p])
+        hull = corner.hull_restriction([p])
         assert len(hull.vertices) == 4
 
     def test_square_from_corners(self, square):
-        hull = square.median_hull([Point.make(0), Point.make(3)])
+        hull = square.hull_restriction([Point.make(0), Point.make(3)])
         assert len(hull.vertices) == 4
 
     def test_diagonal_cubes_full_grid(self, grid222):
         x = Point.make(0, {0: 0.5, 2: 0.5, 4: 0.5})
         y = Point.make(0b010101, {1: 0.5, 3: 0.5, 5: 0.5})
-        hull = grid222.median_hull([x, y])
+        hull = grid222.hull_restriction([x, y])
         assert len(hull.vertices) == 27
 
     def test_against_interval_closure_oracle(self, corner, grid222, scb):
@@ -342,7 +342,6 @@ class TestHulls:
                 assert isinstance(hull, CubeComplex)
                 assert hull.hyperplanes == cx.hyperplanes
                 assert hull.vertices == cx.convex_hull_vertices(seeds)
-                assert cx.median_hull(pts) is hull
                 assert all(hull.is_cube(p.minimal_cube()) for p in pts)
 
     def test_hull_cache_key_is_the_corner_set_interval(self):

@@ -369,6 +369,42 @@ class TestGeodesic:
         assert len(path.gallery.cubes) == 2
         assert sv.check_local_geodesic(corner, path, tol=1e-8).all_ok
 
+    def test_solved_galleries_follow_the_fixed_order(self, solve_log):
+        # one order: the undominated galleries by start-chain length, then
+        # the dominated ones; no prune fires at these pairs and p, so the
+        # solved galleries are a prefix of it.  In grid(3,3,3) [78, 15] the
+        # first path fails no-shortcut, and the next one solved must be the
+        # second candidate, not the first gallery through the violated
+        # corner cube.  Fresh complexes, which remember no answer
+        grid333 = cc.grid(3, 3, 3)
+        rng = np.random.default_rng([78, 15])
+        pairs = [(grid333, sample_point(grid333, rng), sample_point(grid333, rng))]
+        rng = np.random.default_rng(17)
+        for cx in (cc.corner_complex(), cc.square_cube_book(), cc.grid(2, 2, 2)):
+            for _ in range(20):
+                x, y = sample_point(cx, rng), sample_point(cx, rng)
+                if (cx.minimal_cube_pair(x, y) is None
+                        and len(sv.enumerate_galleries(cx, x, y)) > 1):
+                    pairs.append((cx, x, y))
+        assert len(pairs) >= 15
+        several = 0
+        for cx, x, y in pairs:
+            galleries = sv.enumerate_galleries(cx, x, y)
+            dominated = {g for g, _ in brute_dominated(galleries)}
+            n = len(cx.hyperplanes)
+            xa, ya = x.ambient(n).tolist(), y.ambient(n).tolist()
+            for p in (1.5, 2.0, 3.0):
+                first = sorted((g.cubes for g in galleries if g.cubes not in dominated),
+                               key=lambda c: (sum(sv._segments(
+                                   sv._start_chain(xa, ya, c, n, None)[3], p)[0]), c))
+                order = first + [g.cubes for g in galleries if g.cubes in dominated]
+                solve_log.calls.clear()
+                sv.geodesic(cx, x, y, p)
+                solved = [g.cubes for kind, g in solve_log.calls if kind == "full"]
+                assert solved == order[:len(solved)], (x, y, p)
+                several += len(solved) > 1
+        assert several >= 3
+
     def test_full_solves_per_multi_gallery_geodesic(self, solve_log):
         # the candidate with the shortest start chain is mostly the one that
         # certifies; the ratio depends on the pairs (1.01 to 1.17 over 60
@@ -891,7 +927,7 @@ class TestUniquenessAndLocality:
         certified = {(x, y, p): sv.geodesic(cx, x, y, p).length for cx, x, y, p in self._pairs()}
         margins = sv._no_shortcut_margins
         monkeypatch.setattr(sv, "_no_shortcut_margins", lambda cx, path, data: [
-            (m - 1.0, c) for m, c in margins(cx, path, data)])
+            m - 1.0 for m in margins(cx, path, data)])
         solve_log.calls.clear()
         galleries = 0
         for cx, x, y, p in self._pairs():

@@ -31,6 +31,23 @@ def test_equal_dumps_exit_0(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "0 of 2 cases differ" in err
+    assert err.count(": 1 certified, 0 uncertified, 1 typed errors\n") == 2
+    assert "largest relative length change: 0\n" in err
+
+
+def test_summary_counts_each_dump_and_the_largest_length_change(tmp_path, capsys):
+    changed = json.loads(json.dumps(DUMP))
+    changed["grid222 [77, 0] p=2.0"].update(length="1.5", certified=False)
+    changed["grid222 [77, 1] p=64.0"] = {"length": "9.0", "breaks": [], "converged": True,
+                                          "certified": True, "worst_residual": "0.0"}
+    assert _compare(tmp_path, DUMP, changed) == 1
+    _, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert lines[0].endswith("a.json: 1 certified, 0 uncertified, 1 typed errors")
+    assert lines[1].endswith("b.json: 1 certified, 1 uncertified, 0 typed errors")
+    # relative to the larger length, between cases both dumps answer
+    assert lines[2] == "largest relative length change: 0.167 (grid222 [77, 0] p=2.0)"
+    assert lines[3] == "2 of 2 cases differ"
 
 
 def test_one_changed_field_exits_1_and_names_the_case(tmp_path, capsys):

@@ -30,14 +30,18 @@ written as "NotMedian with an invalid witness".  The witness itself is not
 written, so the verdicts of two median checks can be compared.
 
 ``compare`` lists the cases whose answers differ (or that only one dump
-has) and exits 1 if there are any.  A change that claims to keep every
-answer runs ``dump`` in a checkout of its parent and in its own and
-``compare``s the two; each dump solves with the ``src`` next to the script.
+has) on stdout and exits 1 if there are any.  On stderr it sums up each
+dump (certified, uncertified and typed-error answers) and the largest
+relative length change between cases that both dumps answer.  A change
+that claims to keep every answer runs ``dump`` in a checkout of its parent
+and in its own and ``compare``s the two; each dump solves with the ``src``
+next to the script.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
 import json
 import sys
@@ -149,6 +153,28 @@ def dump(out: str) -> int:
     return 0
 
 
+def tally(answers: dict) -> str:
+    """Certified, uncertified and typed-error answers of a dump."""
+    kinds = collections.Counter(
+        "typed errors" if "error" in a else "certified" if a["certified"] else "uncertified"
+        for a in answers.values() if isinstance(a, dict) and ("error" in a or "certified" in a))
+    return ", ".join(f"{kinds[k]} {k}" for k in ("certified", "uncertified", "typed errors"))
+
+
+def largest_length_change(left: dict, right: dict) -> tuple[float, str]:
+    """The largest relative length change between cases both dumps answer,
+    relative to the larger length, and its case ("" if none changed)."""
+    worst, where = 0.0, ""
+    for name in sorted(left.keys() & right.keys()):
+        a, b = left[name], right[name]
+        if isinstance(a, dict) and isinstance(b, dict) and "length" in a and "length" in b:
+            la, lb = float(a["length"]), float(b["length"])
+            change = abs(lb - la) / max(abs(la), abs(lb)) if la != lb else 0.0
+            if change > worst:
+                worst, where = change, name
+    return worst, where
+
+
 def compare(a: str, b: str) -> int:
     with open(a) as f:
         left = json.load(f)
@@ -157,6 +183,11 @@ def compare(a: str, b: str) -> int:
     differ = [name for name in {**left, **right} if left.get(name) != right.get(name)]
     for name in differ:
         print(f"{name}:\n  {left.get(name)}\n  {right.get(name)}")
+    for path, answers in ((a, left), (b, right)):
+        print(f"{path}: {tally(answers)}", file=sys.stderr)
+    change, where = largest_length_change(left, right)
+    print(f"largest relative length change: {change:.3g}" + (f" ({where})" if where else ""),
+          file=sys.stderr)
     print(f"{len(differ)} of {len(left.keys() | right.keys())} cases differ", file=sys.stderr)
     return 1 if differ else 0
 
