@@ -17,12 +17,14 @@ solved by Gaussian elimination.  The whole solve path, from the start chains
 to the certificate, runs on lists of floats and measures with ``lp_norm``, the
 one norm: a chain has a few breaks of a few coordinates, where numpy calls
 would cost more than the arithmetic.
-A backtracking search on the length projects every step into the face boxes,
-whose sides form the active set.  The length has a kink where two consecutive
-breaks coincide: breaks that coalesce are merged by dropping the cube between
-them, and the merge is kept only if a subgradient test at the merged break
-shows that pulling them apart cannot shorten the path; otherwise they are split
-along the descent direction the test yields.
+A coordinate on a side of its face box whose gradient points out is held
+there; a backtracking search projects every step into the face boxes and
+takes the first trial that shortens the path.  The length has a kink where
+two consecutive breaks coincide: the ends of a segment shorter than SHORT of
+the path are merged by dropping the cube between them, and the merge is kept
+only if a subgradient test at the merged break shows that pulling them apart
+cannot shorten the path; otherwise they are split along the descent direction
+the test yields.
 
 geodesic() searches the galleries for a certified path, in one fixed order:
 by the length of their start chain, except that a gallery G comes after all
@@ -72,7 +74,7 @@ from .errors import (
 from .geometry import check_p, distance_lower_bound, lp_norm
 
 GALLERY_CAP = 100_000       # galleries enumerated per pair before ScaleExceeded
-MERGE_TOL = 1e-12           # segments shorter than this are collapsed
+MERGE_TOL = 1e-12           # the split test's null-segment and box-side slack
 LENGTH_TOL = 1e-9           # length tolerance
 RESIDUAL_TOL = 1e-8         # local-condition residual tolerance
 UNIQUENESS_SUP = 1e-6       # sup-distance under which tied optima must agree
@@ -177,9 +179,12 @@ class ConditionReport:
 def enumerate_galleries(complex: CubeComplex, x: Point, y: Point) -> list[Gallery]:
     """All galleries between the minimal cubes of x and y, sorted.
 
-    Enumerates simple paths through the maximal cubes of the median hull,
-    pruning any step that would re-enter a dropped hyperplane; simple paths
-    from distinct start cubes are distinct, so none repeats.
+    Walks the maximal cubes of the median hull, pruning any step that would
+    re-enter a dropped hyperplane.  That rule alone keeps every walk simple:
+    a step between maximal cubes drops one of the first cube's hyperplanes
+    (if it dropped none, the first cube would lie inside the second), so no
+    cube can come back.  Simple walks from distinct start cubes are
+    distinct, so no gallery repeats.
     """
     complex.check_point(x)
     complex.check_point(y)
@@ -196,7 +201,7 @@ def enumerate_galleries(complex: CubeComplex, x: Point, y: Point) -> list[Galler
         inter[a] = [b for b in maximal if b != a and cube_intersection(a, b) is not None]
     out: list[tuple[CubeRef, ...]] = []
 
-    def extend(pathlist: list[CubeRef], dropped: int, visited: set[CubeRef]) -> None:
+    def extend(pathlist: list[CubeRef], dropped: int) -> None:
         cur = pathlist[-1]
         if cur in ends:
             out.append(tuple(pathlist))
@@ -204,16 +209,14 @@ def enumerate_galleries(complex: CubeComplex, x: Point, y: Point) -> list[Galler
                 raise ScaleExceeded(f"more than {GALLERY_CAP} galleries")
             return
         for nxt in inter[cur]:
-            if nxt in visited or nxt.mask & dropped:
+            if nxt.mask & dropped:
                 continue
             pathlist.append(nxt)
-            visited.add(nxt)
-            extend(pathlist, dropped | (cur.mask & ~nxt.mask), visited)
-            visited.remove(nxt)
+            extend(pathlist, dropped | (cur.mask & ~nxt.mask))
             pathlist.pop()
 
     for s in starts:
-        extend([s], 0, {s})
+        extend([s], 0)
     if not out:
         raise ScaleExceeded(
             f"no gallery found between {x} and {y}: starts={starts}, ends={sorted(ends)}")
@@ -225,9 +228,8 @@ def enumerate_galleries(complex: CubeComplex, x: Point, y: Point) -> list[Galler
 # -- per-gallery optimization -------------------------------------------------
 
 # Breaks are heading into a coincidence when a segment between them gets
-# shorter than SHORT of the path or a step shrinks it below COLLAPSE of itself.
+# shorter than SHORT of the path.
 SHORT = 1e-2
-COLLAPSE = 0.1
 NEWTON_CAP = 200    # Newton iterations per chain solve
 
 
@@ -254,30 +256,14 @@ def _phi(unit: list[float], p: float) -> list[float]:
     return unit if p == 2.0 else [math.copysign(abs(t) ** (p - 1.0), t) for t in unit]
 
 
-def _tension(pts: list[list[float]], axes: list[list[int]], nu: list[float],
-             unit: list[list[float]]) -> float:
-    """Worst zero-tension residual of the breaks, with the box bounds projected.
-
-    Per free coordinate (``axes[j]`` of break j) the residual is the jump of
-    displacement over length across the break; it has the sign of the length
-    gradient, so a coordinate on a face side counts only while the gradient
-    points back into the face.  Breaks next to a segment shorter than
-    MERGE_TOL are left to the merge step.
-    """
+def _tension(axes: list[list[int]], unit: list[list[float]]) -> float:
+    """Worst zero-tension residual of the breaks: per break j, the l2 norm of
+    the jump of displacement over length across it, on its free axes
+    ``axes[j]``."""
     worst = 0.0
-    for j, free in enumerate(axes):
-        if nu[j] < MERGE_TOL or nu[j + 1] < MERGE_TOL:
-            continue
-        z, before, after = pts[j + 1], unit[j], unit[j + 1]
-        acc = 0.0
-        for i in free:
-            t = before[i] - after[i]
-            if z[i] <= MERGE_TOL:
-                t = min(t, 0.0)
-            elif z[i] >= 1.0 - MERGE_TOL:
-                t = max(t, 0.0)
-            acc += t * t
-        worst = max(worst, math.sqrt(acc))
+    for free, before, after in zip(axes, unit, unit[1:]):
+        jumps = [before[i] - after[i] for i in free]
+        worst = max(worst, math.sqrt(sum([t * t for t in jumps])))
     return worst
 
 
@@ -333,17 +319,16 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
     on the length crawl for large p.  Where the tension step does not descend,
     a Levenberg-Marquardt step on the Hessian is taken instead, its damping
     grown by cut-back steps and shrunk by full ones.  Both systems are built
-    only on the moving free coordinates (those not held on a face side by the
-    active set) and solved by ``_eliminate``; a singular one counts as a
-    failed step.  A backtracking search on the length projects each step
-    into the face boxes; the box sides form the active set (a coordinate on
-    a side whose gradient points out stays).  The length has a kink where
-    consecutive breaks coincide.  A step that shrinks a segment below
-    COLLAPSE of its length is refused; if the segment is ``mergeable``, its
-    index is handed back instead, as it is once the segment is shorter than
-    SHORT of the path, so that the caller can try merging the breaks at its
-    ends.  The solve stops once the tension residual is below a tenth of
-    RESIDUAL_TOL.  Returns (converged, segment or None).
+    only on the moving free coordinates and solved by ``_eliminate``; a
+    singular one counts as a failed step.  A coordinate is held where it
+    sits on a side of its face box with the length gradient pointing out.
+    A backtracking search projects each step into the face boxes and takes
+    the first trial that shortens the path (or, where the length is flat to
+    rounding, lowers the tension).  The length has a kink where consecutive
+    breaks coincide: once a ``mergeable`` segment is shorter than SHORT of
+    the path, its index is handed back, so that the caller can try merging
+    the breaks at its ends.  The solve stops once the tension residual is
+    below a tenth of RESIDUAL_TOL.  Returns (converged, segment or None).
     """
     coords = [(j, i) for j, row in enumerate(axes) for i in row]
     if not coords:
@@ -356,7 +341,7 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
 
     nu, diffs = _segments(chain, p)
     unit = _units(nu, diffs)
-    res = _tension(chain, axes, nu, unit)
+    res = _tension(axes, unit)
     damp = 0.0
     for _ in range(max_iter):
         length = sum(nu)
@@ -368,10 +353,8 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
         v = [chain[j + 1][i] for j, i in coords]
         phi = [_phi(u, p) for u in unit]
         grad = [phi[j][i] - phi[j + 1][i] for j, i in coords]
-        eps = min(1e-6, max([abs(t - min(max(t - g, 0.0), 1.0)) for t, g in zip(v, grad)]))
-        low = [t <= eps and g > 0.0 for t, g in zip(v, grad)]
-        high = [t >= 1.0 - eps and g < 0.0 for t, g in zip(v, grad)]
-        moving = [c for c in range(len(coords)) if not (low[c] or high[c])]
+        moving = [c for c, (t, g) in enumerate(zip(v, grad))
+                  if not (t == 0.0 and g > 0.0 or t == 1.0 and g < 0.0)]
         rows = [coords[c] for c in moving]
         inv = [1.0 / a if a > 0.0 else 0.0 for a in nu]
 
@@ -400,26 +383,14 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
         step = [0.0] * len(coords)
         for c, t in zip(moving, s_in):
             step[c] = t
-        base = [0.0 if lo else 1.0 if hi else t for t, lo, hi in zip(v, low, high)]
         alpha = 1.0
         for _ in range(50):
-            trial = [min(max(b + alpha * t, 0.0), 1.0) for b, t in zip(base, step)]
-            put(trial)
+            put([min(max(a + alpha * t, 0.0), 1.0) for a, t in zip(v, step)])
             nu_t, diffs = _segments(chain, p)
-            shrunk = [a < COLLAPSE * b for a, b in zip(nu_t, nu)]
-            if any(shrunk):
-                hit = [s for s, (sh, m) in enumerate(zip(shrunk, mergeable)) if sh and m]
-                if hit:
-                    put(v)
-                    return False, hit[0]
-            else:
-                gain = length - sum(nu_t)
-                if gain > 0.0 and gain >= -1e-4 * sum([g * (t - a) for g, t, a
-                                                       in zip(grad, trial, v)]):
-                    break
-                if (abs(gain) <= 4e-16 * length
-                        and _tension(chain, axes, nu_t, _units(nu_t, diffs)) < res):
-                    break
+            gain = length - sum(nu_t)
+            if gain > 0.0 or (abs(gain) <= 4e-16 * length
+                              and _tension(axes, _units(nu_t, diffs)) < res):
+                break
             alpha *= 0.5
         else:
             put(v)
@@ -427,7 +398,7 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
         # a full step that was accepted earns trust; a cut-back step loses it
         damp = (0.0 if damp < 1e-3 else 0.25 * damp) if alpha == 1.0 else max(4.0 * damp, 1e-2)
         nu, unit = nu_t, _units(nu_t, diffs)
-        res = _tension(chain, axes, nu, unit)
+        res = _tension(axes, unit)
     return res <= gate, None
 
 
@@ -753,31 +724,32 @@ def distance(complex: CubeComplex, x: Point, y: Point, p: float) -> float:
 
 
 def _interior_data(complex: CubeComplex, path: PiecewisePath):
-    """Per interior break: (index, prev cube, next cube, shared cube D)."""
+    """Per interior break of the path's distinct consecutive breaks (a run of
+    equal breaks counts once): (index i of its run's first break, index j of
+    the next run's first break, prev cube, next cube, shared cube D).  Break
+    i - 1 ends the run before and break j - 1 ends this one, so segments
+    i - 1 and j - 1 are the break's two segments."""
     breaks = path.breaks
+    runs = [i for i in range(1, len(breaks)) if breaks[i] != breaks[i - 1]]
     out = []
-    for i in range(1, len(breaks) - 1):
+    for i, j in zip(runs, runs[1:]):
         c_prev = complex.minimal_cube_pair(breaks[i - 1], breaks[i])
-        c_next = complex.minimal_cube_pair(breaks[i], breaks[i + 1])
+        c_next = complex.minimal_cube_pair(breaks[i], breaks[j])
         if c_prev is None or c_next is None:
             raise NoCommonCube("path breaks do not share cubes")
-        d = cube_intersection(c_prev, c_next)
-        out.append((i, c_prev, c_next, d))
+        out.append((i, j, c_prev, c_next, cube_intersection(c_prev, c_next)))
     return out
 
 
 def _tension_residuals(path: PiecewisePath, data) -> list[float]:
-    """Zero-tension residual at each interior break (0 where it is vacuous)."""
+    """Zero-tension residual at each interior break (0 on a vertex D)."""
     pts = path._points()
     segs = path._lengths()
     out = []
-    for i, c_prev, c_next, d in data:
+    for i, j, c_prev, c_next, d in data:
         idx = [b for b in range(len(pts[i])) if d.mask >> b & 1]
-        if not idx or segs[i - 1] == 0.0 or segs[i] == 0.0:
-            out.append(0.0)
-            continue
         out.append(lp_norm([(pts[i - 1][b] - pts[i][b]) / segs[i - 1]
-                            + (pts[i + 1][b] - pts[i][b]) / segs[i] for b in idx], 2.0))
+                            + (pts[j][b] - pts[i][b]) / segs[j - 1] for b in idx], 2.0))
     return out
 
 
@@ -811,11 +783,11 @@ def _no_shortcut_margins(complex: CubeComplex, path: PiecewisePath, data) -> lis
     p = path.p
     pts = path._points()
     out = []
-    for i, c_prev, c_next, d in data:
+    for i, j, c_prev, c_next, d in data:
         ea = c_prev.mask & ~d.mask
         eb = c_next.mask & ~d.mask
         nx = _submask_norms([s - t for s, t in zip(pts[i - 1], pts[i])], ea, p)
-        ny = _submask_norms([s - t for s, t in zip(pts[i + 1], pts[i])], eb, p)
+        ny = _submask_norms([s - t for s, t in zip(pts[j], pts[i])], eb, p)
         worst = math.inf
         for a2, na2 in nx.items():
             na1 = nx[ea & ~a2]

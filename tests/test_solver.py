@@ -90,14 +90,18 @@ class TestEnumerateGalleries:
         assert len(gals) == 2
         assert sorted(len(g.cubes) for g in gals) == [2, 3]
 
-    def test_gallery_invariants(self, grid222):
+    def test_gallery_invariants(self, grid222, corner, scb):
         rng = np.random.default_rng(17)
-        for _ in range(10):
-            x = sample_point(grid222, rng)
-            y = sample_point(grid222, rng)
-            for g in sv.enumerate_galleries(grid222, x, y):
+        pairs = [(cx, sample_point(cx, rng), sample_point(cx, rng))
+                 for cx in (grid222, corner, scb) for _ in range(10)]
+        g333 = cc.grid(3, 3, 3)
+        pairs.append((g333, Point.make(0), Point.make(max(g333.vertices))))
+        for cx, x, y in pairs:
+            for g in sv.enumerate_galleries(cx, x, y):
                 assert g.cubes[0].contains_cube(x.minimal_cube())
                 assert g.cubes[-1].contains_cube(y.minimal_cube())
+                # the dropped-hyperplane rule alone keeps every walk simple
+                assert len(set(g.cubes)) == len(g.cubes)
                 seen_then_dropped = 0
                 prev = None
                 for q in g.cubes:
@@ -831,6 +835,24 @@ class TestNoShortcut:
                 assert rep.all_ok, (cx.hyperplanes, x, y, p, rep.worst_residual)
                 count += 1
         assert count >= 100
+
+    def test_a_repeated_break_counts_once(self):
+        # breaks repeated in a row leave null segments; the checks run on the
+        # distinct breaks, where this path, 9.2% longer than the geodesic,
+        # has a shortcut at vertex 75
+        g = cc.grid(3, 3, 3)
+        v75, mid = Point(75), Point(219, ((2, 0.5),))
+        ends = (Point(0), Point(1, ((3, 0.5), (6, 0.5))))
+        path = sv.PiecewisePath(g, 3.0, (*ends, v75, v75, v75, mid, mid, Point(511)))
+        distinct = sv.PiecewisePath(g, 3.0, (*ends, v75, mid, Point(511)))
+        assert path.length == pytest.approx(4.7257162806901185, rel=1e-15)
+        assert sv.distance(g, Point(0), Point(511), 3.0) < path.length / 1.09
+        rep = sv.check_local_geodesic(g, path)
+        assert not rep.all_ok
+        assert rep.worst_residual == pytest.approx(0.945, abs=1e-3)
+        assert rep == sv.check_local_geodesic(g, distinct)
+        assert sv.check_zero_tension(g, path) == sv.check_zero_tension(g, distinct)
+        assert sv.check_no_shortcut(g, path) == sv.check_no_shortcut(g, distinct)
 
 
 class TestUniquenessAndLocality:

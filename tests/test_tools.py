@@ -33,6 +33,8 @@ def test_equal_dumps_exit_0(tmp_path, capsys):
     assert "0 of 2 cases differ" in err
     assert err.count(": 1 certified, 0 uncertified, 1 typed errors\n") == 2
     assert "largest relative length change: 0\n" in err
+    assert err.splitlines()[4:] == ["verdict transitions: none",
+                                    "largest relative length change, both certified: 0"]
 
 
 def test_summary_counts_each_dump_and_the_largest_length_change(tmp_path, capsys):
@@ -60,6 +62,31 @@ def test_one_changed_field_exits_1_and_names_the_case(tmp_path, capsys):
     assert "1 of 2 cases differ" in err
 
 
+def test_summary_lists_verdict_transitions_and_the_certified_length_change(tmp_path, capsys):
+    left = {**json.loads(json.dumps(DUMP)),
+            "grid222 [77, 2] p=64.0": {"length": "2.0", "breaks": [], "converged": True,
+                                       "certified": True, "worst_residual": "0.0"},
+            "grid222 wedge [79, 0] p=2.0": {"error": "NoConvergence", "message": "m"},
+            "Q4 subset 0x0001": "ok"}
+    right = json.loads(json.dumps(left))
+    right["grid222 [77, 0] p=2.0"]["length"] = "1.2500000000000002"
+    right["grid222 [77, 1] p=64.0"] = {"length": "9.0", "breaks": [], "converged": True,
+                                        "certified": True, "worst_residual": "0.0"}
+    right["grid222 [77, 2] p=64.0"].update(length="1.0", certified=False)
+    right["grid222 wedge [79, 0] p=2.0"] = {"formula": "1.0"}
+    right["Q4 subset 0x0001"] = "NotMedian"
+    assert _compare(tmp_path, left, right) == 1
+    _, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert lines[2] == "largest relative length change: 0.5 (grid222 [77, 2] p=64.0)"
+    assert lines[3] == "5 of 5 cases differ"
+    # a wedge's factors and a Q4 verdict carry no solver verdict
+    assert lines[4:] == [
+        "verdict transitions:",
+        "  p=64.0: 1 certified -> uncertified, 1 typed errors -> certified",
+        "largest relative length change, both certified: 1.78e-16 (grid222 [77, 0] p=2.0)"]
+
+
 @pytest.mark.parametrize("extra_on_left", [True, False])
 def test_a_case_in_one_dump_only_differs(tmp_path, capsys, extra_on_left):
     more = {**DUMP, "grid333 corner to corner p=2.0": {"length": "3.4641016151377544"}}
@@ -78,6 +105,19 @@ def test_wedge_cases_are_vertex_wedges_with_a_formula():
     assert cx.minimal_cube_pair(x, y) is None
     got = answers.wedge_answer(cx, x, v, y, p)
     assert abs(float(got["formula"]) - answers.geodesic(cx, x, y, p).length) <= 1e-8
+
+
+def test_endpoint_cases_mix_vertices_cube_points_and_maximal_cube_points():
+    cases = [case for case in answers.cases() if "[91, " in case[0]]
+    assert len(cases) == len({name for name, *_ in cases}) == 4_200
+    kinds = collections.Counter()
+    for name, cx, x, y, p in cases:
+        if p == 2.0:
+            maximal = set(cx.maximal_cubes())
+            kinds.update("vertex" if not pt.coords else
+                         "maximal" if pt.minimal_cube() in maximal else "cube" for pt in (x, y))
+    # a third each by draw; a cube of all_cubes() may be a vertex or maximal
+    assert kinds == {"vertex": 1_017, "maximal": 711, "cube": 372}
 
 
 def test_validation_cases_are_the_nonempty_subsets_of_the_4_cube():

@@ -3,7 +3,7 @@
     python3 tools/answers.py dump OUT.json
     python3 tools/answers.py compare A.json B.json
 
-``dump`` runs ``geodesic`` on 8,123 cases and writes, per case, the length
+``dump`` runs ``geodesic`` on 12,323 cases and writes, per case, the length
 and break reprs, the converged flag and the ``check_local_geodesic`` verdict
 and worst residual, or the type and message of the domain error raised.
 The cases:
@@ -12,7 +12,10 @@ The cases:
   of corner_complex, square_cube_book, grid(2,2,2), grid(12,1,0) and
   hypercube(3), at p in {1.01, 1.05, 1.5, 2, 3, 16, 32, 64};
 - 60 ``default_rng([78, i])`` pairs on grid(3,3,3) at p in {2, 32};
-- corner to corner on grid(3,3,3) at p in {1.5, 2, 3}.
+- corner to corner on grid(3,3,3) at p in {1.5, 2, 3};
+- 150 ``default_rng([91, i])`` pairs on each of the seven bundled fixtures,
+  at p in {1.5, 2, 3, 16}, each endpoint (``endpoint``) a vertex, a point
+  of any cube or a point of a maximal cube, as CLI requests give them.
 
 It then runs ``geodesic``, ``canonical_decomposition`` and
 ``distance_formula``, in that order and on the same complex, on 600 vertex
@@ -32,7 +35,10 @@ written, so the verdicts of two median checks can be compared.
 ``compare`` lists the cases whose answers differ (or that only one dump
 has) on stdout and exits 1 if there are any.  On stderr it sums up each
 dump (certified, uncertified and typed-error answers) and the largest
-relative length change between cases that both dumps answer.  A change
+relative length change between cases that both dumps answer.  Then, per
+exponent, it counts the cases whose verdict (certified, uncertified, typed
+error) changes, by transition, and gives the largest relative length change
+between cases that both dumps certify.  A change
 that claims to keep every answer runs ``dump`` in a checkout of its parent
 and in its own and ``compare``s the two; each dump solves with the ``src``
 next to the script.
@@ -52,6 +58,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lpcube import complexes as cc
+from lpcube import fixtures
 from lpcube.analysis import sample_point
 from lpcube.complexes import CubeComplex, Point, bit_indices, cube_intersection, median_of
 from lpcube.decomposition import canonical_decomposition, distance_formula
@@ -81,6 +88,24 @@ def cases():
             yield f"grid333 [78, {i}] p={p}", cx, x, y, p
     for p in (1.5, 2.0, 3.0):
         yield f"grid333 corner to corner p={p}", cx, Point.make(0), Point.make(max(cx.vertices)), p
+    for name in fixtures.NAMES:
+        cx = fixtures.load_fixture(name)
+        for i in range(150):
+            rng = np.random.default_rng([91, i])
+            x, y = endpoint(cx, rng), endpoint(cx, rng)
+            for p in (1.5, 2.0, 3.0, 16.0):
+                yield f"{name} [91, {i}] p={p}", cx, x, y, p
+
+
+def endpoint(cx, rng) -> Point:
+    """A vertex, a point of a cube or a point of a maximal cube, each with
+    chance 1/3; a point's coordinates are drawn from [0.02, 0.98]."""
+    u = rng.random()
+    if u < 1 / 3:
+        return Point.make(cx.vertex_order[int(rng.integers(len(cx.vertex_order)))])
+    cubes = cx.all_cubes() if u < 2 / 3 else cx.maximal_cubes()
+    c = cubes[int(rng.integers(len(cubes)))]
+    return Point.make(c.corner, {h: float(rng.uniform(0.02, 0.98)) for h in bit_indices(c.mask)})
 
 
 def answer(cx, x, y, p) -> dict:
@@ -153,20 +178,46 @@ def dump(out: str) -> int:
     return 0
 
 
+def verdict(a) -> str | None:
+    """The verdict of a solver answer: "certified", "uncertified" or "typed
+    errors"; None for an answer without one (a Q4 verdict, a wedge's factors)."""
+    if not isinstance(a, dict):
+        return None
+    if "error" in a:
+        return "typed errors"
+    if "certified" in a:
+        return "certified" if a["certified"] else "uncertified"
+    return None
+
+
 def tally(answers: dict) -> str:
     """Certified, uncertified and typed-error answers of a dump."""
-    kinds = collections.Counter(
-        "typed errors" if "error" in a else "certified" if a["certified"] else "uncertified"
-        for a in answers.values() if isinstance(a, dict) and ("error" in a or "certified" in a))
+    kinds = collections.Counter(filter(None, map(verdict, answers.values())))
     return ", ".join(f"{kinds[k]} {k}" for k in ("certified", "uncertified", "typed errors"))
 
 
-def largest_length_change(left: dict, right: dict) -> tuple[float, str]:
-    """The largest relative length change between cases both dumps answer,
-    relative to the larger length, and its case ("" if none changed)."""
+def transitions(left: dict, right: dict) -> list[str]:
+    """Per exponent, the verdict changes between cases both dumps have, as
+    lines "p=16.0: 1 certified -> typed errors, ..." in order of p."""
+    moves: dict[float, collections.Counter] = collections.defaultdict(collections.Counter)
+    for name in left.keys() & right.keys():
+        a, b = verdict(left[name]), verdict(right[name])
+        if a is not None and b is not None and a != b:
+            moves[float(name.rsplit("p=", 1)[1])][f"{a} -> {b}"] += 1
+    return [f"p={p}: " + ", ".join(f"{k} {t}" for t, k in sorted(moves[p].items()))
+            for p in sorted(moves)]
+
+
+def largest_length_change(left: dict, right: dict,
+                          certified: bool = False) -> tuple[float, str]:
+    """The largest relative length change between cases both dumps answer
+    (with ``certified``, both certify), relative to the larger length, and
+    its case ("" if none changed)."""
     worst, where = 0.0, ""
     for name in sorted(left.keys() & right.keys()):
         a, b = left[name], right[name]
+        if certified and not verdict(a) == verdict(b) == "certified":
+            continue
         if isinstance(a, dict) and isinstance(b, dict) and "length" in a and "length" in b:
             la, lb = float(a["length"]), float(b["length"])
             change = abs(lb - la) / max(abs(la), abs(lb)) if la != lb else 0.0
@@ -189,6 +240,13 @@ def compare(a: str, b: str) -> int:
     print(f"largest relative length change: {change:.3g}" + (f" ({where})" if where else ""),
           file=sys.stderr)
     print(f"{len(differ)} of {len(left.keys() | right.keys())} cases differ", file=sys.stderr)
+    moves = transitions(left, right)
+    print("verdict transitions:" + ("" if moves else " none"), file=sys.stderr)
+    for line in moves:
+        print(f"  {line}", file=sys.stderr)
+    change, where = largest_length_change(left, right, certified=True)
+    print(f"largest relative length change, both certified: {change:.3g}"
+          + (f" ({where})" if where else ""), file=sys.stderr)
     return 1 if differ else 0
 
 
