@@ -220,6 +220,7 @@ class CubeComplex:
         self._solver_cache: dict = {}
         self._all_cubes: Optional[tuple[CubeRef, ...]] = None
         self._maximal_cubes: Optional[tuple[CubeRef, ...]] = None
+        self._dimension: Optional[int] = None
         if validate:
             self._validate()
 
@@ -312,6 +313,13 @@ class CubeComplex:
         if self._maximal_cubes is None:
             self.all_cubes()
         return self._maximal_cubes
+
+    @property
+    def dimension(self) -> int:
+        """The largest dimension of a cube, found on first use."""
+        if self._dimension is None:
+            self._dimension = max((q.dim for q in self.maximal_cubes()), default=1)
+        return self._dimension
 
     def minimal_cube_pair(self, x: Point, y: Point) -> Optional[CubeRef]:
         """Smallest cube containing both points, or None."""

@@ -37,10 +37,16 @@ def lp_norm(v: Iterable[float], p: PValue) -> float:
 
     The entries are scaled by the largest before the powers are summed (at
     p = 2 only where the squares could under- or overflow), and the sum is
-    correctly rounded (``math.fsum``).  An ndarray is read as a list.
+    correctly rounded (``math.fsum``).  An ndarray is read as a list.  p is
+    checked once here; the absolute values go to the kernel ``_lp_abs``, which
+    the solver's chain solve and polyline lengths call directly.
     """
     p = check_p(p)
-    a = list(map(abs, v.tolist() if isinstance(v, np.ndarray) else v))
+    return _lp_abs(list(map(abs, v.tolist() if isinstance(v, np.ndarray) else v)), p)
+
+
+def _lp_abs(a: list[float], p: float) -> float:
+    """``lp_norm``'s kernel: the norm of the absolute values ``a`` at a checked p."""
     m = max(a, default=0.0)
     if p == INF or not 0.0 < m < INF:
         # max drops a NaN unless it comes first; the sum keeps it
@@ -110,8 +116,7 @@ def distance_lower_bound(complex: CubeComplex, x: Point, y: Point, p: PValue) ->
     n = len(complex.hyperplanes)
     diff = np.abs(x.ambient(n) - y.ambient(n))
     lp = lp_norm(diff, p)
-    dmax = max((q.dim for q in complex.maximal_cubes()), default=1)
-    return max(lp, float(diff.sum()) / max(dmax, 1) ** (1.0 - 1.0 / p))
+    return max(lp, float(diff.sum()) / max(complex.dimension, 1) ** (1.0 - 1.0 / p))
 
 
 def box_clamp_distance(point_vec: Sequence[float], cube: CubeRef, n: int, p: PValue) -> float:

@@ -12,11 +12,19 @@ Per gallery, one projected Newton method moves all break points at once.  Its
 step solves the zero-tension equations, whose Jacobian is block-tridiagonal
 (each segment couples the two breaks at its ends); where that step does not
 shorten the path, a Levenberg-Marquardt step on the length Hessian is taken.
-Both systems are assembled only on the free break coordinates that move and
-solved by Gaussian elimination.  The whole solve path, from the start chains
-to the certificate, runs on lists of floats and measures with ``lp_norm``, the
-one norm: a chain has a few breaks of a few coordinates, where numpy calls
-would cost more than the arithmetic.
+Both systems are assembled from per-segment blocks, only on the free break
+coordinates that move, and solved by Gaussian elimination.  The whole solve
+path, from the start chains to the certificate, runs on lists of floats and
+measures with ``lp_norm``, the one norm: a chain has a few breaks of a few
+coordinates, where numpy calls would cost more than the arithmetic.  The
+coordinate rule of the chain solve: a segment is measured on its support, the
+free axes of the faces at its two ends and the fixed axes on which its ends
+differ.  Its displacement is an exact zero on every other axis, so every sum,
+max and fsum over the support equals the one over all n axes, and the chain
+solve shares ``lp_norm``'s arithmetic by calling its kernel directly.  A
+gallery's layout (faces, face boxes and free axes) is derived once per
+complex, as is the undominated part of each gallery list, and both are kept
+in the complex's solver cache.
 A coordinate on a side of its face box whose gradient points out is held
 there; a backtracking search projects every step into the face boxes and
 takes the first trial that shortens the path.  The length has a kink where
@@ -52,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +68,7 @@ from .complexes import (
     CubeComplex,
     CubeRef,
     Point,
+    bit_indices,
     cube_intersection,
     point_from_ambient,
     point_to_obj,
@@ -71,7 +80,7 @@ from .errors import (
     ScaleExceeded,
     UniquenessViolation,
 )
-from .geometry import check_p, distance_lower_bound, lp_norm
+from .geometry import _lp_abs, check_p, distance_lower_bound, lp_norm
 
 GALLERY_CAP = 100_000       # galleries enumerated per pair before ScaleExceeded
 MERGE_TOL = 1e-12           # the split test's null-segment and box-side slack
@@ -115,7 +124,7 @@ class PiecewisePath:
         """The ambient breaks as lists of floats."""
         if self._pts is None:
             n = len(self.complex.hyperplanes)
-            self._pts = [b.ambient(n).tolist() for b in self.breaks]
+            self._pts = [_ambient(b, n) for b in self.breaks]
         return self._pts
 
     def _lengths(self) -> list[float]:
@@ -235,15 +244,42 @@ NEWTON_CAP = 200    # Newton iterations per chain solve
 
 def _face_boxes(faces: Sequence[CubeRef], n: int) -> tuple[list[list[float]], list[list[int]]]:
     """Per face: its side on each fixed axis (0 on the free ones), and its free axes."""
-    return ([[float(f.corner >> i & 1) for i in range(n)] for f in faces],
+    return ([[(0.0, 1.0)[f.corner >> i & 1] for i in range(n)] for f in faces],
             [[i for i in range(n) if f.mask >> i & 1] for f in faces])
+
+
+def _layout(complex: CubeComplex, cubes: tuple[CubeRef, ...]
+            ) -> tuple[list[CubeRef], list[list[float]], list[list[int]]]:
+    """The faces of a cube sequence and their boxes (``_face_boxes``).
+
+    Derived once per complex and kept in its solver cache, next to the
+    gallery lists; the entry holds CubeRefs and lists, never the complex.
+    """
+    key = ("layout", cubes)
+    layout = complex._solver_cache.get(key)
+    if layout is None:
+        faces = _faces(cubes)
+        layout = complex._solver_cache[key] = (
+            faces, *_face_boxes(faces, len(complex.hyperplanes)))
+    return layout
+
+
+def _ambient(point: Point, n: int) -> list[float]:
+    """``point.ambient(n)`` as a list of floats."""
+    vec = [0.0] * n
+    for i in bit_indices(point.base):
+        vec[i] = 1.0
+    for h, t in point.coords:
+        vec[h] = float(t)
+    return vec
 
 
 def _segments(pts: Sequence[Sequence[float]], p: float) -> tuple[list[float], list[list[float]]]:
     """Lengths of the segments of a polyline given as lists of floats, and
     their displacements."""
+    p = check_p(p)
     diffs = [[t - s for s, t in zip(a, b)] for a, b in zip(pts, pts[1:])]
-    return [lp_norm(d, p) for d in diffs], diffs
+    return [_lp_abs(list(map(abs, d)), p) for d in diffs], diffs
 
 
 def _units(nus: list[float], diffs: list[list[float]]) -> list[list[float]]:
@@ -256,30 +292,62 @@ def _phi(unit: list[float], p: float) -> list[float]:
     return unit if p == 2.0 else [math.copysign(abs(t) ** (p - 1.0), t) for t in unit]
 
 
-def _tension(axes: list[list[int]], unit: list[list[float]]) -> float:
+def _supports(chain: list[list[float]], axes: list[list[int]]) -> list[list[int]]:
+    """Per segment of the chain, the axes it can move on: the free axes of
+    the breaks at its ends (``axes``; the chain's ends have none) and the
+    fixed axes on which its two ends differ.  On every other axis its
+    displacement is an exact zero for as long as only free axes move."""
+    k = len(axes)
+    out = []
+    for s, (a, b) in enumerate(zip(chain, chain[1:])):
+        free = set(axes[s - 1] if s else ()).union(axes[s] if s < k else ())
+        out.append(sorted(free.union([i for i, (t, u) in enumerate(zip(a, b)) if t != u])))
+    return out
+
+
+def _tension(jumps: list[list[tuple[int, int]]], unit: list[list[float]]) -> float:
     """Worst zero-tension residual of the breaks: per break j, the l2 norm of
-    the jump of displacement over length across it, on its free axes
-    ``axes[j]``."""
+    the jump of displacement over length across it, on its free axes, whose
+    places in the supports of segments j and j+1 are the pairs ``jumps[j]``."""
     worst = 0.0
-    for free, before, after in zip(axes, unit, unit[1:]):
-        jumps = [before[i] - after[i] for i in free]
-        worst = max(worst, math.sqrt(sum([t * t for t in jumps])))
+    for j, pairs in enumerate(jumps):
+        before, after = unit[j], unit[j + 1]
+        d = [before[a] - after[b] for a, b in pairs]
+        worst = max(worst, math.sqrt(sum([t * t for t in d])))
     return worst
 
 
-def _chain_matrix(rows: list[tuple[int, int]],
-                  entry: Callable[[int, int, int], float]) -> list[list[float]]:
-    """Matrix over the break coordinates ``rows`` (break, axis) from the
-    per-segment blocks ``entry(s, a, b)``.
+def _chain_system(ends: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]],
+                  unit: list[list[float]], phi: list[list[float]], inv: list[float],
+                  curv: Optional[list[list[float]]]) -> list[list[float]]:
+    """Matrix over the moving break coordinates from the per-segment blocks
+    (I - u g^T)/|d|_p, each row scaled by ``curv`` at its place if given.
 
-    Segment s runs from chain point s to s+1 and its block is the derivative
-    with respect to its end point; break j sits between segments j and j+1,
-    so its diagonal block is the sum of theirs, and it couples to break j+1
-    through minus the block of segment j+1.
+    ``ends[s]`` lists the (row, place in segment s's support) of the moving
+    coordinates at the start of segment s and at its end.  A segment's block
+    is the derivative with respect to its end point; a break's diagonal block
+    is the sum of its two segments' blocks (set by the segment that ends
+    there, then added to by the one that starts there), and the breaks at the
+    two ends of a segment couple through minus its block.
     """
-    return [[entry(j, a, b) + entry(j + 1, a, b) if k == j
-             else -entry(max(j, k), a, b) if abs(k - j) == 1 else 0.0
-             for k, b in rows] for j, a in rows]
+    m = sum([len(end) for _, end in ends])
+    out = [[0.0] * m for _ in range(m)]
+    for s, (start, end) in enumerate(ends):
+        u, g, w = unit[s], phi[s], inv[s]
+        c = None if curv is None else curv[s]
+        for r, a in end:
+            row, ua, ca = out[r], u[a], 1.0 if c is None else c[a]
+            for q, b in end:
+                row[q] = ca * (((1.0 if a == b else 0.0) - ua * g[b]) * w)
+            for q, b in start:
+                row[q] = -(ca * (((1.0 if a == b else 0.0) - ua * g[b]) * w))
+        for r, a in start:
+            row, ua, ca = out[r], u[a], 1.0 if c is None else c[a]
+            for q, b in start:
+                row[q] += ca * (((1.0 if a == b else 0.0) - ua * g[b]) * w)
+            for q, b in end:
+                row[q] = -(ca * (((1.0 if a == b else 0.0) - ua * g[b]) * w))
+    return out
 
 
 def _eliminate(a: list[list[float]], b: list[float]) -> Optional[list[float]]:
@@ -287,21 +355,27 @@ def _eliminate(a: list[list[float]], b: list[float]) -> Optional[list[float]]:
     overwriting ``a`` and ``b``; None if a pivot is zero (``a`` is singular)."""
     m = len(b)
     for c in range(m):
-        r = max(range(c, m), key=lambda i: abs(a[i][c]))
+        r, best = c, abs(a[c][c])
+        for i in range(c + 1, m):
+            t = abs(a[i][c])
+            if t > best:
+                r, best = i, t
         pivot = a[r][c]
         if pivot == 0.0:
             return None
         a[c], a[r], b[c], b[r] = a[r], a[c], b[r], b[c]
+        top, bc = a[c], b[c]
         for i in range(c + 1, m):
-            f = a[i][c] / pivot
+            row = a[i]
+            f = row[c] / pivot
             if f != 0.0:
-                row = a[i]
                 for cc in range(c + 1, m):
-                    row[cc] -= f * a[c][cc]
-                b[i] -= f * b[c]
+                    row[cc] -= f * top[cc]
+                b[i] -= f * bc
     x = [0.0] * m
     for c in range(m - 1, -1, -1):
-        x[c] = (b[c] - sum([a[c][cc] * x[cc] for cc in range(c + 1, m)])) / a[c][c]
+        row = a[c]
+        x[c] = (b[c] - sum([row[cc] * x[cc] for cc in range(c + 1, m)])) / row[c]
     return x
 
 
@@ -319,9 +393,12 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
     on the length crawl for large p.  Where the tension step does not descend,
     a Levenberg-Marquardt step on the Hessian is taken instead, its damping
     grown by cut-back steps and shrunk by full ones.  Both systems are built
-    only on the moving free coordinates and solved by ``_eliminate``; a
-    singular one counts as a failed step.  A coordinate is held where it
-    sits on a side of its face box with the length gradient pointing out.
+    only on the moving free coordinates (``_chain_system``) and solved by
+    ``_eliminate``; a singular one counts as a failed step.  Each segment is
+    measured on its support (``_supports``), with ``lp_norm``'s kernel: the
+    axes it leaves out hold exact zeros, so every sum and norm comes out as
+    on all n axes.  A coordinate is held where it sits on a side of its face
+    box with the length gradient pointing out.
     A backtracking search projects each step into the face boxes and takes
     the first trial that shortens the path (or, where the length is flat to
     rounding, lowers the tension).  The length has a kink where consecutive
@@ -334,14 +411,25 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
     if not coords:
         return True, None
     gate = RESIDUAL_TOL / 10
+    support = _supports(chain, axes)
+    # each break coordinate's break and places in the segments before and after it
+    places = [(j, support[j].index(i), support[j + 1].index(i)) for j, i in coords]
+    jumps = [[(a, b) for k, a, b in places if k == j] for j in range(len(axes))]
+    # (chain point, axis) of each break coordinate, and each segment's ends and support
+    cells = [(chain[j + 1], i) for j, i in coords]
+    segments = list(zip(chain, chain[1:], support))
 
     def put(values: list[float]) -> None:
-        for (j, i), t in zip(coords, values):
-            chain[j + 1][i] = t
+        for (row, i), t in zip(cells, values):
+            row[i] = t
 
-    nu, diffs = _segments(chain, p)
+    def measure() -> tuple[list[float], list[list[float]]]:
+        diffs = [[b[i] - a[i] for i in sup] for a, b, sup in segments]
+        return [_lp_abs(list(map(abs, d)), p) for d in diffs], diffs
+
+    nu, diffs = measure()
     unit = _units(nu, diffs)
-    res = _tension(axes, unit)
+    res = _tension(jumps, unit)
     damp = 0.0
     for _ in range(max_iter):
         length = sum(nu)
@@ -350,32 +438,33 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
             return False, short[0]
         if res <= gate:
             return True, None
-        v = [chain[j + 1][i] for j, i in coords]
+        v = [row[i] for row, i in cells]
         phi = [_phi(u, p) for u in unit]
-        grad = [phi[j][i] - phi[j + 1][i] for j, i in coords]
+        grad = [phi[j][a] - phi[j + 1][b] for j, a, b in places]
         moving = [c for c, (t, g) in enumerate(zip(v, grad))
                   if not (t == 0.0 and g > 0.0 or t == 1.0 and g < 0.0)]
-        rows = [coords[c] for c in moving]
         inv = [1.0 / a if a > 0.0 else 0.0 for a in nu]
-
-        def blk(s: int, a: int, b: int) -> float:
-            return ((1.0 if a == b else 0.0) - unit[s][a] * phi[s][b]) * inv[s]
-
+        ends: list[tuple[list, list]] = [([], []) for _ in nu]
+        for r, c in enumerate(moving):
+            j, a, b = places[c]
+            ends[j][1].append((r, a))
+            ends[j + 1][0].append((r, b))
         g_in = [grad[c] for c in moving]
         s_in = None
         if damp == 0.0:
-            s_in = _eliminate(_chain_matrix(rows, blk),
-                              [unit[j + 1][i] - unit[j][i] for j, i in rows])
+            s_in = _eliminate(_chain_system(ends, unit, phi, inv, None),
+                              [unit[j + 1][b] - unit[j][a]
+                               for j, a, b in [places[c] for c in moving]])
             if s_in is not None and not (all(map(math.isfinite, s_in))
                                          and sum([g * t for g, t in zip(g_in, s_in)]) < 0.0):
                 s_in = None
         if s_in is None:
             curv = [[(p - 1.0) * max(abs(t), 1e-12) ** (p - 2.0) for t in u] for u in unit]
-            hess = _chain_matrix(rows, lambda s, a, b: curv[s][a] * blk(s, a, b))
+            hess = _chain_system(ends, unit, phi, inv, curv)
             hess = [[0.5 * (h + hc) for h, hc in zip(row, col)]
                     for row, col in zip(hess, zip(*hess))]
-            scale = max([abs(hess[r][r]) for r in range(len(rows))] + [1e-12])
-            for r in range(len(rows)):
+            scale = max([abs(hess[r][r]) for r in range(len(moving))] + [1e-12])
+            for r in range(len(moving)):
                 hess[r][r] += (damp + 1e-12) * scale
             s_in = _eliminate(hess, [-g for g in g_in])
             if s_in is None:
@@ -386,10 +475,10 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
         alpha = 1.0
         for _ in range(50):
             put([min(max(a + alpha * t, 0.0), 1.0) for a, t in zip(v, step)])
-            nu_t, diffs = _segments(chain, p)
+            nu_t, diffs = measure()
             gain = length - sum(nu_t)
             if gain > 0.0 or (abs(gain) <= 4e-16 * length
-                              and _tension(axes, _units(nu_t, diffs)) < res):
+                              and _tension(jumps, _units(nu_t, diffs)) < res):
                 break
             alpha *= 0.5
         else:
@@ -398,17 +487,16 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
         # a full step that was accepted earns trust; a cut-back step loses it
         damp = (0.0 if damp < 1e-3 else 0.25 * damp) if alpha == 1.0 else max(4.0 * damp, 1e-2)
         nu, unit = nu_t, _units(nu_t, diffs)
-        res = _tension(axes, unit)
+        res = _tension(jumps, unit)
     return res <= gate, None
 
 
-def _start_chain(xa: list[float], ya: list[float], cubes: Sequence[CubeRef], n: int,
-                 init: Optional[Sequence[Sequence[float]]]
-                 ) -> tuple[list[CubeRef], list[list[float]], list[list[int]], list[list[float]]]:
-    """The faces of a cube sequence, their boxes (``_face_boxes``) and the
-    start chain x, breaks, y with the breaks (new lists) placed in the boxes."""
-    faces = _faces(cubes)
-    template, axes = _face_boxes(faces, n)
+def _start_chain(xa: list[float], ya: list[float],
+                 layout: tuple[list[CubeRef], list[list[float]], list[list[int]]],
+                 init: Optional[Sequence[Sequence[float]]]) -> list[list[float]]:
+    """The start chain x, breaks, y through a ``_layout``, with the breaks
+    (new lists) placed in the face boxes."""
+    faces, template, axes = layout
     k = len(faces)
     chain = [xa] + [side[:] for side in template] + [ya]
     if init is not None and len(init) == k:
@@ -416,7 +504,7 @@ def _start_chain(xa: list[float], ya: list[float], cubes: Sequence[CubeRef], n: 
         for row, free, v in zip(chain[1:], axes, init):
             for i in free:
                 row[i] = min(max(float(v[i]), 0.0), 1.0)
-        return faces, template, axes, chain
+        return chain
     # start on the straight ambient segment at the time it crosses the walls
     # each face fixes, a nudge off the sides so no segment starts on a kink;
     # exact for flat configurations
@@ -430,7 +518,7 @@ def _start_chain(xa: list[float], ya: list[float], cubes: Sequence[CubeRef], n: 
         lam = max(sum(times) / len(times) if times else (j + 1) / (k + 1), lam)
         for i in free:
             row[i] = min(max((1 - lam) * xa[i] + lam * ya[i], 1e-3), 1.0 - 1e-3)
-    return faces, template, axes, chain
+    return chain
 
 
 def _split_direction(chain: list[list[float]], m: int, face_a: Optional[CubeRef],
@@ -510,6 +598,50 @@ def _split(chain: list[list[float]], s: int, split, p: float) -> list[list[float
     return best
 
 
+def _solve(complex: CubeComplex, cubes: tuple[CubeRef, ...],
+           seed: Optional[Sequence[Sequence[float]]], xa: list[float], ya: list[float],
+           p: float, max_sweeps: Optional[int]
+           ) -> tuple[tuple[CubeRef, ...], list[CubeRef], list[list[float]], bool]:
+    """The chain solve of ``optimize_breakpoints`` through ``cubes`` from the
+    start chain at ``seed``, with coalescing breaks merged where that does not
+    lengthen the path: (the cubes kept, their faces, the chain, converged)."""
+    layout = faces, template, axes = _layout(complex, cubes)
+    chain = _start_chain(xa, ya, layout, seed)
+    k = len(faces)
+    # interior breaks can always be pinned together; an end segment only
+    # collapses if its endpoint lies on the adjacent face
+    mergeable = [max_sweeps is None and k > 0] * (k + 1)
+    for s, end in ((0, xa), (k, ya)):
+        j = min(s, k - 1)
+        if k and any(end[i] != side for i, side in enumerate(template[j])
+                     if not faces[j].mask >> i & 1):
+            mergeable[s] = False
+    while True:
+        converged, s = _newton_chain(chain, axes, p,
+                                     NEWTON_CAP if max_sweeps is None else max_sweeps,
+                                     mergeable)
+        if s is None:
+            return cubes, faces, chain, converged
+        # the ends of segment s are coalescing: solve with cube s dropped,
+        # which pins them together on their shared face, and keep that
+        # unless pulling them apart shortens the path
+        pts = chain[1:-1]
+        drop = min(s, k - 1)
+        merged = _solve(complex, cubes[:s] + cubes[s + 1:], pts[:drop] + pts[drop + 1:],
+                        xa, ya, p, max_sweeps)
+        # place every break of this gallery on the merged path: break i
+        # sits where the path leaves the last kept cube up to cube i
+        kept = list(itertools.accumulate((c in merged[0] for c in cubes), initial=0))
+        full = [merged[2][i][:] for i in kept]
+        m = kept[min(s, k - 1) + 1]
+        split = _split_direction(merged[2], m, faces[s - 1] if s > 0 else None,
+                                 faces[s] if s < k else None, p)
+        if split is None:
+            return merged
+        mergeable[s] = False
+        chain = _split(full, s, split, p)
+
+
 def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Point,
                          p: float, *, max_sweeps: Optional[int] = None,
                          init: Optional[Sequence[Sequence[float]]] = None) -> PiecewisePath:
@@ -524,44 +656,9 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
     """
     p = check_p(p, smooth=True)
     n = len(complex.hyperplanes)
-    xa, ya = x.ambient(n).tolist(), y.ambient(n).tolist()
-
-    def solve(cubes: list[CubeRef], seed):
-        faces, template, axes, chain = _start_chain(xa, ya, cubes, n, seed)
-        k = len(faces)
-        # interior breaks can always be pinned together; an end segment only
-        # collapses if its endpoint lies on the adjacent face
-        mergeable = [max_sweeps is None and k > 0] * (k + 1)
-        for s, end in ((0, xa), (k, ya)):
-            j = min(s, k - 1)
-            if k and any(end[i] != side for i, side in enumerate(template[j])
-                         if not faces[j].mask >> i & 1):
-                mergeable[s] = False
-        while True:
-            converged, s = _newton_chain(chain, axes, p,
-                                         NEWTON_CAP if max_sweeps is None else max_sweeps,
-                                         mergeable)
-            if s is None:
-                return cubes, faces, chain, converged
-            # the ends of segment s are coalescing: solve with cube s dropped,
-            # which pins them together on their shared face, and keep that
-            # unless pulling them apart shortens the path
-            pts = chain[1:-1]
-            drop = min(s, k - 1)
-            merged = solve(cubes[:s] + cubes[s + 1:], pts[:drop] + pts[drop + 1:])
-            # place every break of this gallery on the merged path: break i
-            # sits where the path leaves the last kept cube up to cube i
-            kept = list(itertools.accumulate((c in merged[0] for c in cubes), initial=0))
-            full = [merged[2][i][:] for i in kept]
-            m = kept[min(s, k - 1) + 1]
-            split = _split_direction(merged[2], m, faces[s - 1] if s > 0 else None,
-                                     faces[s] if s < k else None, p)
-            if split is None:
-                return merged
-            mergeable[s] = False
-            chain = _split(full, s, split, p)
-
-    cubes, faces, chain, converged = solve(list(gallery.cubes), init)
+    xa, ya = _ambient(x, n), _ambient(y, n)
+    _, faces, chain, converged = _solve(complex, tuple(gallery.cubes), init, xa, ya, p,
+                                        max_sweeps)
     breaks = (x, *[point_from_ambient(vec, face) for vec, face in zip(chain[1:-1], faces)], y)
     return PiecewisePath(complex, p, breaks, gallery, converged)
 
@@ -633,11 +730,15 @@ def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath
     galleries = enumerate_galleries(complex, x, y)
     if len(galleries) == 1:
         return _select([optimize_breakpoints(complex, galleries[0], x, y, p)])
+    key = ("undominated", x.minimal_cube(), y.minimal_cube())
+    undominated = complex._solver_cache.get(key)
+    if undominated is None:
+        undominated = complex._solver_cache[key] = _undominated(galleries)
     n = len(complex.hyperplanes)
-    xa, ya = x.ambient(n).tolist(), y.ambient(n).tolist()
+    xa, ya = _ambient(x, n), _ambient(y, n)
     # the screen starts from the chain built for the ordering
-    start = {g: _start_chain(xa, ya, g.cubes, n, None)[3][1:-1]
-             for g in _undominated(galleries)}
+    start = {g: _start_chain(xa, ya, _layout(complex, g.cubes), None)[1:-1]
+             for g in undominated}
     order = sorted(start, key=lambda g: (sum(_segments([xa, *start[g], ya], p)[0]), g.cubes))
     # dominated galleries come last, for when no other path certifies: at
     # large p a dominator's chain solve can stall where theirs does not
@@ -646,14 +747,13 @@ def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath
     # measured at most once, on first use.  lb0 never exceeds a solved length;
     # kept for bench/test_bench.py's geometry.lower_bound span
     lb0 = distance_lower_bound(complex, x, y, p)
-    dmax = max((q.dim for q in complex.maximal_cubes()), default=1)
-    l1_factor = max(dmax, 1) ** (1.0 - 1.0 / p)
+    l1_factor = max(complex.dimension, 1) ** (1.0 - 1.0 / p)
     face_bounds: dict[CubeRef, float] = {}
     results: list[PiecewisePath] = []
     upper = math.inf
     for g in order:
         if upper < math.inf:
-            faces = g.faces()
+            faces = _layout(complex, g.cubes)[0]
             for f in faces:
                 if f not in face_bounds:
                     face_bounds[f] = _face_bound(f, xa, ya, p, l1_factor)

@@ -9,7 +9,7 @@ from lpcube import fixtures
 from lpcube.analysis import sample_point
 from lpcube.complexes import CubeComplex, CubeRef, Point, cube_intersection, median_of
 from lpcube.errors import Disconnected, NotMedian, ParseError, ScaleExceeded
-from lpcube.geometry import lp_norm
+from lpcube.geometry import distance_lower_bound, lp_norm
 
 
 def reference_median_witness(vertices):
@@ -281,6 +281,16 @@ class TestCubes:
         for q in grid222.all_cubes():
             for corner_v in q.corners():
                 assert corner_v in grid222.vertices
+
+    def test_dimension_is_found_once(self, monkeypatch):
+        # the largest maximal cube; the lower bound reads it without a rescan
+        for cx, dim in ((cc.corner_complex(), 2), (cc.square_cube_book(), 3),
+                        (cc.grid(6, 6, 0), 2), (cc.hypercube(4), 4)):
+            assert cx.dimension == dim == max(q.dim for q in cx.maximal_cubes())
+            monkeypatch.setattr(CubeComplex, "maximal_cubes", lambda self: pytest.fail())
+            assert cx.dimension == dim
+            assert distance_lower_bound(cx, Point.make(0), Point.make(max(cx.vertices)), 2.0) > 0
+            monkeypatch.undo()
 
 
 class TestHulls:

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lpcube.complexes import CubeRef, Point
 from lpcube.errors import (DisjointCubes, LpCubeError, NoCommonCube, NoConvergence,
                            ScaleExceeded, UniquenessViolation)
 from lpcube.geometry import box_clamp_distance
+from lpcube.solver import RESIDUAL_TOL, SHORT, _phi, _segments, _units
 
 from conftest import build_wedge_instance
 
@@ -57,6 +59,157 @@ def brute_dominated(galleries):
                         and b[j].contains_cube(cc.cube_intersection(a[j - 1], a[j]))):
                     out.append((a, b))
     return out
+
+
+# -- the dense reference kernel ------------------------------------------------
+# A dense chain solve: every block entry through a closure, every segment
+# measured on all n axes.  The solver's support kernel must reproduce it
+# float for float.
+
+def _tension(axes: list[list[int]], unit: list[list[float]]) -> float:
+    """Worst zero-tension residual of the breaks: per break j, the l2 norm of
+    the jump of displacement over length across it, on its free axes
+    ``axes[j]``."""
+    worst = 0.0
+    for free, before, after in zip(axes, unit, unit[1:]):
+        jumps = [before[i] - after[i] for i in free]
+        worst = max(worst, math.sqrt(sum([t * t for t in jumps])))
+    return worst
+
+
+def _chain_matrix(rows: list[tuple[int, int]],
+                  entry: Callable[[int, int, int], float]) -> list[list[float]]:
+    """Matrix over the break coordinates ``rows`` (break, axis) from the
+    per-segment blocks ``entry(s, a, b)``.
+
+    Segment s runs from chain point s to s+1 and its block is the derivative
+    with respect to its end point; break j sits between segments j and j+1,
+    so its diagonal block is the sum of theirs, and it couples to break j+1
+    through minus the block of segment j+1.
+    """
+    return [[entry(j, a, b) + entry(j + 1, a, b) if k == j
+             else -entry(max(j, k), a, b) if abs(k - j) == 1 else 0.0
+             for k, b in rows] for j, a in rows]
+
+
+def _eliminate(a: list[list[float]], b: list[float]) -> Optional[list[float]]:
+    """Solution x of a x = b by Gaussian elimination with partial pivoting,
+    overwriting ``a`` and ``b``; None if a pivot is zero (``a`` is singular)."""
+    m = len(b)
+    for c in range(m):
+        r = max(range(c, m), key=lambda i: abs(a[i][c]))
+        pivot = a[r][c]
+        if pivot == 0.0:
+            return None
+        a[c], a[r], b[c], b[r] = a[r], a[c], b[r], b[c]
+        for i in range(c + 1, m):
+            f = a[i][c] / pivot
+            if f != 0.0:
+                row = a[i]
+                for cc in range(c + 1, m):
+                    row[cc] -= f * a[c][cc]
+                b[i] -= f * b[c]
+    x = [0.0] * m
+    for c in range(m - 1, -1, -1):
+        x[c] = (b[c] - sum([a[c][cc] * x[cc] for cc in range(c + 1, m)])) / a[c][c]
+    return x
+
+
+def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max_iter: int,
+                  mergeable: list[bool]) -> tuple[bool, Optional[int]]:
+    """Projected Newton on the free break coordinates of ``chain`` (in place);
+    break j moves on the axes ``axes[j]``.
+
+    Stationarity of the length is zero tension: at each break the segment
+    directions u = d/|d|_p agree on the face's free coordinates (the length
+    gradient s |u|^(p-1) is a monotone function of u).  The step is Newton's
+    for that system, whose Jacobian has the well-conditioned segment blocks
+    (I - u g^T)/|d|_p with g = s |u|^(p-1); the length Hessian has the same
+    blocks scaled by (p-1) |u|^(p-2), which is what makes a plain Newton step
+    on the length crawl for large p.  Where the tension step does not descend,
+    a Levenberg-Marquardt step on the Hessian is taken instead, its damping
+    grown by cut-back steps and shrunk by full ones.  Both systems are built
+    only on the moving free coordinates and solved by ``_eliminate``; a
+    singular one counts as a failed step.  A coordinate is held where it
+    sits on a side of its face box with the length gradient pointing out.
+    A backtracking search projects each step into the face boxes and takes
+    the first trial that shortens the path (or, where the length is flat to
+    rounding, lowers the tension).  The length has a kink where consecutive
+    breaks coincide: once a ``mergeable`` segment is shorter than SHORT of
+    the path, its index is handed back, so that the caller can try merging
+    the breaks at its ends.  The solve stops once the tension residual is
+    below a tenth of RESIDUAL_TOL.  Returns (converged, segment or None).
+    """
+    coords = [(j, i) for j, row in enumerate(axes) for i in row]
+    if not coords:
+        return True, None
+    gate = RESIDUAL_TOL / 10
+
+    def put(values: list[float]) -> None:
+        for (j, i), t in zip(coords, values):
+            chain[j + 1][i] = t
+
+    nu, diffs = _segments(chain, p)
+    unit = _units(nu, diffs)
+    res = _tension(axes, unit)
+    damp = 0.0
+    for _ in range(max_iter):
+        length = sum(nu)
+        short = [s for s, (a, m) in enumerate(zip(nu, mergeable)) if m and a < SHORT * length]
+        if short:
+            return False, short[0]
+        if res <= gate:
+            return True, None
+        v = [chain[j + 1][i] for j, i in coords]
+        phi = [_phi(u, p) for u in unit]
+        grad = [phi[j][i] - phi[j + 1][i] for j, i in coords]
+        moving = [c for c, (t, g) in enumerate(zip(v, grad))
+                  if not (t == 0.0 and g > 0.0 or t == 1.0 and g < 0.0)]
+        rows = [coords[c] for c in moving]
+        inv = [1.0 / a if a > 0.0 else 0.0 for a in nu]
+
+        def blk(s: int, a: int, b: int) -> float:
+            return ((1.0 if a == b else 0.0) - unit[s][a] * phi[s][b]) * inv[s]
+
+        g_in = [grad[c] for c in moving]
+        s_in = None
+        if damp == 0.0:
+            s_in = _eliminate(_chain_matrix(rows, blk),
+                              [unit[j + 1][i] - unit[j][i] for j, i in rows])
+            if s_in is not None and not (all(map(math.isfinite, s_in))
+                                         and sum([g * t for g, t in zip(g_in, s_in)]) < 0.0):
+                s_in = None
+        if s_in is None:
+            curv = [[(p - 1.0) * max(abs(t), 1e-12) ** (p - 2.0) for t in u] for u in unit]
+            hess = _chain_matrix(rows, lambda s, a, b: curv[s][a] * blk(s, a, b))
+            hess = [[0.5 * (h + hc) for h, hc in zip(row, col)]
+                    for row, col in zip(hess, zip(*hess))]
+            scale = max([abs(hess[r][r]) for r in range(len(rows))] + [1e-12])
+            for r in range(len(rows)):
+                hess[r][r] += (damp + 1e-12) * scale
+            s_in = _eliminate(hess, [-g for g in g_in])
+            if s_in is None:
+                s_in = [-g / scale for g in g_in]
+        step = [0.0] * len(coords)
+        for c, t in zip(moving, s_in):
+            step[c] = t
+        alpha = 1.0
+        for _ in range(50):
+            put([min(max(a + alpha * t, 0.0), 1.0) for a, t in zip(v, step)])
+            nu_t, diffs = _segments(chain, p)
+            gain = length - sum(nu_t)
+            if gain > 0.0 or (abs(gain) <= 4e-16 * length
+                              and _tension(axes, _units(nu_t, diffs)) < res):
+                break
+            alpha *= 0.5
+        else:
+            put(v)
+            return res <= RESIDUAL_TOL, None
+        # a full step that was accepted earns trust; a cut-back step loses it
+        damp = (0.0 if damp < 1e-3 else 0.25 * damp) if alpha == 1.0 else max(4.0 * damp, 1e-2)
+        nu, unit = nu_t, _units(nu_t, diffs)
+        res = _tension(axes, unit)
+    return res <= gate, None
 
 
 class TestEnumerateGalleries:
@@ -196,7 +349,65 @@ class TestOptimizeBreakpoints:
         assert abs(z - 1 / (1 + math.sqrt(2))) < 1e-12
 
 
+def null_segment_chain(grid222):
+    """The chain and axes of ``test_null_segment``: the pinned COALESCE
+    optimum with break 2 doubled (segment 2 null) and break 1 moved to the
+    middle of its face."""
+    cubes = COALESCE_CUBES
+    pinned = sv.optimize_breakpoints(grid222, sv.Gallery(cubes[:2] + cubes[3:]),
+                                     COALESCE_X, COALESCE_Y, 1.5)
+    _, axes = sv._face_boxes(sv.Gallery(cubes).faces(), 6)
+    pts = pinned.ambient_breaks().tolist()
+    chain = [pts[0], pts[1], pts[2], pts[2][:], pts[3]]
+    for i in axes[0]:
+        chain[1][i] = 0.5
+    return chain, axes
+
+
+def recorded_chain_solves(monkeypatch):
+    """The inputs (chain, axes, p, max_iter, mergeable) of every chain solve
+    that geodesics on four complexes at five exponents make."""
+    calls = []
+    solve = sv._newton_chain
+
+    def recording(chain, axes, p, max_iter, mergeable):
+        calls.append(([row[:] for row in chain], axes, p, max_iter, mergeable[:]))
+        return solve(chain, axes, p, max_iter, mergeable)
+
+    monkeypatch.setattr(sv, "_newton_chain", recording)
+    for cx in (cc.grid(2, 2, 2), cc.corner_complex(), cc.square_cube_book(), cc.grid(12, 1, 0)):
+        for i in range(16):
+            rng = np.random.default_rng([93, i])
+            x, y = sample_point(cx, rng), sample_point(cx, rng)
+            for p in (1.5, 2.0, 3.0, 16.0, 64.0):
+                try:
+                    sv.geodesic(cx, x, y, p)
+                except LpCubeError:
+                    pass
+    monkeypatch.undo()
+    return calls
+
+
 class TestNewtonChain:
+    def test_support_kernel_matches_the_dense_reference(self, grid222, monkeypatch):
+        # every segment measured on its support, every system built from
+        # per-segment blocks, and still the dense kernel's chain to the bit
+        calls = recorded_chain_solves(monkeypatch)
+        assert len(calls) >= 300
+        chain, axes = null_segment_chain(grid222)
+        calls += [(chain, axes, 1.5, sv.NEWTON_CAP, [False, False, m, False])
+                  for m in (True, False)]
+        held = 0
+        for chain, axes, p, max_iter, mergeable in calls:
+            got, want = [row[:] for row in chain], [row[:] for row in chain]
+            assert (sv._newton_chain(got, axes, p, max_iter, mergeable)
+                    == _newton_chain(want, axes, p, max_iter, mergeable))
+            assert [list(map(float.hex, row)) for row in got] == \
+                [list(map(float.hex, row)) for row in want]
+            held += any(got[j + 1][i] in (0.0, 1.0) for j, row in enumerate(axes) for i in row)
+        # some solves end with a coordinate held on a side of its face box
+        assert held > 0
+
     def test_singular_tension_system_takes_the_lm_step(self, grid222, monkeypatch):
         # refuse every tension system (the Jacobian is not symmetric at
         # p = 3): each step falls back to the Levenberg-Marquardt system on
@@ -227,15 +438,9 @@ class TestNewtonChain:
         # segment 2 has length 0, no direction and no block in the Newton
         # systems.  Mergeable, it is handed back untouched; otherwise the
         # solve pulls the breaks apart to the optimum of the full gallery
-        cubes = COALESCE_CUBES
-        full = sv.optimize_breakpoints(grid222, sv.Gallery(cubes), COALESCE_X, COALESCE_Y, 1.5)
-        pinned = sv.optimize_breakpoints(grid222, sv.Gallery(cubes[:2] + cubes[3:]),
-                                         COALESCE_X, COALESCE_Y, 1.5)
-        _, axes = sv._face_boxes(sv.Gallery(cubes).faces(), 6)
-        pts = pinned.ambient_breaks().tolist()
-        chain = [pts[0], pts[1], pts[2], pts[2][:], pts[3]]
-        for i in axes[0]:
-            chain[1][i] = 0.5
+        full = sv.optimize_breakpoints(grid222, sv.Gallery(COALESCE_CUBES),
+                                       COALESCE_X, COALESCE_Y, 1.5)
+        chain, axes = null_segment_chain(grid222)
         start = [row[:] for row in chain]
         out = sv._newton_chain(chain, axes, 1.5, sv.NEWTON_CAP, [False, False, mergeable, False])
         nu = sv._segments(chain, 1.5)[0]
@@ -400,7 +605,7 @@ class TestGeodesic:
             for p in (1.5, 2.0, 3.0):
                 first = sorted((g.cubes for g in galleries if g.cubes not in dominated),
                                key=lambda c: (sum(sv._segments(
-                                   sv._start_chain(xa, ya, c, n, None)[3], p)[0]), c))
+                                   sv._start_chain(xa, ya, sv._layout(cx, c), None), p)[0]), c))
                 order = first + [g.cubes for g in galleries if g.cubes in dominated]
                 solve_log.calls.clear()
                 sv.geodesic(cx, x, y, p)
@@ -468,6 +673,25 @@ class TestGeodesic:
         for p in (1.5, 2.0, 3.0):
             sv.geodesic(grid222, x, y, p)
         assert measured == []
+
+    def test_layouts_are_derived_once_per_complex(self, monkeypatch):
+        # a second exponent on the same pair derives no face; the cached
+        # layouts hold CubeRefs and lists, never the complex
+        cx = cc.grid(2, 2, 2)
+        x, y = Point.make(0), Point.make(max(cx.vertices))
+        derived = []
+        faces = sv._faces
+        monkeypatch.setattr(sv, "_faces", lambda cubes: derived.append(cubes) or faces(cubes))
+        sv.geodesic(cx, x, y, 2.0)
+        assert len(derived) == len(set(derived)) > 1
+        sv.geodesic(cx, x, y, 3.0)
+        assert len(derived) == len(set(derived))
+        layouts = [v for k, v in cx._solver_cache.items() if k[0] == "layout"]
+        assert {k[1] for k in cx._solver_cache if k[0] == "layout"} == set(derived)
+        for faces, template, axes in layouts:
+            assert all(type(f) is CubeRef for f in faces)
+            assert all(type(t) is float for row in template for t in row)
+            assert all(type(i) is int for row in axes for i in row)
 
     def test_hyperplane_discipline(self, grid222, corner):
         # the chosen gallery never re-enters a dropped hyperplane

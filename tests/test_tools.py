@@ -7,6 +7,8 @@ import pathlib
 
 import pytest
 
+from lpcube.solver import enumerate_galleries
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("answers", ROOT / "tools" / "answers.py")
 answers = importlib.util.module_from_spec(_spec)
@@ -118,6 +120,21 @@ def test_endpoint_cases_mix_vertices_cube_points_and_maximal_cube_points():
                          "maximal" if pt.minimal_cube() in maximal else "cube" for pt in (x, y))
     # a third each by draw; a cube of all_cubes() may be a vertex or maximal
     assert kinds == {"vertex": 1_017, "maximal": 711, "cube": 372}
+
+
+def test_grid_cases_span_few_of_many_hyperplanes():
+    # squares on 12 hyperplanes: a segment moves on at most 2 of them, and
+    # most pairs search several galleries
+    cases = [case for case in answers.cases() if "[92, " in case[0]]
+    assert len(cases) == len({name for name, *_ in cases}) == 400
+    kinds = collections.Counter()
+    for name, cx, x, y, p in cases:
+        assert (len(cx.hyperplanes), cx.dimension) == (12, 2)
+        if p == 2.0:
+            kinds["one cube" if cx.minimal_cube_pair(x, y) is not None else
+                  "one gallery" if len(enumerate_galleries(cx, x, y)) == 1 else
+                  "several"] += 1
+    assert kinds == {"one cube": 9, "one gallery": 36, "several": 55}
 
 
 def test_validation_cases_are_the_nonempty_subsets_of_the_4_cube():

@@ -3,7 +3,7 @@
     python3 tools/answers.py dump OUT.json
     python3 tools/answers.py compare A.json B.json
 
-``dump`` runs ``geodesic`` on 12,323 cases and writes, per case, the length
+``dump`` runs ``geodesic`` on 12,723 cases and writes, per case, the length
 and break reprs, the converged flag and the ``check_local_geodesic`` verdict
 and worst residual, or the type and message of the domain error raised.
 The cases:
@@ -13,6 +13,9 @@ The cases:
   hypercube(3), at p in {1.01, 1.05, 1.5, 2, 3, 16, 32, 64};
 - 60 ``default_rng([78, i])`` pairs on grid(3,3,3) at p in {2, 32};
 - corner to corner on grid(3,3,3) at p in {1.5, 2, 3};
+- 100 ``default_rng([92, i])`` pairs of ``endpoint`` draws on grid(6,6,0),
+  at p in {1.5, 2, 3, 16}: 12 hyperplanes, and squares whose hulls hold
+  several galleries, so each segment moves on a few of many axes;
 - 150 ``default_rng([91, i])`` pairs on each of the seven bundled fixtures,
   at p in {1.5, 2, 3, 16}, each endpoint (``endpoint``) a vertex, a point
   of any cube or a point of a maximal cube, as CLI requests give them.
@@ -88,6 +91,12 @@ def cases():
             yield f"grid333 [78, {i}] p={p}", cx, x, y, p
     for p in (1.5, 2.0, 3.0):
         yield f"grid333 corner to corner p={p}", cx, Point.make(0), Point.make(max(cx.vertices)), p
+    cx = cc.grid(6, 6, 0)
+    for i in range(100):
+        rng = np.random.default_rng([92, i])
+        x, y = endpoint(cx, rng), endpoint(cx, rng)
+        for p in (1.5, 2.0, 3.0, 16.0):
+            yield f"grid(6,6,0) [92, {i}] p={p}", cx, x, y, p
     for name in fixtures.NAMES:
         cx = fixtures.load_fixture(name)
         for i in range(150):
