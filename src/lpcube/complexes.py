@@ -216,7 +216,7 @@ class CubeComplex:
         self.label_index = {h: i for i, h in enumerate(self.hyperplanes)}
         self.vertex_index = {v: i for i, v in enumerate(self.vertex_order)}
         self._cube_cache: dict[CubeRef, bool] = {}
-        self._hull_cache: dict[tuple, "CubeComplex"] = {}
+        self._hull_cache: dict[tuple, Optional["CubeComplex"]] = {}
         self._solver_cache: dict = {}
         self._all_cubes: Optional[tuple[CubeRef, ...]] = None
         self._maximal_cubes: Optional[tuple[CubeRef, ...]] = None
@@ -309,7 +309,13 @@ class CubeComplex:
         return self._all_cubes
 
     def maximal_cubes(self) -> tuple[CubeRef, ...]:
-        """The cubes that are no face of a larger cube, in ``all_cubes`` order."""
+        """The cubes that are no face of a larger cube, in ``all_cubes`` order.
+
+        That order is the iteration order of the sets ``_enumerate_cubes``
+        builds, and callers depend on it: ``analysis.sample_point`` draws a
+        cube by its index here, and so do the endpoints of
+        ``tools/answers.py`` and the bench's request population.  Callers
+        that need an order independent of it sort the cubes."""
         if self._maximal_cubes is None:
             self.all_cubes()
         return self._maximal_cubes
@@ -353,6 +359,10 @@ class CubeComplex:
         hyperplanes (those the hull does not cross keep their constant side),
         so that its cubes and points are the complex's; memoized per hull.
 
+        A hull that holds every vertex is the complex itself, so the two
+        share one cube enumeration and one solver cache.  The cache keeps
+        None for it, not the complex, which would close a reference cycle.
+
         The hull is fixed by the AND and the OR of the cubes' corners, which
         are the AND of the cubes' base corners and the OR of corner | mask, so
         the corners themselves are listed only on a cache miss."""
@@ -363,12 +373,12 @@ class CubeComplex:
             lo &= cube.corner
             hi |= cube.corner | cube.mask
         key = (lo, hi)
-        hull = self._hull_cache.get(key)
-        if hull is None:
+        if key not in self._hull_cache:
             seeds = {v for p in points for v in p.minimal_cube().corners()}
-            hull = self._hull_cache[key] = CubeComplex(
-                self.hyperplanes, self.convex_hull_vertices(seeds), validate=False)
-        return hull
+            vertices = self.convex_hull_vertices(seeds)
+            self._hull_cache[key] = None if len(vertices) == len(self.vertices) else \
+                CubeComplex(self.hyperplanes, vertices, validate=False)
+        return self._hull_cache[key] or self
 
     def split_hull(self, c1: CubeRef, c2: CubeRef) -> tuple[CubeRef, "SubComplex"]:
         """Split the hull of two intersecting cubes as (shared cube D) x Y."""
@@ -397,25 +407,36 @@ def _enumerate_cubes(vertices: frozenset[int]) -> tuple[tuple[CubeRef, ...],
     A cube one dimension up grows from two faces on either side of a
     hyperplane that separates vertices, once per hyperplane it spans, so
     the faces it is grown from are all the cubes it contains one dimension
-    down: a cube no cube grows from is maximal.
+    down: a cube no cube grows from is maximal.  Twins are looked up by the
+    integer key corner | mask << width, where width is the bit length of the
+    largest vertex, so every corner fits below the mask; each dimension's
+    CubeRefs go into a set in the order they are first grown, which fixes
+    the order of the result.
     """
-    bits = [1 << i for i in bit_indices(_separating(vertices))]
+    width = max(vertices).bit_length()
+    separating = _separating(vertices)
     current = {CubeRef(v, 0) for v in vertices}
     out = list(current)
+    keys = set(vertices)
     faces = set()
     while current:
-        grown = set()
-        for ref in current:
-            for bit in bits:
-                if ref.mask & bit or ref.corner & bit:
-                    continue
-                twin = CubeRef(ref.corner | bit, ref.mask)
-                if twin in current:
-                    grown.add(CubeRef(ref.corner, ref.mask | bit))
-                    faces.update((ref, twin))
+        grown, grown_keys = set(), set()
+        for corner, mask in current:
+            key = corner | mask << width
+            free = separating & ~(corner | mask)
+            while free:
+                bit = free & -free
+                free ^= bit
+                if key | bit in keys:
+                    faces.add(key)
+                    faces.add(key | bit)
+                    up = key | bit << width
+                    if up not in grown_keys:
+                        grown_keys.add(up)
+                        grown.add(CubeRef(corner, mask | bit))
         out.extend(grown)
-        current = grown
-    return tuple(out), tuple(ref for ref in out if ref not in faces)
+        current, keys = grown, grown_keys
+    return tuple(out), tuple(ref for ref in out if ref.corner | ref.mask << width not in faces)
 
 
 def _separating(vertices: Iterable[int]) -> int:

@@ -46,9 +46,11 @@ other gallery is solved in full, from the breaks of a few Newton steps on its
 start chain.  A converged path that passes ``check_local_geodesic`` (zero
 tension and no shortcut) is a local geodesic, hence by Busemann convexity the
 geodesic, and ends the search.  If no path certifies, ``_select`` takes the
-shortest converged one, and tied galleries must agree.  The complex remembers
-the last answer, so the same query again (as a vertex-wedge decomposition
-makes after a caller's own solve) returns a new path built from it.
+shortest converged one, and tied galleries must agree.  The certified path
+keeps its report, so the caller's own check of it is a lookup.  The complex
+remembers the last answer, report included, so the same query again (as a
+vertex-wedge decomposition makes after a caller's own solve) returns a new
+path built from it.
 
 The tolerances are fixed module constants, not options: a certified path is
 the geodesic whatever the solve's stopping rule, so no caller has a reason to
@@ -108,28 +110,44 @@ def _faces(cubes: Sequence[CubeRef]) -> list[CubeRef]:
     return faces
 
 
-@dataclass
+@dataclass(frozen=True)
 class PiecewisePath:
-    """Piecewise affine constant-speed path; breaks[0] = x, breaks[-1] = y."""
+    """Piecewise affine constant-speed path; breaks[0] = x, breaks[-1] = y.
+
+    Frozen, so what derives from the fields is computed once and kept on
+    the path: the ambient breaks, the segment lengths, the length and the
+    certificate ``check_local_geodesic`` gave.  None of these takes part in
+    == or hash.
+    """
 
     complex: CubeComplex
     p: float
     breaks: tuple[Point, ...]
     gallery: Optional[Gallery] = None
     converged: bool = True
-    _pts: Optional[list[list[float]]] = field(default=None, init=False, repr=False)
-    _nus: Optional[list[float]] = field(default=None, init=False, repr=False)
+    _pts: Optional[list[list[float]]] = field(default=None, init=False, repr=False,
+                                              compare=False)
+    _nus: Optional[list[float]] = field(default=None, init=False, repr=False, compare=False)
+    _length: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+    # (tol, report) of the last check_local_geodesic on the path's own complex
+    _report: Optional[tuple[float, "ConditionReport"]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def _keep(self, name: str, value):
+        """Store a derived value on the frozen path; returns the value."""
+        object.__setattr__(self, name, value)
+        return value
 
     def _points(self) -> list[list[float]]:
         """The ambient breaks as lists of floats."""
         if self._pts is None:
             n = len(self.complex.hyperplanes)
-            self._pts = [_ambient(b, n) for b in self.breaks]
+            return self._keep("_pts", [_ambient(b, n) for b in self.breaks])
         return self._pts
 
     def _lengths(self) -> list[float]:
         if self._nus is None:
-            self._nus = _segments(self._points(), self.p)[0]
+            return self._keep("_nus", _segments(self._points(), self.p)[0])
         return self._nus
 
     def ambient_breaks(self) -> np.ndarray:
@@ -140,8 +158,10 @@ class PiecewisePath:
 
     @property
     def length(self) -> float:
-        # numpy's pairwise order, which replayed suite margins are pinned to
-        return float(np.add.reduce(self._lengths()))
+        if self._length is None:
+            # numpy's pairwise order, which replayed suite margins are pinned to
+            return self._keep("_length", float(np.add.reduce(self._lengths())))
+        return self._length
 
     def evaluate(self, t: float) -> Point:
         """Point at arclength t * length along the path."""
@@ -169,7 +189,7 @@ class PiecewisePath:
                 "breaks": [point_to_obj(self.complex, b) for b in self.breaks]}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionReport:
     """Result of the local-geodesic condition checks at the interior breaks."""
 
@@ -703,11 +723,14 @@ def _undominated(galleries: Sequence[Gallery]) -> list[Gallery]:
 def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath:
     """The unique lp geodesic from x to y, as a constant-speed piecewise path.
 
-    The complex remembers the last answer: the same x, y and p again (p
-    compared after ``check_p``, so 2 and 2.0 match) return a new path with
-    the remembered breaks, gallery and converged flag, without a solve.  The
-    record holds those fields, not the path: a path holds its complex, and
-    the cycle would leave every dropped complex to the cyclic collector.
+    A path the search certified keeps its ``check_local_geodesic`` report,
+    so a caller's own check of it is a lookup; a lone gallery's path is
+    checked only when a caller asks.  The complex remembers the last answer:
+    the same x, y and p again (p compared after ``check_p``, so 2 and 2.0
+    match) return a new path with the remembered breaks, gallery, converged
+    flag and kept report, without a solve.  The record holds those fields,
+    not the path: a path holds its complex, and the cycle would leave every
+    dropped complex to the cyclic collector (a report holds no complex).
     A solve that raises leaves no record.
     """
     p = check_p(p, smooth=True)
@@ -716,9 +739,12 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
     query = (x, y, p)
     last = complex._solver_cache.get("last geodesic")
     if last is not None and last[0] == query:
-        return PiecewisePath(complex, p, *last[1:])
+        path = PiecewisePath(complex, p, *last[1:4])
+        path._keep("_report", last[4])
+        return path
     path = _search(complex, x, y, p)
-    complex._solver_cache["last geodesic"] = (query, path.breaks, path.gallery, path.converged)
+    complex._solver_cache["last geodesic"] = (query, path.breaks, path.gallery, path.converged,
+                                              path._report)
     return path
 
 
@@ -916,12 +942,24 @@ def check_no_shortcut(complex: CubeComplex, path: PiecewisePath,
 
 def check_local_geodesic(complex: CubeComplex, path: PiecewisePath,
                          tol: float = RESIDUAL_TOL) -> ConditionReport:
-    """Both checks above, on one pass over the interior breaks."""
+    """Both checks above, on one pass over the interior breaks.
+
+    A report on the path's own complex is kept on the path with its tol, and
+    asked again with the same tol it is returned as it is: the path is
+    frozen, so the report cannot go stale.  A path that ``geodesic()``
+    certified, or remembered, already holds the report at RESIDUAL_TOL.
+    """
+    kept = path._report
+    if kept is not None and kept[0] == tol and complex is path.complex:
+        return kept[1]
     check_p(path.p, smooth=True)
     data = _interior_data(complex, path)
     res = _tension_residuals(path, data)
     margins = _no_shortcut_margins(complex, path, data)
-    return ConditionReport(zero_tension_ok=tuple(r <= tol for r in res),
-                           no_shortcut_ok=tuple(m >= -tol for m in margins),
-                           worst_residual=max(max(res, default=0.0),
-                                              max([0.0] + [-m for m in margins])))
+    report = ConditionReport(zero_tension_ok=tuple(r <= tol for r in res),
+                             no_shortcut_ok=tuple(m >= -tol for m in margins),
+                             worst_residual=max(max(res, default=0.0),
+                                                max([0.0] + [-m for m in margins])))
+    if complex is path.complex:
+        path._keep("_report", (tol, report))
+    return report

@@ -7,9 +7,12 @@ import pytest
 from lpcube import complexes as cc
 from lpcube import fixtures
 from lpcube.analysis import sample_point
-from lpcube.complexes import CubeComplex, CubeRef, Point, cube_intersection, median_of
+from lpcube.complexes import (CubeComplex, CubeRef, Point, _enumerate_cubes, _separating,
+                              bit_indices, cube_intersection, median_of)
 from lpcube.errors import Disconnected, NotMedian, ParseError, ScaleExceeded
 from lpcube.geometry import distance_lower_bound, lp_norm
+
+from conftest import build_wedge_instance
 
 
 def reference_median_witness(vertices):
@@ -71,6 +74,52 @@ def brute_interval_hull(vertices, seeds):
                     hull.add(z)
                     changed = True
     return frozenset(hull)
+
+
+def reference_enumerate_cubes(vertices: frozenset[int]) -> tuple[tuple[CubeRef, ...],
+                                                               tuple[CubeRef, ...]]:
+    """Every cube, bottom-up, and the maximal ones in the same order.
+
+    A cube one dimension up grows from two faces on either side of a
+    hyperplane that separates vertices, once per hyperplane it spans, so
+    the faces it is grown from are all the cubes it contains one dimension
+    down: a cube no cube grows from is maximal.
+    """
+    bits = [1 << i for i in bit_indices(_separating(vertices))]
+    current = {CubeRef(v, 0) for v in vertices}
+    out = list(current)
+    faces = set()
+    while current:
+        grown = set()
+        for ref in current:
+            for bit in bits:
+                if ref.mask & bit or ref.corner & bit:
+                    continue
+                twin = CubeRef(ref.corner | bit, ref.mask)
+                if twin in current:
+                    grown.add(CubeRef(ref.corner, ref.mask | bit))
+                    faces.update((ref, twin))
+        out.extend(grown)
+        current = grown
+    return tuple(out), tuple(ref for ref in out if ref not in faces)
+
+
+def random_q5_subsets(count):
+    """Nonempty vertex subsets of the 5-cube.  Every other one varies only
+    the low bits and holds the bits above them at a random constant, so that
+    constant bits lie above every separating bit."""
+    rng = np.random.default_rng(25)
+    for i in range(count):
+        if i % 2:
+            free = int(rng.integers(1, 32))
+            constant = int(rng.integers(32)) & ~free
+        else:
+            low = int(rng.integers(1, 5))
+            free = (1 << low) - 1
+            constant = int(rng.integers(1, 1 << (5 - low))) << low
+        subs = [s for s in range(32) if not s & ~free]
+        picked = {constant | s for s in subs if rng.random() < 0.6}
+        yield frozenset(picked or {constant})
 
 
 def doc(labels, masks):
@@ -282,6 +331,26 @@ class TestCubes:
             for corner_v in q.corners():
                 assert corner_v in grid222.vertices
 
+    def test_enumeration_matches_the_reference_in_order(self):
+        # the same cubes in the same order, all and maximal: that order is
+        # what sample_point and the tools' endpoints draw from
+        complexes = [fixtures.load_fixture(name) for name in fixtures.NAMES]
+        complexes += [cc.grid(3, 3, 3), cc.hypercube(4)]
+        complexes += [build_wedge_instance(i)[0] for i in range(100)]
+        for cx in complexes:
+            want_all, want_maximal = reference_enumerate_cubes(cx.vertices)
+            assert cx.all_cubes() == want_all
+            assert cx.maximal_cubes() == want_maximal
+
+    def test_enumeration_on_q5_subsets_matches_the_reference(self):
+        # any vertex set, median or not, connected or not, and among them
+        # sets whose constant bits lie above every separating bit
+        subsets = list(random_q5_subsets(320))
+        assert sum(max(s).bit_length() > _separating(s).bit_length() for s in subsets) > 100
+        for vertices in subsets:
+            assert _enumerate_cubes(vertices) == reference_enumerate_cubes(vertices), \
+                sorted(vertices)
+
     def test_dimension_is_found_once(self, monkeypatch):
         # the largest maximal cube; the lower bound reads it without a rescan
         for cx, dim in ((cc.corner_complex(), 2), (cc.square_cube_book(), 3),
@@ -374,6 +443,27 @@ class TestHulls:
                     lo, hi = lo & s, hi | s
                 assert list(cx._hull_cache) == [(lo, hi)]
                 assert hull.vertices == cx.convex_hull_vertices(seeds)
+
+
+    def test_a_whole_hull_is_the_complex_itself(self, corner):
+        # the hull of every vertex shares the complex's cubes and caches;
+        # the cache keeps None for it, not the complex
+        for i in range(100):
+            cx, x, _, y, _ = build_wedge_instance(i)
+            assert cx.hull_restriction([x, y]) is cx
+            assert list(cx._hull_cache.values()) == [None]
+        x, y = Point.make(0b0011), Point.make(0b1100)    # the L's far corners
+        assert corner.hull_restriction([x, y]) is corner
+        assert corner.hull_restriction([y, Point.make(0, {0: 0.5, 1: 0.5})]) is corner
+
+    def test_a_strict_sub_hull_is_a_complex_of_its_own(self, corner, grid222):
+        # on the parent's hyperplanes, and the same object on a second call
+        for cx, pts in ((corner, [Point.make(0), Point.make(0b1100)]),
+                        (grid222, [Point.make(0, {0: 0.5}), Point.make(0b010100)])):
+            hull = cx.hull_restriction(pts)
+            assert hull is not cx and hull is cx.hull_restriction(pts)
+            assert hull.hyperplanes == cx.hyperplanes
+            assert hull.vertices < cx.vertices
 
 
 class TestSplitHull:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -750,20 +751,82 @@ class TestLastAnswer:
         sv.geodesic(cx, self.X, self.Y, 2.0)
         assert solve_log.counts()["full"] > 0
 
-    def test_a_dropped_complex_needs_no_cyclic_collection(self):
-        # the record holds a path's fields, not the path, whose complex
-        # would close a cycle: complex -> record -> path -> complex
+    @staticmethod
+    def _dropped_complex_is_freed(y, whole):
         enabled = gc.isenabled()
         gc.disable()
         try:
             cx = cc.corner_complex()
-            path = sv.geodesic(cx, self.X, self.Y, 2.0)
+            path = sv.geodesic(cx, TestLastAnswer.X, y, 2.0)
+            assert (cx.hull_restriction([TestLastAnswer.X, y]) is cx) == whole
+            assert sv.check_local_geodesic(cx, path).all_ok
             gone = weakref.ref(cx)
             del cx, path
             assert gone() is None
         finally:
             if enabled:
                 gc.enable()
+
+    def test_a_dropped_complex_needs_no_cyclic_collection(self):
+        # the record holds a path's fields and its report, not the path,
+        # whose complex would close a cycle: complex -> record -> path ->
+        # complex; nor does the hull cache hold the complex when the hull
+        # is the whole complex, as it is from X to Y
+        self._dropped_complex_is_freed(self.Y, whole=True)
+
+    def test_a_complex_dropped_after_a_sub_hull_needs_no_cyclic_collection(self):
+        self._dropped_complex_is_freed(Point.make(0, {0: 0.5}), whole=False)
+
+
+class TestKeptReport:
+    """A certified path keeps its check_local_geodesic report."""
+
+    def test_the_kept_report_is_a_fresh_recomputation(self):
+        # random pairs on five fixtures: the report a path keeps, from the
+        # search or from the remembered answer, equals the one a new path
+        # with the same breaks computes
+        rng = np.random.default_rng(25)
+        kept = 0
+        for name in SWEEP_FIXTURES:
+            cx = fixtures.load_fixture(name)
+            for _ in range(8):
+                x, y = sample_point(cx, rng), sample_point(cx, rng)
+                for p in (1.5, 2.0, 3.0, 16.0):
+                    try:
+                        paths = [sv.geodesic(cx, x, y, p), sv.geodesic(cx, x, y, p)]
+                    except LpCubeError:
+                        continue
+                    fresh = sv.check_local_geodesic(cx, sv.PiecewisePath(cx, p, paths[0].breaks))
+                    kept += paths[0]._report is not None
+                    for path in paths:
+                        assert sv.check_local_geodesic(cx, path) == fresh, (name, x, y, p)
+        assert kept > 20
+
+    def test_the_report_is_kept_per_complex_and_tol(self, monkeypatch):
+        cx = cc.corner_complex()
+        path = sv.geodesic(cx, TestLastAnswer.X, TestLastAnswer.Y, 2.0)
+        assert path._report is not None
+        checked = []
+        data = sv._interior_data
+        monkeypatch.setattr(sv, "_interior_data", lambda *a: checked.append(a) or data(*a))
+        report = sv.check_local_geodesic(cx, path)
+        assert checked == [] and report.all_ok
+        # another tol is computed, and then kept in its place
+        loose = sv.check_local_geodesic(cx, path, tol=1e-6)
+        assert len(checked) == 1 and path._report == (1e-6, loose)
+        # an equal complex that is not the path's own is computed, and not kept
+        assert sv.check_local_geodesic(cc.corner_complex(), path, tol=1e-6) == loose
+        assert len(checked) == 2 and path._report == (1e-6, loose)
+
+    def test_a_lone_gallery_is_checked_only_when_asked(self, monkeypatch):
+        checked = []
+        check = sv.check_local_geodesic
+        monkeypatch.setattr(sv, "check_local_geodesic",
+                            lambda *a, **k: checked.append(a) or check(*a, **k))
+        cx = cc.square_cube_book()
+        path = sv.geodesic(cx, SCB_X, SCB_Y, 2.0)
+        assert len(sv.enumerate_galleries(cx, SCB_X, SCB_Y)) == 1
+        assert checked == [] and path._report is None
 
 
 SWEEP_FIXTURES = ("corner_complex", "square_cube_book", "grid222", "long_rectangle",
@@ -897,6 +960,42 @@ class TestSweeps:
                 sv.geodesic(cx, x, y, 16.0)
             except LpCubeError:
                 pass
+
+
+class TestFrozenPath:
+    def test_the_length_is_reduced_once(self, square, monkeypatch):
+        reduced = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            class add:
+                @staticmethod
+                def reduce(a):
+                    reduced.append(a)
+                    return np.add.reduce(a)
+
+        monkeypatch.setattr(sv, "np", CountingNumpy())
+        path = _square_path(square, (0.1, 0.1), (0.5, 0.25), (0.9, 0.9))
+        first = path.length
+        assert path.length == first == float(np.add.reduce(path._lengths()))
+        assert len(reduced) == 1
+
+    def test_fields_cannot_be_assigned(self, square):
+        path = _square_path(square, (0.1, 0.1), (0.9, 0.9))
+        for name, value in (("breaks", ()), ("converged", False), ("p", 3.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(path, name, value)
+        report = sv.check_local_geodesic(square, path)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.worst_residual = 1.0
+
+    def test_the_kept_values_take_no_part_in_eq_and_hash(self, square):
+        a, b = (_square_path(square, (0.1, 0.1), (0.5, 0.25), (0.9, 0.9)) for _ in range(2))
+        a.length, sv.check_local_geodesic(square, a)
+        assert a._report is not None and b._report is None
+        assert a == b and hash(a) == hash(b)
 
 
 class TestEvaluate:

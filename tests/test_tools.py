@@ -7,6 +7,9 @@ import pathlib
 
 import pytest
 
+from lpcube import complexes as cc
+from lpcube import solver as sv
+from lpcube.complexes import Point
 from lpcube.solver import enumerate_galleries
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -98,6 +101,20 @@ def test_a_case_in_one_dump_only_differs(tmp_path, capsys, extra_on_left):
     assert "grid333 corner to corner p=2.0:" in out
     assert "grid222" not in out
     assert "1 of 3 cases differ" in err
+
+
+def test_an_answer_certifies_a_fresh_path(monkeypatch):
+    # the verdict is recomputed on a new path with the returned breaks, so
+    # the answer set does not rest on the report the search kept
+    reports = []
+    check = answers.check_local_geodesic
+    monkeypatch.setattr(answers, "check_local_geodesic",
+                        lambda cx, path: reports.append(path._report) or check(cx, path))
+    cx = cc.corner_complex()
+    x, y = Point.make(0, {0: 0.3, 1: 0.9}), Point.make(0, {2: 0.8, 3: 0.7})
+    got = answers.answer(cx, x, y, 2.0)
+    assert reports == [None] and got["certified"]
+    assert sv.geodesic(cx, x, y, 2.0)._report is not None
 
 
 def test_wedge_cases_are_vertex_wedges_with_a_formula():

@@ -5,7 +5,8 @@
 
 ``dump`` runs ``geodesic`` on 12,723 cases and writes, per case, the length
 and break reprs, the converged flag and the ``check_local_geodesic`` verdict
-and worst residual, or the type and message of the domain error raised.
+and worst residual, computed afresh on a new path with the returned breaks,
+or the type and message of the domain error raised.
 The cases:
 
 - 200 ``default_rng([77, i])`` pairs (two ``sample_point`` draws) on each
@@ -66,7 +67,7 @@ from lpcube.analysis import sample_point
 from lpcube.complexes import CubeComplex, Point, bit_indices, cube_intersection, median_of
 from lpcube.decomposition import canonical_decomposition, distance_formula
 from lpcube.errors import LpCubeError, NotMedian
-from lpcube.solver import check_local_geodesic, geodesic
+from lpcube.solver import PiecewisePath, check_local_geodesic, geodesic
 
 SWEEP_PS = (1.01, 1.05, 1.5, 2.0, 3.0, 16.0, 32.0, 64.0)
 
@@ -122,7 +123,8 @@ def answer(cx, x, y, p) -> dict:
         path = geodesic(cx, x, y, p)
     except LpCubeError as err:
         return {"error": type(err).__name__, "message": str(err)}
-    rep = check_local_geodesic(cx, path)
+    # a fresh path, so the verdict is recomputed, not the report the search kept
+    rep = check_local_geodesic(cx, PiecewisePath(cx, path.p, path.breaks))
     return {"length": repr(path.length), "breaks": [repr(b) for b in path.breaks],
             "converged": path.converged, "certified": rep.all_ok,
             "worst_residual": repr(rep.worst_residual)}
