@@ -10,11 +10,11 @@ on purpose by the sweep operations.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
-from .complexes import CubeComplex, CubeRef, Point
+from .complexes import CubeComplex, Point
 from .errors import NoCommonCube
 
 INF = math.inf
@@ -118,19 +118,3 @@ def distance_lower_bound(complex: CubeComplex, x: Point, y: Point, p: PValue) ->
     lp = lp_norm(diff, p)
     return max(lp, float(diff.sum()) / max(complex.dimension, 1) ** (1.0 - 1.0 / p))
 
-
-def box_clamp_distance(point_vec: Sequence[float], cube: CubeRef, n: int, p: PValue) -> float:
-    """lp distance from an ambient point to a cube, via per-coordinate clamping."""
-    gaps = [0.0] * n
-    for i in range(n):
-        bit = 1 << i
-        if cube.mask & bit:
-            lo, hi = 0.0, 1.0
-        else:
-            lo = hi = 1.0 if cube.corner & bit else 0.0
-        t = float(point_vec[i])
-        if t < lo:
-            gaps[i] = lo - t
-        elif t > hi:
-            gaps[i] = t - hi
-    return lp_norm(gaps, p)

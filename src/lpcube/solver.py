@@ -50,7 +50,13 @@ shortest converged one, and tied galleries must agree.  The certified path
 keeps its report, so the caller's own check of it is a lookup.  The complex
 remembers the last answer, report included, so the same query again (as a
 vertex-wedge decomposition makes after a caller's own solve) returns a new
-path built from it.
+path built from it.  The same x and y at another p (as a p-sweep asks) are
+continued from it: the remembered gallery is solved at the new p from the
+remembered breaks, and that path is returned if the search would accept it
+from that gallery (converged, and certified unless the gallery is the only
+one); otherwise the search runs as above.  So an answer can depend on the
+query before it, within the solve's tolerances: both answers are certified
+(or both the converged path of a lone gallery).
 
 The tolerances are fixed module constants, not options: a certified path is
 the geodesic whatever the solve's stopping rule, so no caller has a reason to
@@ -728,10 +734,14 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
     checked only when a caller asks.  The complex remembers the last answer:
     the same x, y and p again (p compared after ``check_p``, so 2 and 2.0
     match) return a new path with the remembered breaks, gallery, converged
-    flag and kept report, without a solve.  The record holds those fields,
-    not the path: a path holds its complex, and the cycle would leave every
-    dropped complex to the cyclic collector (a report holds no complex).
-    A solve that raises leaves no record.
+    flag and kept report, without a solve.  The same x and y at another p
+    first solve the remembered gallery at p from the remembered breaks
+    (``_continue``), and the search runs only if that path is not one it
+    would accept; so the answer can depend on the query before it, within
+    the solve's tolerances.  The record holds those fields, not the path: a
+    path holds its complex, and the cycle would leave every dropped complex
+    to the cyclic collector (a report holds no complex).  A solve that
+    raises leaves no record.
     """
     p = check_p(p, smooth=True)
     complex.check_point(x)
@@ -742,10 +752,31 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
         path = PiecewisePath(complex, p, *last[1:4])
         path._keep("_report", last[4])
         return path
-    path = _search(complex, x, y, p)
+    path = None
+    # a remembered path of two breaks lies in one cube: nothing to continue
+    if last is not None and last[0][:2] == (x, y) and len(last[1]) > 2:
+        path = _continue(complex, x, y, p, last)
+    if path is None:
+        path = _search(complex, x, y, p)
     complex._solver_cache["last geodesic"] = (query, path.breaks, path.gallery, path.converged,
                                               path._report)
     return path
+
+
+def _continue(complex: CubeComplex, x: Point, y: Point, p: float,
+              last: tuple) -> Optional[PiecewisePath]:
+    """The remembered gallery solved at p from the remembered breaks, or None
+    unless ``_search`` would accept that path from that gallery: converged,
+    and certified unless the gallery is the only one.  A remembered path
+    with merged breaks has fewer breaks than the gallery has faces, and its
+    gallery's chain starts cold."""
+    n = len(complex.hyperplanes)
+    path = optimize_breakpoints(complex, last[2], x, y, p,
+                                init=[_ambient(b, n) for b in last[1][1:-1]])
+    if path.converged and (len(enumerate_galleries(complex, x, y)) == 1
+                           or check_local_geodesic(complex, path).all_ok):
+        return path
+    return None
 
 
 def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath:

@@ -15,7 +15,6 @@ from lpcube.analysis import sample_point
 from lpcube.complexes import CubeRef, Point
 from lpcube.errors import (DisjointCubes, LpCubeError, NoCommonCube, NoConvergence,
                            ScaleExceeded, UniquenessViolation)
-from lpcube.geometry import box_clamp_distance
 from lpcube.solver import RESIDUAL_TOL, SHORT, _phi, _segments, _units
 
 from conftest import build_wedge_instance
@@ -44,6 +43,24 @@ COALESCE_X = Point(16, ((0, 0.25378496355503777), (2, 0.054271318428617044),
 COALESCE_Y = Point(5, ((1, 0.8582492854957865), (3, 0.8581070091172366),
                        (4, 0.4674530074787165)))
 COALESCE_CUBES = (CubeRef(16, 37), CubeRef(17, 38), CubeRef(1, 22), CubeRef(5, 26))
+
+
+def box_clamp_distance(point_vec, cube, n, p):
+    """lp distance from an ambient point to a cube, via per-coordinate
+    clamping: the reference for the solver's face bounds."""
+    gaps = [0.0] * n
+    for i in range(n):
+        bit = 1 << i
+        if cube.mask & bit:
+            lo, hi = 0.0, 1.0
+        else:
+            lo = hi = 1.0 if cube.corner & bit else 0.0
+        t = float(point_vec[i])
+        if t < lo:
+            gaps[i] = lo - t
+        elif t > hi:
+            gaps[i] = t - hi
+    return sv.lp_norm(gaps, p)
 
 
 def brute_dominated(galleries):
@@ -367,7 +384,9 @@ def null_segment_chain(grid222):
 
 def recorded_chain_solves(monkeypatch):
     """The inputs (chain, axes, p, max_iter, mergeable) of every chain solve
-    that geodesics on four complexes at five exponents make."""
+    that geodesics on four complexes at five exponents make.  Each pair is
+    swept over the exponents on one complex, so from the second exponent on
+    most chains start from the answer at the one before."""
     calls = []
     solve = sv._newton_chain
 
@@ -377,7 +396,7 @@ def recorded_chain_solves(monkeypatch):
 
     monkeypatch.setattr(sv, "_newton_chain", recording)
     for cx in (cc.grid(2, 2, 2), cc.corner_complex(), cc.square_cube_book(), cc.grid(12, 1, 0)):
-        for i in range(16):
+        for i in range(17):
             rng = np.random.default_rng([93, i])
             x, y = sample_point(cx, rng), sample_point(cx, rng)
             for p in (1.5, 2.0, 3.0, 16.0, 64.0):
@@ -516,11 +535,12 @@ class TestGeodesic:
     def test_first_certified_candidate_ends_the_search(self, solve_log):
         # corner to corner of grid(2,2,2): 13 galleries, all optimal.  Solving
         # every candidate took 13 full chain solves; the first one certifies.
-        # A fresh complex, so that no remembered answer stands in for a solve
-        grid222 = cc.grid(2, 2, 2)
+        # A fresh complex per p, so that no remembered answer stands in for
+        # the search
         x, y = Point.make(0), Point.make(0b111111)
-        assert len(sv.enumerate_galleries(grid222, x, y)) == 13
         for p in (1.5, 2.0, 3.0):
+            grid222 = cc.grid(2, 2, 2)
+            assert len(sv.enumerate_galleries(grid222, x, y)) == 13
             solve_log.calls.clear()
             path = sv.geodesic(grid222, x, y, p)
             assert path.length == pytest.approx(2 * 3 ** (1 / p), abs=1e-12)
@@ -550,18 +570,22 @@ class TestGeodesic:
 
     def test_dominated_galleries_are_never_solved(self, solve_log):
         # they come after every other gallery, and at these p a path certifies
-        # before the search gets to them; fresh complexes, which remember no
-        # answer from another test
+        # before the search gets to them.  A fresh complex per p, each pair
+        # after another one, so that every solve is a search
         rng = np.random.default_rng(16)
         seen = 0
-        for cx in (cc.corner_complex(), cc.square_cube_book(), cc.grid(2, 2, 2)):
+        for make in (cc.corner_complex, cc.square_cube_book, lambda: cc.grid(2, 2, 2)):
+            cx, pairs = make(), []
             for _ in range(20):
                 x, y = sample_point(cx, rng), sample_point(cx, rng)
                 if cx.minimal_cube_pair(x, y) is not None:
                     continue
                 dominated = {g for g, _ in brute_dominated(sv.enumerate_galleries(cx, x, y))}
                 seen += len(dominated)
-                for p in (1.5, 2.0, 3.0):
+                pairs.append((x, y, dominated))
+            for p in (1.5, 2.0, 3.0):
+                cx = make()
+                for x, y, dominated in pairs:
                     solve_log.calls.clear()
                     sv.geodesic(cx, x, y, p)
                     assert not dominated & {g.cubes for _, g in solve_log.calls}
@@ -585,25 +609,29 @@ class TestGeodesic:
         # solved galleries are a prefix of it.  In grid(3,3,3) [78, 15] the
         # first path fails no-shortcut, and the next one solved must be the
         # second candidate, not the first gallery through the violated
-        # corner cube.  Fresh complexes, which remember no answer
+        # corner cube.  A fresh complex per pair and p, which remembers no
+        # answer
         grid333 = cc.grid(3, 3, 3)
         rng = np.random.default_rng([78, 15])
-        pairs = [(grid333, sample_point(grid333, rng), sample_point(grid333, rng))]
+        pairs = [(lambda: cc.grid(3, 3, 3), sample_point(grid333, rng),
+                  sample_point(grid333, rng))]
         rng = np.random.default_rng(17)
-        for cx in (cc.corner_complex(), cc.square_cube_book(), cc.grid(2, 2, 2)):
+        for make in (cc.corner_complex, cc.square_cube_book, lambda: cc.grid(2, 2, 2)):
+            cx = make()
             for _ in range(20):
                 x, y = sample_point(cx, rng), sample_point(cx, rng)
                 if (cx.minimal_cube_pair(x, y) is None
                         and len(sv.enumerate_galleries(cx, x, y)) > 1):
-                    pairs.append((cx, x, y))
+                    pairs.append((make, x, y))
         assert len(pairs) >= 15
         several = 0
-        for cx, x, y in pairs:
-            galleries = sv.enumerate_galleries(cx, x, y)
-            dominated = {g for g, _ in brute_dominated(galleries)}
-            n = len(cx.hyperplanes)
-            xa, ya = x.ambient(n).tolist(), y.ambient(n).tolist()
+        for make, x, y in pairs:
             for p in (1.5, 2.0, 3.0):
+                cx = make()
+                galleries = sv.enumerate_galleries(cx, x, y)
+                dominated = {g for g, _ in brute_dominated(galleries)}
+                n = len(cx.hyperplanes)
+                xa, ya = x.ambient(n).tolist(), y.ambient(n).tolist()
                 first = sorted((g.cubes for g in galleries if g.cubes not in dominated),
                                key=lambda c: (sum(sv._segments(
                                    sv._start_chain(xa, ya, sv._layout(cx, c), None), p)[0]), c))
@@ -619,19 +647,23 @@ class TestGeodesic:
         # the candidate with the shortest start chain is mostly the one that
         # certifies; the ratio depends on the pairs (1.01 to 1.17 over 60
         # pairs from each of these seeds), so the bound is on all 300.  A
-        # fresh complex, which remembers no answer from another test
+        # fresh complex per p, each pair after another one, so that every
+        # solve is a search
         grid222 = cc.grid(2, 2, 2)
-        multi = 0
+        pairs = []
         for seed in range(5):
             rng = np.random.default_rng(seed)
             for _ in range(60):
                 x, y = sample_point(grid222, rng), sample_point(grid222, rng)
-                if (grid222.minimal_cube_pair(x, y) is not None
-                        or len(sv.enumerate_galleries(grid222, x, y)) == 1):
-                    continue
-                for p in (1.5, 2.0, 3.0):
-                    sv.geodesic(grid222, x, y, p)
-                    multi += 1
+                if (grid222.minimal_cube_pair(x, y) is None
+                        and len(sv.enumerate_galleries(grid222, x, y)) > 1):
+                    pairs.append((x, y))
+        multi = 0
+        for p in (1.5, 2.0, 3.0):
+            grid222 = cc.grid(2, 2, 2)
+            for x, y in pairs:
+                sv.geodesic(grid222, x, y, p)
+                multi += 1
         assert multi >= 300
         assert solve_log.counts()["full"] <= 1.10 * multi
 
@@ -664,20 +696,20 @@ class TestGeodesic:
     def test_no_face_bound_before_a_path_is_solved(self, monkeypatch):
         # the prune needs a solved length, so a search that certifies its
         # first candidate measures no face: corner to corner, 13 galleries,
-        # on a fresh complex, so that each geodesic() is a search
-        grid222 = cc.grid(2, 2, 2)
+        # on a fresh complex per p, so that each geodesic() is a search
         measured = []
         bound = sv._face_bound
         monkeypatch.setattr(sv, "_face_bound", lambda f, *args: measured.append(f) or bound(f, *args))
         x, y = Point.make(0), Point.make(0b111111)
-        assert len(sv.enumerate_galleries(grid222, x, y)) == 13
         for p in (1.5, 2.0, 3.0):
+            grid222 = cc.grid(2, 2, 2)
+            assert len(sv.enumerate_galleries(grid222, x, y)) == 13
             sv.geodesic(grid222, x, y, p)
         assert measured == []
 
     def test_layouts_are_derived_once_per_complex(self, monkeypatch):
-        # a second exponent on the same pair derives no face; the cached
-        # layouts hold CubeRefs and lists, never the complex
+        # a second search on the same pair, at another exponent, derives no
+        # face; the cached layouts hold CubeRefs and lists, never the complex
         cx = cc.grid(2, 2, 2)
         x, y = Point.make(0), Point.make(max(cx.vertices))
         derived = []
@@ -685,6 +717,8 @@ class TestGeodesic:
         monkeypatch.setattr(sv, "_faces", lambda cubes: derived.append(cubes) or faces(cubes))
         sv.geodesic(cx, x, y, 2.0)
         assert len(derived) == len(set(derived)) > 1
+        # forget the answer, which would start the solve at p = 3 from it
+        del cx._solver_cache["last geodesic"]
         sv.geodesic(cx, x, y, 3.0)
         assert len(derived) == len(set(derived))
         layouts = [v for k, v in cx._solver_cache.items() if k[0] == "layout"]
@@ -776,6 +810,72 @@ class TestLastAnswer:
 
     def test_a_complex_dropped_after_a_sub_hull_needs_no_cyclic_collection(self):
         self._dropped_complex_is_freed(Point.make(0, {0: 0.5}), whole=False)
+
+
+class TestContinuation:
+    """A new p for the remembered endpoints starts from the remembered answer."""
+
+    # the exponents of tools/answers.py's [77, i] cases
+    ANSWER_SET_PS = (1.01, 1.05, 1.5, 2.0, 3.0, 8.0, 12.0, 16.0, 32.0, 64.0)
+
+    def test_corner_to_corner_is_one_chain_solve(self, solve_log):
+        # 13 galleries; from the second exponent on, the remembered gallery
+        # is solved once, without a screen, and certifies
+        cx = cc.grid(2, 2, 2)
+        x, y = Point.make(0), Point.make(0b111111)
+        for p in (1.5, 2.0, 3.0):
+            solve_log.calls.clear()
+            path = sv.geodesic(cx, x, y, p)
+            assert path.length == pytest.approx(2 * 3 ** (1 / p), abs=1e-12)
+            if p != 1.5:
+                assert solve_log.counts() == {"full": 1, "screen": 0}
+
+    @pytest.mark.parametrize("i, before, p", [
+        (42, 32.0, 64.0),   # the continued chain does not converge
+        (43, 16.0, 32.0),   # it converges, and fails no-shortcut
+    ])
+    def test_an_uncertified_continuation_falls_back_to_the_search(self, solve_log, i, before,
+                                                                     p):
+        # corner_complex, two galleries: the continued path through the
+        # remembered one is given up, and the search returns the answer of a
+        # complex that remembers nothing
+        rng = np.random.default_rng([77, i])
+        cx = cc.corner_complex()
+        x, y = sample_point(cx, rng), sample_point(cx, rng)
+        remembered = sv.geodesic(cx, x, y, before).gallery
+        solve_log.calls.clear()
+        path = sv.geodesic(cx, x, y, p)
+        assert solve_log.calls[0] == ("full", remembered)
+        assert solve_log.counts()["screen"] > 0
+        cold = sv.geodesic(cc.corner_complex(), x, y, p)
+        assert (path.breaks, path.gallery, path.converged) == \
+            (cold.breaks, cold.gallery, cold.converged)
+
+    def test_grid_sweeps_certify_the_straight_segment(self):
+        # grid(2,2,2) is the product of three paths of two edges, so its lp
+        # geodesic is the straight segment in [0, 2]^3, of length the lp norm
+        # of the per-axis l1 distances.  Each pair swept over the answer
+        # set's exponents on one complex certifies at every p
+        cx = cc.grid(2, 2, 2)
+        n = len(cx.hyperplanes)
+        axes = [[h for h, label in enumerate(cx.hyperplanes) if label[0] == a] for a in "xyz"]
+
+        def box(point):
+            vec = point.ambient(n)
+            return np.array([vec[ax].sum() for ax in axes])
+
+        for i in range(20):
+            rng = np.random.default_rng([77, i])
+            x, y = sample_point(cx, rng), sample_point(cx, rng)
+            bx, by = box(x), box(y)
+            for p in self.ANSWER_SET_PS:
+                path = sv.geodesic(cx, x, y, p)
+                assert sv.check_local_geodesic(cx, path).all_ok, (i, p)
+                want = sv.lp_norm(np.abs(by - bx), p)
+                assert abs(path.length - want) <= 1e-12 * want, (i, p)
+                off = max(np.abs(box(path.evaluate(k / 64)) - (bx + k / 64 * (by - bx))).max()
+                          for k in range(65))
+                assert off <= 1e-8, (i, p)
 
 
 class TestKeptReport:

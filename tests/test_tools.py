@@ -159,3 +159,12 @@ def test_validation_cases_are_the_nonempty_subsets_of_the_4_cube():
     assert len(cases) == len({name for name, _ in cases}) == 65_535
     tally = collections.Counter(answers.validation_answer(v) for _, v in cases)
     assert tally == {"ok": 2_873, "NotMedian": 34_420, "Disconnected": 28_242}
+
+
+def test_cold_cases_solve_on_complexes_that_remember_nothing():
+    # continuation starts a ladder's solves from the answer before; these
+    # cases each get a new complex, so the search runs from a cold start
+    cases = [case for case in answers.cases() if " cold [77, " in case[0]]
+    names = {name for name, *_ in cases}
+    assert len(cases) == len(names) == len({id(cx) for _, cx, *_ in cases}) == 800
+    assert "grid222 cold [77, 172] p=12.0" in names

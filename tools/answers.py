@@ -3,7 +3,7 @@
     python3 tools/answers.py dump OUT.json
     python3 tools/answers.py compare A.json B.json
 
-``dump`` runs ``geodesic`` on 12,723 cases and writes, per case, the length
+``dump`` runs ``geodesic`` on 15,523 cases and writes, per case, the length
 and break reprs, the converged flag and the ``check_local_geodesic`` verdict
 and worst residual, computed afresh on a new path with the returned breaks,
 or the type and message of the domain error raised.
@@ -11,7 +11,12 @@ The cases:
 
 - 200 ``default_rng([77, i])`` pairs (two ``sample_point`` draws) on each
   of corner_complex, square_cube_book, grid(2,2,2), grid(12,1,0) and
-  hypercube(3), at p in {1.01, 1.05, 1.5, 2, 3, 16, 32, 64};
+  hypercube(3), at p in {1.01, 1.05, 1.5, 2, 3, 8, 12, 16, 32, 64}, in
+  that order on one complex per fixture, so that from the second exponent
+  on a pair's solve starts from its answer at the one before;
+- the same pairs on corner_complex and grid(2,2,2) at p in {12, 64}, each
+  on a new complex, which remembers no answer: the search from a cold
+  start;
 - 60 ``default_rng([78, i])`` pairs on grid(3,3,3) at p in {2, 32};
 - corner to corner on grid(3,3,3) at p in {1.5, 2, 3};
 - 100 ``default_rng([92, i])`` pairs of ``endpoint`` draws on grid(6,6,0),
@@ -69,7 +74,8 @@ from lpcube.decomposition import canonical_decomposition, distance_formula
 from lpcube.errors import LpCubeError, NotMedian
 from lpcube.solver import PiecewisePath, check_local_geodesic, geodesic
 
-SWEEP_PS = (1.01, 1.05, 1.5, 2.0, 3.0, 16.0, 32.0, 64.0)
+SWEEP_PS = (1.01, 1.05, 1.5, 2.0, 3.0, 8.0, 12.0, 16.0, 32.0, 64.0)
+COLD_PS = (12.0, 64.0)
 
 
 def cases():
@@ -84,6 +90,14 @@ def cases():
             x, y = sample_point(cx, rng), sample_point(cx, rng)
             for p in SWEEP_PS:
                 yield f"{name} [77, {i}] p={p}", cx, x, y, p
+    for name, make in (("corner_complex", cc.corner_complex),
+                       ("grid222", lambda: cc.grid(2, 2, 2))):
+        cx = make()
+        for i in range(200):
+            rng = np.random.default_rng([77, i])
+            x, y = sample_point(cx, rng), sample_point(cx, rng)
+            for p in COLD_PS:
+                yield f"{name} cold [77, {i}] p={p}", make(), x, y, p
     cx = cc.grid(3, 3, 3)
     for i in range(60):
         rng = np.random.default_rng([78, i])
