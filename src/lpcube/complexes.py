@@ -46,15 +46,27 @@ def median_of(u: int, v: int, w: int) -> int:
     return (u & v) | (u & w) | (v & w)
 
 
+def side_sets(vertices: Sequence[int], n_bits: int) -> list[int]:
+    """Per hyperplane i, the positions in ``vertices`` of those on side 1 of
+    i, as a bitset: one transposition of the vertices' bit rows."""
+    nbytes = (n_bits + 7) // 8
+    rows = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in vertices),
+                         np.uint8).reshape(len(vertices), nbytes)
+    sides = np.packbits(np.unpackbits(rows, axis=1, count=n_bits, bitorder="little").T,
+                        axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in sides]
+
+
 def missing_square(edges: Mapping[int, int],
-                   n_bits: int) -> Optional[tuple[int, int, int, int]]:
+                   ones: Sequence[int]) -> Optional[tuple[int, int, int, int]]:
     """Local median check of a connected vertex set, given as each vertex's
-    mask of edge hyperplanes.  Hyperplanes i != j cross when all four pairs of
-    their sides occur; the set is median exactly when at every vertex u, two
-    edges on crossing hyperplanes i and j span a square (u ^ e_i ^ e_j is a
-    vertex).  Returns None, or (u ^ e_i, u ^ e_j, w, u ^ e_i ^ e_j) for some w
-    on the far side of both from u: the median of the first three is the last.
-    That gives necessity.  Sufficiency: (1) shortest paths in the set cross no
+    mask of edge hyperplanes, and per hyperplane the ``side_sets`` of the
+    vertices in the order of ``edges``.  Hyperplanes i != j cross when all
+    four pairs of their sides occur; the set is median exactly when at every
+    vertex u, two edges on crossing hyperplanes i and j span a square
+    (u ^ e_i ^ e_j is a vertex).  Returns None, or (u ^ e_i, u ^ e_j, w,
+    u ^ e_i ^ e_j) for some w on the far side of both from u: the median of
+    the first three is the last.  That gives necessity.  Sufficiency: (1) shortest paths in the set cross no
     hyperplane twice.  At an innermost repeat of i, let j be the hyperplane of
     the edge right after the first i-crossing.  The path shows all four side
     pairs of i and j, and their square moves the i-crossing one edge later;
@@ -68,12 +80,6 @@ def missing_square(edges: Mapping[int, int],
     far side misses those of the edges before it crosses none of them."""
     order = list(edges)
     full = (1 << len(order)) - 1
-    nbytes = (n_bits + 7) // 8
-    rows = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in order),
-                         np.uint8).reshape(len(order), nbytes)
-    sides = np.packbits(np.unpackbits(rows, axis=1, count=n_bits, bitorder="little").T,
-                        axis=1, bitorder="little")    # row i: the positions on side 1 of i
-    ones = [int.from_bytes(row.tobytes(), "little") for row in sides]
     far = [(s, full ^ s) for s in ones]    # far[i][b]: the positions on side 1 - b of i
     for u, mask in edges.items():
         union, seen = 0, []
@@ -221,6 +227,7 @@ class CubeComplex:
         self._all_cubes: Optional[tuple[CubeRef, ...]] = None
         self._maximal_cubes: Optional[tuple[CubeRef, ...]] = None
         self._dimension: Optional[int] = None
+        self._sides: Optional[list[int]] = None
         if validate:
             self._validate()
 
@@ -232,7 +239,9 @@ class CubeComplex:
         n_bits = len(self.hyperplanes)
         if any(v >> n_bits for v in self.vertices):
             raise ParseError("vertex assigns a side to an unknown hyperplane")
-        witness = missing_square(self._check_connected(), n_bits)
+        edges = self._check_connected()
+        self._sides = side_sets(list(edges), n_bits)
+        witness = missing_square(edges, self._sides)
         if witness is not None:
             raise NotMedian("vertex set is not median-closed", witness=dict(zip(
                 ("u", "v", "w", "missing_median"), map(self.vertex_sides, witness))))
@@ -292,6 +301,14 @@ class CubeComplex:
         if not self.is_cube(ref):
             raise ValueError("not a cube of the complex")
         return ref
+
+    def side_sets(self) -> list[int]:
+        """Per hyperplane, the vertices on its side 1 as a bitset over one
+        fixed order of the vertices: the one validation searched them in,
+        else ``vertex_order``.  Found on first use."""
+        if self._sides is None:
+            self._sides = side_sets(self.vertex_order, len(self.hyperplanes))
+        return self._sides
 
     def check_point(self, p: Point) -> Point:
         ref = p.minimal_cube()
@@ -366,9 +383,14 @@ class CubeComplex:
         The hull is fixed by the AND and the OR of the cubes' corners, which
         are the AND of the cubes' base corners and the OR of corner | mask, so
         the corners themselves are listed only on a cache miss."""
-        lo, hi = -1, 0
         for p in points:
             self.check_point(p)
+        return self._hull_of(points)
+
+    def _hull_of(self, points: Sequence[Point]) -> "CubeComplex":
+        """``hull_restriction`` of points already checked."""
+        lo, hi = -1, 0
+        for p in points:
             cube = p.minimal_cube()
             lo &= cube.corner
             hi |= cube.corner | cube.mask

@@ -34,6 +34,11 @@ only if a subgradient test at the merged break shows that pulling them apart
 cannot shorten the path; otherwise they are split along the descent direction
 the test yields.
 
+Every chain starts on the l1 crossing schedule (``_schedule``,
+``_start_chain``).  On a product of trees that is the lp geodesic for every
+p, up to a nudge off the sides of the faces; on other hulls it is only a
+start.
+
 geodesic() searches the galleries for a certified path, in one fixed order:
 by the length of their start chain, except that a gallery G comes after all
 others when the list also holds G' = G with one cube E inserted between
@@ -43,20 +48,21 @@ and G' is never longer.  Once a path is solved, a gallery whose face bound
 exceeds the shortest path solved so far is skipped; the bound is taken only
 then, so a search that certifies its first candidate measures no face.  Each
 other gallery is solved in full, from the breaks of a few Newton steps on its
-start chain.  A converged path that passes ``check_local_geodesic`` (zero
-tension and no shortcut) is a local geodesic, hence by Busemann convexity the
-geodesic, and ends the search.  If no path certifies, ``_select`` takes the
-shortest converged one, and tied galleries must agree.  The certified path
-keeps its report, so the caller's own check of it is a lookup.  The complex
-remembers the last answer, report included, so the same query again (as a
-vertex-wedge decomposition makes after a caller's own solve) returns a new
-path built from it.  The same x and y at another p (as a p-sweep asks) are
-continued from it: the remembered gallery is solved at the new p from the
-remembered breaks, and that path is returned if the search would accept it
-from that gallery (converged, and certified unless the gallery is the only
-one); otherwise the search runs as above.  So an answer can depend on the
-query before it, within the solve's tolerances: both answers are certified
-(or both the converged path of a lone gallery).
+start chain; that screen stops at the first segment short enough to merge
+and leaves the merge to the full solve.  A converged path that passes
+``check_local_geodesic`` (zero tension and no shortcut) is a local geodesic,
+hence by Busemann convexity the geodesic, and ends the search.  If no path
+certifies, ``_select`` takes the shortest converged one, and tied galleries
+must agree.  The certified path keeps its report, so the caller's own check
+of it is a lookup.  The complex remembers the last answer, report included,
+so the same query again (as a vertex-wedge decomposition makes after a
+caller's own solve) returns a new path built from it.  The same x and y at
+another p (as a p-sweep asks) are continued from it: the remembered gallery
+is solved at the new p from the remembered breaks, and that path is returned
+if the search would accept it from that gallery (converged, and certified
+unless the gallery is the only one); otherwise the search runs as above.  So
+an answer can depend on the query before it, within the solve's tolerances:
+both answers are certified (or both the converged path of a lone gallery).
 
 The tolerances are fixed module constants, not options: a certified path is
 the geodesic whatever the solve's stopping rule, so no caller has a reason to
@@ -221,14 +227,14 @@ def enumerate_galleries(complex: CubeComplex, x: Point, y: Point) -> list[Galler
     cube can come back.  Simple walks from distinct start cubes are
     distinct, so no gallery repeats.
     """
-    complex.check_point(x)
-    complex.check_point(y)
     mx, my = x.minimal_cube(), y.minimal_cube()
     key = ("galleries", mx, my)
     cached = complex._solver_cache.get(key)
-    if cached is not None:
+    if cached is not None:     # kept once x and y passed check_point: no check again
         return cached
-    maximal = sorted(complex.hull_restriction([x, y]).maximal_cubes())
+    complex.check_point(x)
+    complex.check_point(y)
+    maximal = sorted(complex._hull_of((x, y)).maximal_cubes())
     starts = [c for c in maximal if c.contains_cube(mx)]
     ends = {c for c in maximal if c.contains_cube(my)}
     inter: dict[CubeRef, list[CubeRef]] = {}
@@ -517,33 +523,89 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
     return res <= gate, None
 
 
+def _schedule(complex: CubeComplex, x: Point, y: Point, xa: list[float],
+              ya: list[float]) -> dict[int, tuple[float, float]]:
+    """The l1 crossing schedule from x to y: per hyperplane h with
+    xa[h] != ya[h], the times (start, end) in [0, 1] during which coordinate
+    h moves, linearly, from xa[h] to ya[h].
+
+    In the hull, a separating hyperplane j that does not cross h is crossed
+    before h when no vertex lies on y's side of h and x's side of j, and
+    after h in the mirror case.  With a and b the l1 lengths |xa[j] - ya[j]|
+    summed over the j before and after h, and d h's own, h moves during
+    [a, a + d] / (a + d + b).  In a product of trees, a + d + b is the l1
+    length of h's tree, so every coordinate runs its tree's geodesic at
+    constant speed: the schedule is the lp geodesic for every p (Bridson
+    and Haefliger I.5.3 for p = 2; the proof carries over).  Which
+    pairs of sides the hull misses is read from its ``side_sets``, kept on
+    the hull: two sides are missing together when their bitsets share no
+    vertex.
+    """
+    hull = complex._hull_of((x, y))
+    full = (1 << len(hull.vertices)) - 1
+    # per moving coordinate: (h, the hull vertices on x's side of h, those on
+    # y's side, its l1 length)
+    moves = [(h, full ^ one, one, t - s) if s < t else (h, one, full ^ one, s - t)
+             for h, (s, t, one) in enumerate(zip(xa, ya, hull.side_sets())) if s != t]
+    out = {}
+    for h, x_side, y_side, d in moves:
+        before = after = 0.0
+        for j, x_j, y_j, d_j in moves:
+            if j == h:
+                continue
+            if not y_side & x_j:
+                before += d_j
+            elif not x_side & y_j:
+                after += d_j
+        total = before + d + after
+        out[h] = (before / total, (before + d) / total)
+    return out
+
+
 def _start_chain(xa: list[float], ya: list[float],
                  layout: tuple[list[CubeRef], list[list[float]], list[list[int]]],
-                 init: Optional[Sequence[Sequence[float]]]) -> list[list[float]]:
-    """The start chain x, breaks, y through a ``_layout``, with the breaks
-    (new lists) placed in the face boxes."""
+                 schedule: dict[int, tuple[float, float]]) -> list[list[float]]:
+    """The start chain x, breaks, y through a ``_layout``, on the ``_schedule``.
+
+    The break on each face sits at the schedule's time in the middle of
+    [the last end of a fixed axis at y's value, the first start of one at
+    x's value], never earlier than the break before it; its free
+    coordinates are the schedule's at that time, nudged off the sides of the
+    face so that no segment starts on a kink.  Where the schedule is the
+    geodesic and the gallery holds it, so is the chain, up to the nudge.
+    """
     faces, template, axes = layout
-    k = len(faces)
     chain = [xa] + [side[:] for side in template] + [ya]
-    if init is not None and len(init) == k:
-        # warm starts are kept exactly (they may sit on a side on purpose)
-        for row, free, v in zip(chain[1:], axes, init):
-            for i in free:
-                row[i] = min(max(float(v[i]), 0.0), 1.0)
-        return chain
-    # start on the straight ambient segment at the time it crosses the walls
-    # each face fixes, a nudge off the sides so no segment starts on a kink;
-    # exact for flat configurations
-    crossing = [(i, s, e - s) for i, (s, e) in enumerate(zip(xa, ya))
-                if abs(e - s) >= 1e-12]
     lam = 0.0
-    for j, (face, row, free) in enumerate(zip(faces, chain[1:], axes)):
-        times = [min(max(t, 0.0), 1.0)
-                 for t in [(row[i] - s) / d for i, s, d in crossing if not face.mask >> i & 1]
-                 if -0.2 <= t <= 1.2]
-        lam = max(sum(times) / len(times) if times else (j + 1) / (k + 1), lam)
+    for face, row, free in zip(faces, chain[1:], axes):
+        lo, hi = 0.0, 1.0
+        for h, (start, end) in schedule.items():
+            if not face.mask >> h & 1:
+                if row[h] == ya[h]:
+                    lo = max(lo, end)
+                elif row[h] == xa[h]:
+                    hi = min(hi, start)
+        lam = max(lam, 0.5 * (lo + hi))
         for i in free:
-            row[i] = min(max((1 - lam) * xa[i] + lam * ya[i], 1e-3), 1.0 - 1e-3)
+            t = xa[i]
+            if i in schedule:
+                start, end = schedule[i]
+                t += (ya[i] - t) * min(max((lam - start) / (end - start), 0.0), 1.0)
+            row[i] = min(max(t, 1e-3), 1.0 - 1e-3)
+    return chain
+
+
+def _seeded_chain(xa: list[float], ya: list[float],
+                  layout: tuple[list[CubeRef], list[list[float]], list[list[int]]],
+                  seed: Sequence[Sequence[float]]) -> list[list[float]]:
+    """The chain x, breaks, y through a ``_layout`` with the free coordinates
+    of the breaks (new lists) taken from ``seed``, one vector per face, and
+    kept exactly (they may sit on a side on purpose)."""
+    _, template, axes = layout
+    chain = [xa] + [side[:] for side in template] + [ya]
+    for row, free, v in zip(chain[1:], axes, seed):
+        for i in free:
+            row[i] = min(max(float(v[i]), 0.0), 1.0)
     return chain
 
 
@@ -624,19 +686,20 @@ def _split(chain: list[list[float]], s: int, split, p: float) -> list[list[float
     return best
 
 
-def _solve(complex: CubeComplex, cubes: tuple[CubeRef, ...],
-           seed: Optional[Sequence[Sequence[float]]], xa: list[float], ya: list[float],
+def _solve(complex: CubeComplex, cubes: tuple[CubeRef, ...], chain: list[list[float]],
            p: float, max_sweeps: Optional[int]
            ) -> tuple[tuple[CubeRef, ...], list[CubeRef], list[list[float]], bool]:
-    """The chain solve of ``optimize_breakpoints`` through ``cubes`` from the
-    start chain at ``seed``, with coalescing breaks merged where that does not
-    lengthen the path: (the cubes kept, their faces, the chain, converged)."""
-    layout = faces, template, axes = _layout(complex, cubes)
-    chain = _start_chain(xa, ya, layout, seed)
+    """The chain solve of ``optimize_breakpoints`` through ``cubes`` from
+    ``chain`` (solved in place), with coalescing breaks merged where that
+    does not lengthen the path: (the cubes kept, their faces, the chain,
+    converged).  A screen (``max_sweeps`` set) merges nothing: it stops at
+    the first short segment and hands its chain on as it is."""
+    faces, template, axes = _layout(complex, cubes)
+    xa, ya = chain[0], chain[-1]
     k = len(faces)
     # interior breaks can always be pinned together; an end segment only
     # collapses if its endpoint lies on the adjacent face
-    mergeable = [max_sweeps is None and k > 0] * (k + 1)
+    mergeable = [k > 0] * (k + 1)
     for s, end in ((0, xa), (k, ya)):
         j = min(s, k - 1)
         if k and any(end[i] != side for i, side in enumerate(template[j])
@@ -646,15 +709,17 @@ def _solve(complex: CubeComplex, cubes: tuple[CubeRef, ...],
         converged, s = _newton_chain(chain, axes, p,
                                      NEWTON_CAP if max_sweeps is None else max_sweeps,
                                      mergeable)
-        if s is None:
+        if s is None or max_sweeps is not None:
             return cubes, faces, chain, converged
         # the ends of segment s are coalescing: solve with cube s dropped,
         # which pins them together on their shared face, and keep that
         # unless pulling them apart shortens the path
         pts = chain[1:-1]
         drop = min(s, k - 1)
-        merged = _solve(complex, cubes[:s] + cubes[s + 1:], pts[:drop] + pts[drop + 1:],
-                        xa, ya, p, max_sweeps)
+        kept_cubes = cubes[:s] + cubes[s + 1:]
+        merged = _solve(complex, kept_cubes,
+                        _seeded_chain(xa, ya, _layout(complex, kept_cubes),
+                                      pts[:drop] + pts[drop + 1:]), p, max_sweeps)
         # place every break of this gallery on the merged path: break i
         # sits where the path leaves the last kept cube up to cube i
         kept = list(itertools.accumulate((c in merged[0] for c in cubes), initial=0))
@@ -676,15 +741,24 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
     ``max_sweeps`` caps the Newton iterations (used for coarse screening of
     candidate galleries); by default iteration runs until the tension
     residual is below a tenth of RESIDUAL_TOL.
-    ``init`` warm-starts the break points with ambient coordinate vectors.
+    ``init`` warm-starts the break points with ambient coordinate vectors,
+    one per face; without it (or with another number of them) the chain
+    starts on the l1 crossing schedule (``_start_chain``).
     Breaks that coincide at the optimum come back merged, with the cube
     between them dropped from the path (not from ``gallery``).
     """
     p = check_p(p, smooth=True)
     n = len(complex.hyperplanes)
     xa, ya = _ambient(x, n), _ambient(y, n)
-    _, faces, chain, converged = _solve(complex, tuple(gallery.cubes), init, xa, ya, p,
-                                        max_sweeps)
+    cubes = tuple(gallery.cubes)
+    layout = _layout(complex, cubes)
+    if init is not None and len(init) == len(layout[0]):
+        chain = _seeded_chain(xa, ya, layout, init)
+    else:
+        # breaks on vertices (a vertex wedge's lone gallery) have nothing to place
+        chain = _start_chain(xa, ya, layout,
+                             _schedule(complex, x, y, xa, ya) if any(layout[2]) else {})
+    _, faces, chain, converged = _solve(complex, cubes, chain, p, max_sweeps)
     breaks = (x, *[point_from_ambient(vec, face) for vec, face in zip(chain[1:-1], faces)], y)
     return PiecewisePath(complex, p, breaks, gallery, converged)
 
@@ -744,14 +818,14 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
     raises leaves no record.
     """
     p = check_p(p, smooth=True)
-    complex.check_point(x)
-    complex.check_point(y)
     query = (x, y, p)
     last = complex._solver_cache.get("last geodesic")
-    if last is not None and last[0] == query:
+    if last is not None and last[0] == query:    # x and y were checked when it was solved
         path = PiecewisePath(complex, p, *last[1:4])
         path._keep("_report", last[4])
         return path
+    complex.check_point(x)
+    complex.check_point(y)
     path = None
     # a remembered path of two breaks lies in one cube: nothing to continue
     if last is not None and last[0][:2] == (x, y) and len(last[1]) > 2:
@@ -794,7 +868,8 @@ def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath
     n = len(complex.hyperplanes)
     xa, ya = _ambient(x, n), _ambient(y, n)
     # the screen starts from the chain built for the ordering
-    start = {g: _start_chain(xa, ya, _layout(complex, g.cubes), None)[1:-1]
+    schedule = _schedule(complex, x, y, xa, ya)
+    start = {g: _start_chain(xa, ya, _layout(complex, g.cubes), schedule)[1:-1]
              for g in undominated}
     order = sorted(start, key=lambda g: (sum(_segments([xa, *start[g], ya], p)[0]), g.cubes))
     # dominated galleries come last, for when no other path certifies: at

@@ -3,7 +3,7 @@
     python3 tools/answers.py dump OUT.json
     python3 tools/answers.py compare A.json B.json
 
-``dump`` runs ``geodesic`` on 15,523 cases and writes, per case, the length
+``dump`` runs ``geodesic`` on 16,323 cases and writes, per case, the length
 and break reprs, the converged flag and the ``check_local_geodesic`` verdict
 and worst residual, computed afresh on a new path with the returned breaks,
 or the type and message of the domain error raised.
@@ -14,9 +14,10 @@ The cases:
   hypercube(3), at p in {1.01, 1.05, 1.5, 2, 3, 8, 12, 16, 32, 64}, in
   that order on one complex per fixture, so that from the second exponent
   on a pair's solve starts from its answer at the one before;
-- the same pairs on corner_complex and grid(2,2,2) at p in {12, 64}, each
-  on a new complex, which remembers no answer: the search from a cold
-  start;
+- the same pairs on corner_complex, grid(2,2,2), grid(12,1,0) and
+  grid(3,3,3) at p in {12, 64}, each on a new complex, which remembers no
+  answer: the search from a cold start, on an irreducible hull and on three
+  products of trees, where the chain starts on the geodesic;
 - 60 ``default_rng([78, i])`` pairs on grid(3,3,3) at p in {2, 32};
 - corner to corner on grid(3,3,3) at p in {1.5, 2, 3};
 - 100 ``default_rng([92, i])`` pairs of ``endpoint`` draws on grid(6,6,0),
@@ -91,7 +92,9 @@ def cases():
             for p in SWEEP_PS:
                 yield f"{name} [77, {i}] p={p}", cx, x, y, p
     for name, make in (("corner_complex", cc.corner_complex),
-                       ("grid222", lambda: cc.grid(2, 2, 2))):
+                       ("grid222", lambda: cc.grid(2, 2, 2)),
+                       ("grid(12,1,0)", lambda: cc.grid(12, 1, 0)),
+                       ("grid333", lambda: cc.grid(3, 3, 3))):
         cx = make()
         for i in range(200):
             rng = np.random.default_rng([77, i])
