@@ -36,33 +36,43 @@ the test yields.
 
 Every chain starts on the l1 crossing schedule (``_schedule``,
 ``_start_chain``).  On a product of trees that is the lp geodesic for every
-p, up to a nudge off the sides of the faces; on other hulls it is only a
-start.
+p, and it is returned as it is; on other hulls it is only a start, which a
+chain solve takes nudged off the sides of the faces (``_nudge``).  Before a
+chain is solved from a known chain, that chain is tried as it is
+(``_at_rest``): with its tension below the solve's stopping gate, it is
+accepted as a solved path would be, and nothing is solved.  The search
+checks a lone gallery's start too, whose solved path it would not check, so
+that the caller's own check is a lookup.
 
 geodesic() searches the galleries for a certified path, in one fixed order:
 by the length of their start chain, except that a gallery G comes after all
 others when the list also holds G' = G with one cube E inserted between
 consecutive cubes C, C' where E contains C n C': a break on C n C' lies on
 C n E and on E n C', so every chain of G is a chain of G' of the same length,
-and G' is never longer.  Once a path is solved, a gallery whose face bound
-exceeds the shortest path solved so far is skipped; the bound is taken only
-then, so a search that certifies its first candidate measures no face.  Each
-other gallery is solved in full, from the breaks of a few Newton steps on its
-start chain; that screen stops at the first segment short enough to merge
-and leaves the merge to the full solve.  A converged path that passes
-``check_local_geodesic`` (zero tension and no shortcut) is a local geodesic,
-hence by Busemann convexity the geodesic, and ends the search.  If no path
-certifies, ``_select`` takes the shortest converged one, and tied galleries
-must agree.  The certified path keeps its report, so the caller's own check
-of it is a lookup.  The complex remembers the last answer, report included,
-so the same query again (as a vertex-wedge decomposition makes after a
-caller's own solve) returns a new path built from it.  The same x and y at
-another p (as a p-sweep asks) are continued from it: the remembered gallery
-is solved at the new p from the remembered breaks, and that path is returned
-if the search would accept it from that gallery (converged, and certified
-unless the gallery is the only one); otherwise the search runs as above.  So
-an answer can depend on the query before it, within the solve's tolerances:
-both answers are certified (or both the converged path of a lone gallery).
+and G' is never longer.  The first candidate's start chain is tried as it
+is; if it does not certify, the search goes on through the order.  Once a
+path is solved, a gallery whose face bound exceeds the shortest path solved
+so far is skipped; the bound is taken only then, so a search that certifies
+its first candidate measures no face.  Each other gallery is solved in full,
+from the breaks of a few Newton steps on its start chain; that screen stops
+at the first segment short enough to merge and leaves the merge to the full
+solve.  A converged path that passes ``check_local_geodesic`` (zero tension
+and no shortcut) is a local geodesic, hence by Busemann convexity the
+geodesic, and ends the search.  If no path certifies, ``_select`` takes the
+shortest converged one, and tied galleries must agree.  The certified path
+keeps its report, so the caller's own check of it is a lookup.  The complex
+remembers the last answer, report included, so the same query again (as a
+vertex-wedge decomposition makes after a caller's own solve) returns a new
+path built from it.  The same x and y at another p (as a p-sweep asks) are
+continued from it: the remembered breaks are tried at the new p as they
+are, then the remembered gallery is solved at the new p from them, and the
+first of these paths that the search would accept from that gallery
+(converged, and certified unless the gallery is the only one) is returned;
+otherwise the search runs as above.  So an answer can depend on the query
+before it, within the solve's tolerances: both answers are certified (or
+both the converged path of a lone gallery).  On a product of trees it does
+not: the schedule is the geodesic at every p, so a cold query and a
+continued one both return the start chain.
 
 The tolerances are fixed module constants, not options: a certified path is
 the geodesic whatever the solve's stopping rule, so no caller has a reason to
@@ -570,9 +580,9 @@ def _start_chain(xa: list[float], ya: list[float],
     The break on each face sits at the schedule's time in the middle of
     [the last end of a fixed axis at y's value, the first start of one at
     x's value], never earlier than the break before it; its free
-    coordinates are the schedule's at that time, nudged off the sides of the
-    face so that no segment starts on a kink.  Where the schedule is the
-    geodesic and the gallery holds it, so is the chain, up to the nudge.
+    coordinates are the schedule's at that time.  Where the schedule is the
+    geodesic and the gallery holds it, so is the chain, exactly; a chain
+    solve starts from it after a ``_nudge``.
     """
     faces, template, axes = layout
     chain = [xa] + [side[:] for side in template] + [ya]
@@ -591,7 +601,17 @@ def _start_chain(xa: list[float], ya: list[float],
             if i in schedule:
                 start, end = schedule[i]
                 t += (ya[i] - t) * min(max((lam - start) / (end - start), 0.0), 1.0)
-            row[i] = min(max(t, 1e-3), 1.0 - 1e-3)
+            row[i] = t
+    return chain
+
+
+def _nudge(chain: list[list[float]], axes: list[list[int]]) -> list[list[float]]:
+    """Move the free coordinates (``axes``) of the breaks of ``chain`` 1e-3
+    off the sides of their faces, in place, so that no segment of a chain
+    solve starts on a kink; returns the chain."""
+    for row, free in zip(chain[1:], axes):
+        for i in free:
+            row[i] = min(max(row[i], 1e-3), 1.0 - 1e-3)
     return chain
 
 
@@ -733,6 +753,15 @@ def _solve(complex: CubeComplex, cubes: tuple[CubeRef, ...], chain: list[list[fl
         chain = _split(full, s, split, p)
 
 
+def _cold_chain(complex: CubeComplex, x: Point, y: Point, xa: list[float], ya: list[float],
+                layout: tuple[list[CubeRef], list[list[float]], list[list[int]]]
+                ) -> list[list[float]]:
+    """The ``_start_chain`` through one gallery's ``_layout``, on its own
+    ``_schedule``."""
+    # breaks on vertices (a vertex wedge's lone gallery) have nothing to place
+    return _start_chain(xa, ya, layout, _schedule(complex, x, y, xa, ya) if any(layout[2]) else {})
+
+
 def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Point,
                          p: float, *, max_sweeps: Optional[int] = None,
                          init: Optional[Sequence[Sequence[float]]] = None) -> PiecewisePath:
@@ -743,7 +772,8 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
     residual is below a tenth of RESIDUAL_TOL.
     ``init`` warm-starts the break points with ambient coordinate vectors,
     one per face; without it (or with another number of them) the chain
-    starts on the l1 crossing schedule (``_start_chain``).
+    starts on the l1 crossing schedule (``_start_chain``), nudged off the
+    sides of the faces (``_nudge``).
     Breaks that coincide at the optimum come back merged, with the cube
     between them dropped from the path (not from ``gallery``).
     """
@@ -755,9 +785,7 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
     if init is not None and len(init) == len(layout[0]):
         chain = _seeded_chain(xa, ya, layout, init)
     else:
-        # breaks on vertices (a vertex wedge's lone gallery) have nothing to place
-        chain = _start_chain(xa, ya, layout,
-                             _schedule(complex, x, y, xa, ya) if any(layout[2]) else {})
+        chain = _nudge(_cold_chain(complex, x, y, xa, ya, layout), layout[2])
     _, faces, chain, converged = _solve(complex, cubes, chain, p, max_sweeps)
     breaks = (x, *[point_from_ambient(vec, face) for vec, face in zip(chain[1:-1], faces)], y)
     return PiecewisePath(complex, p, breaks, gallery, converged)
@@ -804,15 +832,18 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
     """The unique lp geodesic from x to y, as a constant-speed piecewise path.
 
     A path the search certified keeps its ``check_local_geodesic`` report,
-    so a caller's own check of it is a lookup; a lone gallery's path is
-    checked only when a caller asks.  The complex remembers the last answer:
-    the same x, y and p again (p compared after ``check_p``, so 2 and 2.0
-    match) return a new path with the remembered breaks, gallery, converged
-    flag and kept report, without a solve.  The same x and y at another p
-    first solve the remembered gallery at p from the remembered breaks
-    (``_continue``), and the search runs only if that path is not one it
-    would accept; so the answer can depend on the query before it, within
-    the solve's tolerances.  The record holds those fields, not the path: a
+    so a caller's own check of it is a lookup; a lone gallery's solved or
+    continued path is checked only when a caller asks.  On a product of
+    trees the answer is the l1 crossing schedule (``_start_chain``), taken
+    as it is, with no chain solved.  The complex remembers the last
+    answer: the same x, y and p again (p compared after ``check_p``, so 2
+    and 2.0 match) return a new path with the remembered breaks, gallery,
+    converged flag and kept report, without a solve.  The same x and y at another p first try the
+    remembered breaks at p as they are, then solve the remembered gallery at
+    p from them (``_continue``), and the search runs only if neither path
+    is one it would accept; so the answer can depend on the query before
+    it, within the solve's tolerances, except on a product of trees, where
+    both are the schedule.  The record holds those fields, not the path: a
     path holds its complex, and the cycle would leave every dropped complex
     to the cyclic collector (a report holds no complex).  A solve that
     raises leaves no record.
@@ -837,18 +868,51 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
     return path
 
 
+def _at_rest(complex: CubeComplex, gallery: Gallery, x: Point, y: Point, p: float,
+             chain: list[list[float]]) -> Optional[PiecewisePath]:
+    """The path of ``chain`` (x, a break on each face of ``gallery``, y) as
+    it is, if a chain solve would stop on it at once, else None: its tension
+    on the faces' free axes, on the floats, is at most a tenth of
+    RESIDUAL_TOL, the gate at which ``_newton_chain`` stops.  The caller
+    accepts it as it accepts a solved path.  A break repeated on consecutive
+    faces (two walls crossed at once) is written once, on the face of the
+    cubes on either side, as a merged solve writes it.  A gallery whose
+    faces have no free coordinate is left to the solve, which returns its
+    chain at once."""
+    if not any(_layout(complex, gallery.cubes)[2]):
+        return None
+    live = [s for s, (a, b) in enumerate(zip(chain, chain[1:])) if a != b]
+    pts = [chain[0]] + [chain[s + 1] for s in live]
+    faces, _, axes = _layout(complex, tuple(gallery.cubes[s] for s in live))
+    if _tension([[(i, i) for i in row] for row in axes],
+                _units(*_segments(pts, p))) > RESIDUAL_TOL / 10:
+        return None
+    return PiecewisePath(complex, p, (x, *[point_from_ambient(vec, face)
+                                          for vec, face in zip(pts[1:-1], faces)], y), gallery)
+
+
 def _continue(complex: CubeComplex, x: Point, y: Point, p: float,
               last: tuple) -> Optional[PiecewisePath]:
-    """The remembered gallery solved at p from the remembered breaks, or None
-    unless ``_search`` would accept that path from that gallery: converged,
-    and certified unless the gallery is the only one.  A remembered path
-    with merged breaks has fewer breaks than the gallery has faces, and its
-    gallery's chain starts cold."""
+    """The remembered breaks at p as they are, if the solve would stop on
+    them (``_at_rest``); else the remembered gallery solved at p from them.
+    Either path is returned only if ``_search`` would accept it from that
+    gallery: converged, and certified unless the gallery is the only one.
+    A remembered path with merged breaks has fewer breaks than the gallery
+    has faces; its gallery's chain starts cold, and that start is what is
+    tried as it is."""
     n = len(complex.hyperplanes)
-    path = optimize_breakpoints(complex, last[2], x, y, p,
-                                init=[_ambient(b, n) for b in last[1][1:-1]])
-    if path.converged and (len(enumerate_galleries(complex, x, y)) == 1
-                           or check_local_geodesic(complex, path).all_ok):
+    xa, ya = _ambient(x, n), _ambient(y, n)
+    gallery = last[2]
+    layout = _layout(complex, gallery.cubes)
+    init = [_ambient(b, n) for b in last[1][1:-1]]
+    lone = len(enumerate_galleries(complex, x, y)) == 1
+    path = _at_rest(complex, gallery, x, y, p,
+                    _seeded_chain(xa, ya, layout, init) if len(init) == len(layout[0])
+                    else _cold_chain(complex, x, y, xa, ya, layout))
+    if path is not None and (lone or check_local_geodesic(complex, path).all_ok):
+        return path
+    path = optimize_breakpoints(complex, gallery, x, y, p, init=init)
+    if path.converged and (lone or check_local_geodesic(complex, path).all_ok):
         return path
     return None
 
@@ -859,19 +923,32 @@ def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath
     if pair is not None:
         return PiecewisePath(complex, p, (x, y), Gallery((pair,)))
     galleries = enumerate_galleries(complex, x, y)
+    n = len(complex.hyperplanes)
+    xa, ya = _ambient(x, n), _ambient(y, n)
     if len(galleries) == 1:
-        return _select([optimize_breakpoints(complex, galleries[0], x, y, p)])
+        lone = galleries[0]
+        # its start is checked like the head's below, so the caller's check is a lookup
+        path = _at_rest(complex, lone, x, y, p,
+                        _cold_chain(complex, x, y, xa, ya, _layout(complex, lone.cubes)))
+        if path is not None and check_local_geodesic(complex, path).all_ok:
+            return path
+        return _select([optimize_breakpoints(complex, lone, x, y, p)])
     key = ("undominated", x.minimal_cube(), y.minimal_cube())
     undominated = complex._solver_cache.get(key)
     if undominated is None:
         undominated = complex._solver_cache[key] = _undominated(galleries)
-    n = len(complex.hyperplanes)
-    xa, ya = _ambient(x, n), _ambient(y, n)
-    # the screen starts from the chain built for the ordering
+    # the order and the screens take the chains nudged, as a chain solve starts
     schedule = _schedule(complex, x, y, xa, ya)
-    start = {g: _start_chain(xa, ya, _layout(complex, g.cubes), schedule)[1:-1]
-             for g in undominated}
+    start = {}
+    for g in undominated:
+        layout = _layout(complex, g.cubes)
+        start[g] = _nudge(_start_chain(xa, ya, layout, schedule), layout[2])[1:-1]
     order = sorted(start, key=lambda g: (sum(_segments([xa, *start[g], ya], p)[0]), g.cubes))
+    # the first candidate's chain as it is may be the answer (on a product of trees)
+    path = _at_rest(complex, order[0], x, y, p,
+                    _start_chain(xa, ya, _layout(complex, order[0].cubes), schedule))
+    if path is not None and check_local_geodesic(complex, path).all_ok:
+        return path
     # dominated galleries come last, for when no other path certifies: at
     # large p a dominator's chain solve can stall where theirs does not
     order += [g for g in galleries if g not in start]

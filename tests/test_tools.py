@@ -166,7 +166,7 @@ def test_cold_cases_solve_on_complexes_that_remember_nothing():
     # cases each get a new complex, so the search runs from a cold start
     cases = [case for case in answers.cases() if " cold [77, " in case[0]]
     names = {name for name, *_ in cases}
-    assert len(cases) == len(names) == len({id(cx) for _, cx, *_ in cases}) == 1_600
+    assert len(cases) == len(names) == len({id(cx) for _, cx, *_ in cases}) == 2_000
     assert "grid222 cold [77, 172] p=12.0" in names
     assert {name.split(" cold")[0] for name in names} == {
-        "corner_complex", "grid222", "grid(12,1,0)", "grid333"}
+        "corner_complex", "grid222", "grid(12,1,0)", "grid333", "trees(7,7)"}

@@ -3,7 +3,7 @@
     python3 tools/answers.py dump OUT.json
     python3 tools/answers.py compare A.json B.json
 
-``dump`` runs ``geodesic`` on 16,323 cases and writes, per case, the length
+``dump`` runs ``geodesic`` on 16,723 cases and writes, per case, the length
 and break reprs, the converged flag and the ``check_local_geodesic`` verdict
 and worst residual, computed afresh on a new path with the returned breaks,
 or the type and message of the domain error raised.
@@ -14,10 +14,10 @@ The cases:
   hypercube(3), at p in {1.01, 1.05, 1.5, 2, 3, 8, 12, 16, 32, 64}, in
   that order on one complex per fixture, so that from the second exponent
   on a pair's solve starts from its answer at the one before;
-- the same pairs on corner_complex, grid(2,2,2), grid(12,1,0) and
-  grid(3,3,3) at p in {12, 64}, each on a new complex, which remembers no
-  answer: the search from a cold start, on an irreducible hull and on three
-  products of trees, where the chain starts on the geodesic;
+- the same pairs on corner_complex, grid(2,2,2), grid(12,1,0), grid(3,3,3)
+  and ``tree_product()`` at p in {12, 64}, each on a new complex, which
+  remembers no answer: the search from a cold start, on an irreducible hull
+  and on four products of trees, where the start chain is the geodesic;
 - 60 ``default_rng([78, i])`` pairs on grid(3,3,3) at p in {2, 32};
 - corner to corner on grid(3,3,3) at p in {1.5, 2, 3};
 - 100 ``default_rng([92, i])`` pairs of ``endpoint`` draws on grid(6,6,0),
@@ -94,7 +94,8 @@ def cases():
     for name, make in (("corner_complex", cc.corner_complex),
                        ("grid222", lambda: cc.grid(2, 2, 2)),
                        ("grid(12,1,0)", lambda: cc.grid(12, 1, 0)),
-                       ("grid333", lambda: cc.grid(3, 3, 3))):
+                       ("grid333", lambda: cc.grid(3, 3, 3)),
+                       ("trees(7,7)", tree_product)):
         cx = make()
         for i in range(200):
             rng = np.random.default_rng([77, i])
@@ -122,6 +123,22 @@ def cases():
             x, y = endpoint(cx, rng), endpoint(cx, rng)
             for p in (1.5, 2.0, 3.0, 16.0):
                 yield f"{name} [91, {i}] p={p}", cx, x, y, p
+
+
+def tree_product() -> CubeComplex:
+    """The product of two random trees of 7 edges each, from a fixed seed:
+    each new vertex hangs from a random earlier one.  A tree vertex is the
+    set of its edges on the way from the root, and the second tree's
+    hyperplanes come after the first's."""
+    rng = np.random.default_rng([96, 0])
+    trees = []
+    for _ in range(2):
+        masks = [0]
+        for i in range(7):
+            masks.append(masks[int(rng.integers(i + 1))] | 1 << i)
+        trees.append(masks)
+    labels = [f"s{i}" for i in range(7)] + [f"t{i}" for i in range(7)]
+    return CubeComplex(labels, [u | v << 7 for u in trees[0] for v in trees[1]])
 
 
 def endpoint(cx, rng) -> Point:
