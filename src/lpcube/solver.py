@@ -36,13 +36,24 @@ the test yields.
 
 Every chain starts on the l1 crossing schedule (``_schedule``,
 ``_start_chain``).  On a product of trees that is the lp geodesic for every
-p, and it is returned as it is; on other hulls it is only a start, which a
-chain solve takes nudged off the sides of the faces (``_nudge``).  Before a
+p (see below); on other hulls it is only a start, which a chain solve takes
+nudged off the sides of the faces (``_nudge``).  Before a
 chain is solved from a known chain, that chain is tried as it is
 (``_at_rest``): with its tension below the solve's stopping gate, it is
 accepted as a solved path would be, and nothing is solved.  The search
 checks a lone gallery's start too, whose solved path it would not check, so
 that the caller's own check is a lookup.
+
+The product rule: on a product X_1 x ... x X_k, d_p is the lp norm of the
+factor distances, and the geodesic runs each factor's geodesic at constant
+speed (Bridson and Haefliger I.5.3 for p = 2; the proof carries over).  The
+factors of a hull are the classes of its hyperplanes under "does not cross"
+(Caprace and Sageev, Rank rigidity for CAT(0) cube complexes, GAFA 2011),
+and a factor is a tree when no two of its hyperplanes cross.  A tree's
+geodesic is its l1 path, so when every factor of the hull of x and y is a
+tree (``_tree_product``), the schedule is the lp geodesic for every p, and
+geodesic() returns its path (``_tree_path``) after ``check_local_geodesic``
+passes it, with no gallery search.  Every other hull is searched whole.
 
 geodesic() searches the galleries for a certified path, in one fixed order:
 by the length of their start chain, except that a gallery G comes after all
@@ -71,8 +82,7 @@ first of these paths that the search would accept from that gallery
 otherwise the search runs as above.  So an answer can depend on the query
 before it, within the solve's tolerances: both answers are certified (or
 both the converged path of a lone gallery).  On a product of trees it does
-not: the schedule is the geodesic at every p, so a cold query and a
-continued one both return the start chain.
+not: every query returns the schedule's path.
 
 The tolerances are fixed module constants, not options: a certified path is
 the geodesic whatever the solve's stopping rule, so no caller has a reason to
@@ -828,22 +838,119 @@ def _undominated(galleries: Sequence[Gallery]) -> list[Gallery]:
     return [g for g in galleries if g.cubes not in dominated]
 
 
+def _crosses(a: int, b: int, full: int) -> bool:
+    """Whether two hyperplanes, given by their ``side_sets`` over the
+    vertices ``full``, cross: all four pairs of their sides occur, as in
+    ``missing_square``."""
+    return bool(a & b and a & ~b and ~a & b and full & ~(a | b))
+
+
+def _tree_product(hull: CubeComplex) -> bool:
+    """Whether every product factor of ``hull`` (a median hull, or any
+    complex) is a tree; memoized on it.
+
+    The factors are the classes of the spanned hyperplanes under "does not
+    cross" (see the module docstring), and a factor is a tree when no two of
+    its hyperplanes cross, so every factor is a tree exactly when "does not
+    cross" is transitive.
+    """
+    known = hull._solver_cache.get("tree product")
+    if known is None:
+        known = hull._solver_cache["tree product"] = _trees_only(
+            hull.side_sets(), (1 << len(hull.vertices)) - 1)
+    return known
+
+
+def _trees_only(sides: list[int], full: int) -> bool:
+    """Whether "does not cross" is transitive on the hyperplanes with side
+    sets ``sides`` over the vertices ``full`` that split them.  Each joins
+    the one class whose members it does not cross and must cross every
+    member of every other class; the test stops at the first pair that
+    breaks this."""
+    classes: list[list[int]] = []
+    for a in sides:
+        if not 0 < a < full:            # a hyperplane the vertices all lie on one side of
+            continue
+        home = None
+        for members in classes:
+            cross = _crosses(a, members[0], full)
+            if (not cross and home is not None
+                    or any(_crosses(a, b, full) != cross for b in members[1:])):
+                return False
+            if not cross:
+                home = members
+        if home is None:
+            classes.append([a])
+        else:
+            home.append(a)
+    return True
+
+
+EVENT_TOL = 1e-14   # schedule times closer than this are one event
+
+
+def _tree_path(complex: CubeComplex, x: Point, y: Point, p: float) -> Optional[PiecewisePath]:
+    """The path of the l1 crossing schedule from x to y, the lp geodesic on
+    a hull that passes ``_tree_product`` (see the module docstring), if
+    ``check_local_geodesic`` passes it (the report is kept); else None.
+
+    Between two of the schedule's start and end times every coordinate
+    moves linearly, so the breaks are the schedule's points at those times.
+    Times within EVENT_TOL of each other are one event (walls crossed at
+    once, whose times rounding set apart).  It sits at the middle of its
+    times, where ``_start_chain`` puts a break between one wall's end and
+    the next one's start, and a coordinate that starts or ends there takes
+    its end value exactly.  A break equal to the one before is written once.
+    """
+    n = len(complex.hyperplanes)
+    xa, ya = _ambient(x, n), _ambient(y, n)
+    schedule = _schedule(complex, x, y, xa, ya)
+    times = sorted({0.0, 1.0, *itertools.chain.from_iterable(schedule.values())})
+    # the runs of times that are one event, and each time's run; the runs
+    # at 0 and 1 are x and y
+    runs, event = [[0.0]], {0.0: 0}
+    for t in times[1:]:
+        if t - runs[-1][-1] > EVENT_TOL:
+            runs.append([])
+        runs[-1].append(t)
+        event[t] = len(runs) - 1
+    breaks = [x]
+    for k, run in enumerate(runs[1:-1], 1):
+        lam = 0.5 * (run[0] + run[-1])
+        vec = xa[:]
+        for h, (start, end) in schedule.items():
+            if event[end] <= k:
+                vec[h] = ya[h]
+            elif event[start] < k:
+                vec[h] += (ya[h] - vec[h]) * ((lam - start) / (end - start))
+        breaks.append(point_from_ambient(vec, CubeRef(0, (1 << n) - 1)))
+    breaks.append(y)
+    # a break that snapped onto the one before is written once
+    path = PiecewisePath(complex, p, tuple(b for a, b in zip([None, *breaks], breaks) if b != a))
+    return path if check_local_geodesic(complex, path).all_ok else None
+
+
 def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath:
     """The unique lp geodesic from x to y, as a constant-speed piecewise path.
 
+    When x and y share no cube and every product factor of their hull is
+    a tree (``_tree_product``), the answer is the path of the l1 crossing
+    schedule (``_tree_path``), which is the geodesic for every p: no
+    gallery is enumerated, and the path has none.  If it fails
+    ``check_local_geodesic``, the steps below run as on any other hull.
     A path the search certified keeps its ``check_local_geodesic`` report,
-    so a caller's own check of it is a lookup; a lone gallery's solved or
-    continued path is checked only when a caller asks.  On a product of
-    trees the answer is the l1 crossing schedule (``_start_chain``), taken
-    as it is, with no chain solved.  The complex remembers the last
-    answer: the same x, y and p again (p compared after ``check_p``, so 2
-    and 2.0 match) return a new path with the remembered breaks, gallery,
-    converged flag and kept report, without a solve.  The same x and y at another p first try the
+    as a schedule path does, so a caller's own check of it is a lookup; a
+    lone gallery's solved or continued path is checked only when a caller
+    asks.  The complex remembers the last answer: the same x, y and p
+    again (p compared after ``check_p``, so 2 and 2.0 match) return a new
+    path with the remembered breaks, gallery, converged flag and kept
+    report, without a solve.  The same x and y at another p first try the
     remembered breaks at p as they are, then solve the remembered gallery at
-    p from them (``_continue``), and the search runs only if neither path
-    is one it would accept; so the answer can depend on the query before
-    it, within the solve's tolerances, except on a product of trees, where
-    both are the schedule.  The record holds those fields, not the path: a
+    p from them (``_continue``; a schedule path has no gallery, and is not
+    continued), and the search runs only if neither path is one it would
+    accept; so the answer can depend on the query before it, within the
+    solve's tolerances, except on a product of trees, where both are the
+    schedule.  The record holds those fields, not the path: a
     path holds its complex, and the cycle would leave every dropped complex
     to the cyclic collector (a report holds no complex).  A solve that
     raises leaves no record.
@@ -858,8 +965,12 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
     complex.check_point(x)
     complex.check_point(y)
     path = None
-    # a remembered path of two breaks lies in one cube: nothing to continue
-    if last is not None and last[0][:2] == (x, y) and len(last[1]) > 2:
+    if complex.minimal_cube_pair(x, y) is None and _tree_product(complex._hull_of((x, y))):
+        path = _tree_path(complex, x, y, p)
+    # a remembered path of two breaks lies in one cube, and a schedule path
+    # has no gallery: nothing to continue
+    if (path is None and last is not None and last[0][:2] == (x, y) and len(last[1]) > 2
+            and last[2] is not None):
         path = _continue(complex, x, y, p, last)
     if path is None:
         path = _search(complex, x, y, p)
@@ -944,7 +1055,7 @@ def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath
         layout = _layout(complex, g.cubes)
         start[g] = _nudge(_start_chain(xa, ya, layout, schedule), layout[2])[1:-1]
     order = sorted(start, key=lambda g: (sum(_segments([xa, *start[g], ya], p)[0]), g.cubes))
-    # the first candidate's chain as it is may be the answer (on a product of trees)
+    # the first candidate's chain as it is may be the answer, on irreducible hulls too
     path = _at_rest(complex, order[0], x, y, p,
                     _start_chain(xa, ya, _layout(complex, order[0].cubes), schedule))
     if path is not None and check_local_geodesic(complex, path).all_ok:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import math
 import weakref
 from typing import Callable, Optional
@@ -776,9 +777,11 @@ class TestGeodesic:
 
     def test_layouts_are_derived_once_per_complex(self, monkeypatch):
         # a second search on the same pair, at another exponent, derives no
-        # face; the cached layouts hold CubeRefs and lists, never the complex
-        cx = cc.grid(2, 2, 2)
-        x, y = Point.make(0), Point.make(max(cx.vertices))
+        # face; the cached layouts hold CubeRefs and lists, never the complex.
+        # Corner to corner of the staircase, no product: grid(2,2,2)'s is
+        # answered from the schedule, with no gallery
+        cx = staircase(5)
+        x, y = Point.make(0b11111), Point.make(0b11111 << 5)
         derived = []
         faces = sv._faces
         monkeypatch.setattr(sv, "_faces", lambda cubes: derived.append(cubes) or faces(cubes))
@@ -795,14 +798,23 @@ class TestGeodesic:
             assert all(type(t) is float for row in template for t in row)
             assert all(type(i) is int for row in axes for i in row)
 
-    def test_hyperplane_discipline(self, grid222, corner):
-        # the chosen gallery never re-enters a dropped hyperplane
+    def test_hyperplane_discipline(self, corner):
+        # the chosen gallery never re-enters a dropped hyperplane, on 15
+        # pairs per complex whose hull is no product of trees (the schedule
+        # answers those, with no gallery): irreducible complexes, where
+        # grid(2,2,2)'s hulls all are products
         rng = np.random.default_rng(50)
-        for cx in (grid222, corner):
-            for _ in range(15):
+        for cx in (staircase(5), corner):
+            checked = 0
+            while checked < 15:
                 x = sample_point(cx, rng)
                 y = sample_point(cx, rng)
                 path = sv.geodesic(cx, x, y, 2.0)
+                if (cx.minimal_cube_pair(x, y) is None
+                        and sv._tree_product(cx.hull_restriction([x, y]))):
+                    assert path.gallery is None
+                    continue
+                checked += 1
                 dropped = 0
                 prev = None
                 for q in path.gallery.cubes:
@@ -1050,6 +1062,166 @@ class TestStartChain:
                                 <= 1e-12 * want
         assert solves == []
         assert multi >= 20
+
+
+def brute_tree_product(cx: cc.CubeComplex) -> bool:
+    """Reference for ``_tree_product``: the components of the graph that
+    joins two spanned hyperplanes when they do not cross (some pair of
+    their sides never occurs) must each be pairwise non-crossing, and the
+    vertices as many as the product of the trees they span."""
+    verts = list(cx.vertices)
+    spanned = {h for h in range(len(cx.hyperplanes))
+               if 0 < sum(v >> h & 1 for v in verts) < len(verts)}
+
+    def cross(i, j):
+        return len({(v >> i & 1, v >> j & 1) for v in verts}) == 4
+
+    components = []
+    while spanned:
+        component, stack = set(), [spanned.pop()]
+        while stack:
+            h = stack.pop()
+            component.add(h)
+            joined = {j for j in spanned if not cross(h, j)}
+            spanned -= joined
+            stack += joined
+        components.append(component)
+    return (all(not cross(i, j) for c in components for i, j in itertools.combinations(c, 2))
+            and len(verts) == math.prod(len(c) + 1 for c in components))
+
+
+def corner_times_path() -> cc.CubeComplex:
+    """corner_complex times a path of two edges: irreducible times a tree."""
+    corner = cc.corner_complex()
+    labels = list(corner.hyperplanes) + ["p0", "p1"]
+    return cc.CubeComplex(labels, [u | v << 4 for u in corner.vertices for v in (0, 1, 3)])
+
+
+def random_tree(seed: int, edges: int = 12) -> cc.CubeComplex:
+    rng = np.random.default_rng([97, seed])
+    return cc.tree([(f"v{int(rng.integers(i))}", f"v{i}") for i in range(1, edges + 1)])
+
+
+class TestTreeProduct:
+    """A hull whose product factors are all trees is answered from its l1
+    crossing schedule, with no gallery search."""
+
+    PRODUCTS = {
+        "grid222": lambda: cc.grid(2, 2, 2), "grid312": lambda: cc.grid(3, 1, 2),
+        "hypercube3": lambda: cc.hypercube(3), "hypercube4": lambda: cc.hypercube(4),
+        "long_rectangle": lambda: cc.grid(12, 1, 0), "tree0": lambda: random_tree(0),
+        "tree1": lambda: random_tree(1), "trees0": lambda: tree_product(0),
+        "trees1": lambda: tree_product(1, (5, 4)),
+    }
+    IRREDUCIBLE = {
+        "corner_complex": cc.corner_complex, "square_cube_book": cc.square_cube_book,
+        "staircase2": lambda: staircase(2), "staircase3": lambda: staircase(3),
+        "staircase5": lambda: staircase(5), "corner_times_path": corner_times_path,
+    }
+
+    @pytest.mark.parametrize("name", list(PRODUCTS) + list(IRREDUCIBLE))
+    def test_the_product_test_matches_the_brute_force_reference(self, name):
+        # on the whole complex, and on the hulls of random pairs of points
+        cx = {**self.PRODUCTS, **self.IRREDUCIBLE}[name]()
+        assert sv._tree_product(cx) == brute_tree_product(cx) == (name in self.PRODUCTS)
+        rng = np.random.default_rng(98)
+        for _ in range(20):
+            hull = cx.hull_restriction([sample_point(cx, rng), sample_point(cx, rng)])
+            assert sv._tree_product(hull) == brute_tree_product(hull)
+            assert hull._solver_cache["tree product"] == brute_tree_product(hull)
+
+    def test_an_irreducible_factor_takes_the_search(self, solve_log):
+        # corner_complex times a path, far corner to far corner: the hull is
+        # the whole complex, so it is searched, and its length is the lp
+        # norm of the factors' distances
+        cx = corner_times_path()
+        x, y = Point.make(0b0011), Point.make(0b1100 | 0b11 << 4)
+        corner = cc.corner_complex()
+        for p in (1.5, 2.0, 3.0):
+            solve_log.calls.clear()
+            path = sv.geodesic(cx, x, y, p)
+            assert path.gallery is not None and solve_log.calls
+            assert sv.check_local_geodesic(cx, path).all_ok
+            want = sv.lp_norm([sv.geodesic(corner, Point.make(0b0011), Point.make(0b1100),
+                                           p).length, 2.0], p)
+            assert abs(path.length - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("make", [
+        lambda: cc.grid(2, 2, 2), lambda: cc.grid(3, 3, 3), lambda: cc.grid(12, 1, 0),
+        lambda: cc.grid(4, 4, 0), lambda: tree_product(0), lambda: tree_product(1),
+        lambda: tree_product(2),
+    ], ids=["grid222", "grid333", "long_rectangle", "grid440", "trees0", "trees1", "trees2"])
+    def test_the_schedule_path_matches_the_unsplit_search(self, make, monkeypatch):
+        # geodesic() on a new complex takes the schedule, with no gallery
+        # enumerated; _search, called directly, searches the galleries
+        enumerated = []
+        enumerate_galleries = sv.enumerate_galleries
+        monkeypatch.setattr(sv, "enumerate_galleries",
+                            lambda *a: enumerated.append(a) or enumerate_galleries(*a))
+        drawn, searched = make(), make()
+        for i in range(10):
+            rng = np.random.default_rng([77, i])
+            x, y = sample_point(drawn, rng), sample_point(drawn, rng)
+            if drawn.minimal_cube_pair(x, y) is not None:
+                continue
+            for p in (1.01, 2.0, 8.0, 16.0, 64.0):
+                enumerated.clear()
+                path = sv.geodesic(make(), x, y, p)
+                assert enumerated == [] and path.gallery is None
+                assert path._report[1].all_ok
+                ref = sv._search(searched, x, y, p)
+                assert enumerated
+                assert abs(path.length - ref.length) <= 1e-12 * ref.length, (i, p)
+                assert sv.path_sup_distance(path, ref) <= 1e-12, (i, p)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_large_grids_corner_to_corner_certify(self, n):
+        # too many galleries to enumerate (ScaleExceeded); the schedule is
+        # the diagonal, its breaks the vertices where three walls are crossed
+        # at once
+        for p in (1.5, 2.0, 3.0):
+            cx = cc.grid(n, n, n)
+            path = sv.geodesic(cx, Point.make(0), Point.make(max(cx.vertices)), p)
+            assert path._report[1].all_ok
+            assert path.length == pytest.approx(n * 3 ** (1 / p), rel=1e-12, abs=0.0)
+            assert len(path.breaks) == n + 1 and not any(b.coords for b in path.breaks)
+
+    @pytest.mark.parametrize("make, i, p", [
+        # two walls, in two trees, crossed at times 2e-16 apart: as two
+        # breaks their tension residual was 1.96e-10
+        (lambda: tree_product(0), 34, 64.0),
+        # a wall's end and the next one's start 1 ulp apart, whose two
+        # points snap onto one vertex
+        (lambda: cc.grid(12, 1, 0), 4, 2.0),
+        (lambda: cc.grid(12, 1, 0), 4, 64.0),
+    ], ids=["trees-34-64", "long_rectangle-4-2", "long_rectangle-4-64"])
+    def test_near_equal_schedule_events_are_one_break(self, make, i, p):
+        cx = make()
+        rng = np.random.default_rng([77, i])
+        x, y = sample_point(cx, rng), sample_point(cx, rng)
+        path = sv.geodesic(cx, x, y, p)
+        assert path.gallery is None
+        assert all(a != b for a, b in zip(path.breaks, path.breaks[1:]))
+        report = sv.check_local_geodesic(cx, sv.PiecewisePath(cx, p, path.breaks))
+        assert report.all_ok and report.worst_residual <= 1e-12
+
+    def test_a_schedule_path_that_fails_its_check_falls_back_to_the_search(self, monkeypatch):
+        # the remembered answer at p = 2 is a schedule path, which has no
+        # gallery to continue from; with the check failing every schedule
+        # path, p = 3 is searched, as on a complex that remembers nothing
+        rng = np.random.default_rng([77, 3])
+        cx = cc.grid(2, 2, 2)
+        x, y = sample_point(cx, rng), sample_point(cx, rng)
+        assert sv.geodesic(cx, x, y, 2.0).gallery is None
+        check = sv.check_local_geodesic
+        monkeypatch.setattr(sv, "check_local_geodesic", lambda cx, path, *a: (
+            sv.ConditionReport(zero_tension_ok=(False,)) if path.gallery is None
+            else check(cx, path, *a)))
+        path = sv.geodesic(cx, x, y, 3.0)
+        ref = sv._search(cc.grid(2, 2, 2), x, y, 3.0)
+        assert path.gallery is not None
+        assert (path.breaks, path.gallery, path.converged) == \
+            (ref.breaks, ref.gallery, ref.converged)
 
 
 class TestKeptReport:

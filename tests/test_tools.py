@@ -170,3 +170,12 @@ def test_cold_cases_solve_on_complexes_that_remember_nothing():
     assert "grid222 cold [77, 172] p=12.0" in names
     assert {name.split(" cold")[0] for name in names} == {
         "corner_complex", "grid222", "grid(12,1,0)", "grid333", "trees(7,7)"}
+
+
+def test_corner_to_corner_cases_and_the_solver_case_count():
+    cases = [case for case in answers.cases() if "corner to corner" in case[0]]
+    assert [name for name, *_ in cases] == [f"{grid} corner to corner p={p}"
+                                            for grid in ("grid333", "grid555")
+                                            for p in (1.5, 2.0, 3.0)]
+    assert {len(cx.hyperplanes) for name, cx, *_ in cases if "grid555" in name} == {15}
+    assert sum(1 for _ in answers.cases()) == 16_726

@@ -3,7 +3,7 @@
     python3 tools/answers.py dump OUT.json
     python3 tools/answers.py compare A.json B.json
 
-``dump`` runs ``geodesic`` on 16,723 cases and writes, per case, the length
+``dump`` runs ``geodesic`` on 16,726 cases and writes, per case, the length
 and break reprs, the converged flag and the ``check_local_geodesic`` verdict
 and worst residual, computed afresh on a new path with the returned breaks,
 or the type and message of the domain error raised.
@@ -16,10 +16,12 @@ The cases:
   on a pair's solve starts from its answer at the one before;
 - the same pairs on corner_complex, grid(2,2,2), grid(12,1,0), grid(3,3,3)
   and ``tree_product()`` at p in {12, 64}, each on a new complex, which
-  remembers no answer: the search from a cold start, on an irreducible hull
-  and on four products of trees, where the start chain is the geodesic;
+  remembers no answer: the search from a cold start on an irreducible hull,
+  and on four products of trees the l1 crossing schedule, which is their
+  geodesic and is taken without a gallery search;
 - 60 ``default_rng([78, i])`` pairs on grid(3,3,3) at p in {2, 32};
-- corner to corner on grid(3,3,3) at p in {1.5, 2, 3};
+- corner to corner on grid(3,3,3) and on grid(5,5,5) (one complex each) at
+  p in {1.5, 2, 3}; grid(5,5,5) has more galleries than ``GALLERY_CAP``;
 - 100 ``default_rng([92, i])`` pairs of ``endpoint`` draws on grid(6,6,0),
   at p in {1.5, 2, 3, 16}: 12 hyperplanes, and squares whose hulls hold
   several galleries, so each segment moves on a few of many axes;
@@ -108,8 +110,10 @@ def cases():
         x, y = sample_point(cx, rng), sample_point(cx, rng)
         for p in (2.0, 32.0):
             yield f"grid333 [78, {i}] p={p}", cx, x, y, p
-    for p in (1.5, 2.0, 3.0):
-        yield f"grid333 corner to corner p={p}", cx, Point.make(0), Point.make(max(cx.vertices)), p
+    for name, cx in (("grid333", cx), ("grid555", cc.grid(5, 5, 5))):
+        for p in (1.5, 2.0, 3.0):
+            corners = Point.make(0), Point.make(max(cx.vertices))
+            yield f"{name} corner to corner p={p}", cx, *corners, p
     cx = cc.grid(6, 6, 0)
     for i in range(100):
         rng = np.random.default_rng([92, i])
