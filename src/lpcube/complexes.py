@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -160,8 +161,11 @@ class Point:
             canon[h] = t
         return Point(base, tuple(sorted(canon.items())))
 
-    @property
+    @cached_property
     def coord_mask(self) -> int:
+        """The hyperplanes of the coordinates, as a mask; found on first use
+        and kept in the instance dict, outside the fields, so it takes no
+        part in ==, hash, repr or the canonical form."""
         m = 0
         for h, _ in self.coords:
             m |= 1 << h

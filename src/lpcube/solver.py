@@ -21,7 +21,8 @@ coordinate rule of the chain solve: a segment is measured on its support, the
 free axes of the faces at its two ends and the fixed axes on which its ends
 differ.  Its displacement is an exact zero on every other axis, so every sum,
 max and fsum over the support equals the one over all n axes, and the chain
-solve shares ``lp_norm``'s arithmetic by calling its kernel directly.  A
+solve shares ``lp_norm``'s arithmetic by calling its kernel directly, as does
+the local check on the axes it reads.  A
 gallery's layout (faces, face boxes and free axes) is derived once per
 complex, as is the undominated part of each gallery list, and both are kept
 in the complex's solver cache.
@@ -1148,28 +1149,29 @@ def _interior_data(complex: CubeComplex, path: PiecewisePath):
     equal breaks counts once): (index i of its run's first break, index j of
     the next run's first break, prev cube, next cube, shared cube D).  Break
     i - 1 ends the run before and break j - 1 ends this one, so segments
-    i - 1 and j - 1 are the break's two segments."""
+    i - 1 and j - 1 are the break's two segments.  Each segment's minimal
+    cube is taken once: a break's next cube is the following break's prev."""
     breaks = path.breaks
     runs = [i for i in range(1, len(breaks)) if breaks[i] != breaks[i - 1]]
-    out = []
-    for i, j in zip(runs, runs[1:]):
-        c_prev = complex.minimal_cube_pair(breaks[i - 1], breaks[i])
-        c_next = complex.minimal_cube_pair(breaks[i], breaks[j])
-        if c_prev is None or c_next is None:
-            raise NoCommonCube("path breaks do not share cubes")
-        out.append((i, j, c_prev, c_next, cube_intersection(c_prev, c_next)))
-    return out
+    if len(runs) < 2:
+        return []
+    cubes = [complex.minimal_cube_pair(breaks[i - 1], breaks[i]) for i in runs]
+    if None in cubes:
+        raise NoCommonCube("path breaks do not share cubes")
+    return [(i, j, c_prev, c_next, cube_intersection(c_prev, c_next))
+            for i, j, c_prev, c_next in zip(runs, runs[1:], cubes, cubes[1:])]
 
 
 def _tension_residuals(path: PiecewisePath, data) -> list[float]:
-    """Zero-tension residual at each interior break (0 on a vertex D)."""
+    """Zero-tension residual at each interior break (0 on a vertex D), read
+    on D's free axes only."""
     pts = path._points()
     segs = path._lengths()
     out = []
     for i, j, c_prev, c_next, d in data:
-        idx = [b for b in range(len(pts[i])) if d.mask >> b & 1]
-        out.append(lp_norm([(pts[i - 1][b] - pts[i][b]) / segs[i - 1]
-                            + (pts[j][b] - pts[i][b]) / segs[j - 1] for b in idx], 2.0))
+        a, b, c, s, t = pts[i - 1], pts[i], pts[j], segs[i - 1], segs[j - 1]
+        out.append(_lp_abs([abs((a[h] - b[h]) / s + (c[h] - b[h]) / t)
+                            for h in bit_indices(d.mask)], 2.0))
     return out
 
 
@@ -1182,13 +1184,29 @@ def check_zero_tension(complex: CubeComplex, path: PiecewisePath,
                            worst_residual=max(res, default=0.0))
 
 
-def _submask_norms(vec: Sequence[float], mask: int, p: float) -> dict[int, float]:
-    """lp norm of ``vec`` restricted to each submask of ``mask``."""
-    parts: dict[int, list[float]] = {0: []}
-    for b, t in enumerate(vec):
-        if mask >> b & 1:
-            parts.update({s | 1 << b: a + [t] for s, a in list(parts.items())})
-    return {s: lp_norm(a, p) for s, a in parts.items()}
+def _submask_norm(norms: dict[int, float], u: Sequence[float], v: Sequence[float],
+                  mask: int, p: float) -> float:
+    """lp norm of u - v on the axes of ``mask``, kept in ``norms`` by mask.
+
+    It is ``lp_norm`` of that sub-vector to the last bit: on one axis
+    |u_h - v_h| itself, which is what ``_lp_abs`` returns for one entry."""
+    value = norms.get(mask)
+    if value is None:
+        axes = bit_indices(mask)
+        value = norms[mask] = (abs(u[axes[0]] - v[axes[0]]) if len(axes) == 1 else
+                               _lp_abs([abs(u[h] - v[h]) for h in axes], p))
+    return value
+
+
+def _nonempty_submasks(mask: int) -> list[int]:
+    """The nonempty submasks of ``mask`` as a list (``CubeRef.corners``, a
+    generator, costs more per break on the one-axis masks the check sees)."""
+    out = []
+    sub = mask
+    while sub:
+        out.append(sub)
+        sub = (sub - 1) & mask
+    return out
 
 
 def _no_shortcut_margins(complex: CubeComplex, path: PiecewisePath, data) -> list[float]:
@@ -1198,7 +1216,11 @@ def _no_shortcut_margins(complex: CubeComplex, path: PiecewisePath, data) -> lis
     margin of a bipartition C = D x A1 x A2, C' = D x B1 x B2 is
     |dx|_A1 |dy|_B2 - |dx|_A2 |dy|_B1, taken over the bipartitions whose
     corner cube D x B1 x A2 is a cube of the complex.  A negative margin means
-    the path can be shortened through that corner cube.
+    the path can be shortened through that corner cube.  With A2 or B1 empty
+    the corner is a face of C or C' and the margin is >= 0, and A2 empty,
+    B1 = C' - D gives exactly 0, so those bipartitions are not read and the
+    least margin starts at 0.0.  Only the axes outside D are read, and only
+    the factor norms of the corners that are cubes.
     """
     p = path.p
     pts = path._points()
@@ -1206,15 +1228,17 @@ def _no_shortcut_margins(complex: CubeComplex, path: PiecewisePath, data) -> lis
     for i, j, c_prev, c_next, d in data:
         ea = c_prev.mask & ~d.mask
         eb = c_next.mask & ~d.mask
-        nx = _submask_norms([s - t for s, t in zip(pts[i - 1], pts[i])], ea, p)
-        ny = _submask_norms([s - t for s, t in zip(pts[j], pts[i])], eb, p)
-        worst = math.inf
-        for a2, na2 in nx.items():
-            na1 = nx[ea & ~a2]
-            for b1, nb1 in ny.items():
+        x, v, y = pts[i - 1], pts[i], pts[j]
+        nx: dict[int, float] = {0: 0.0}
+        ny: dict[int, float] = {0: 0.0}
+        worst = 0.0
+        for a2 in _nonempty_submasks(ea):
+            for b1 in _nonempty_submasks(eb):
                 corner_mask = d.mask | b1 | a2
                 if complex.is_cube(CubeRef(d.corner & ~corner_mask, corner_mask)):
-                    worst = min(worst, na1 * ny[eb & ~b1] - na2 * nb1)
+                    worst = min(worst, _submask_norm(nx, x, v, ea & ~a2, p)
+                                * _submask_norm(ny, y, v, eb & ~b1, p)
+                                - _submask_norm(nx, x, v, a2, p) * _submask_norm(ny, y, v, b1, p))
         out.append(worst)
     return out
 
@@ -1238,6 +1262,9 @@ def check_local_geodesic(complex: CubeComplex, path: PiecewisePath,
                          tol: float = RESIDUAL_TOL) -> ConditionReport:
     """Both checks above, on one pass over the interior breaks.
 
+    Each segment's minimal cube is taken once.  A break's tension is read
+    on the free axes of D only, its margins on the axes of C and C' outside
+    D only, and no bipartition whose corner is a face of C or C' is read.
     A report on the path's own complex is kept on the path with its tol, and
     asked again with the same tol it is returned as it is: the path is
     frozen, so the report cannot go stale.  A path that ``geodesic()``

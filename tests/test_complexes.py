@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -613,3 +615,19 @@ class TestPoints:
         points += [sample_point(corner, rng) for _ in range(20)]
         for p in points:
             assert cc.point_from_obj(corner, cc.point_to_obj(corner, p)) == p
+
+    def test_the_coord_mask_is_kept_outside_the_fields(self):
+        # read once and kept in the instance dict: no field, and no part in
+        # ==, hash, repr, pickling or the canonical form
+        read, fresh = (Point.make(0b101, {0: 0.75, 3: 0.25}) for _ in range(2))
+        assert "coord_mask" not in vars(read)
+        assert read.coord_mask == 0b1001 and vars(read)["coord_mask"] == 0b1001
+        assert [f.name for f in dataclasses.fields(Point)] == ["base", "coords"]
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+        assert read == Point(0b100, ((0, 0.25), (3, 0.25)))
+        assert read.minimal_cube() == fresh.minimal_cube() == CubeRef(0b100, 0b1001)
+        for point in (read, fresh):
+            back = pickle.loads(pickle.dumps(point))
+            assert back == point and hash(back) == hash(point) and repr(back) == repr(point)
+            assert back.coord_mask == 0b1001
+        assert "coord_mask" not in vars(pickle.loads(pickle.dumps(Point(0b100, ((0, 0.5),)))))

@@ -270,6 +270,65 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
     return res <= gate, None
 
 
+
+# -- the reference local check --------------------------------------------------
+# The local check as it read every break in full: both minimal cubes per
+# break, the tension through lp_norm on all of D's axes, and the lp_norm of
+# every submask of both displacements over all bipartitions.  The solver's
+# check must give every residual and margin of it to the bit.
+
+def ref_interior_data(complex: cc.CubeComplex, path: sv.PiecewisePath):
+    breaks = path.breaks
+    runs = [i for i in range(1, len(breaks)) if breaks[i] != breaks[i - 1]]
+    out = []
+    for i, j in zip(runs, runs[1:]):
+        c_prev = complex.minimal_cube_pair(breaks[i - 1], breaks[i])
+        c_next = complex.minimal_cube_pair(breaks[i], breaks[j])
+        if c_prev is None or c_next is None:
+            raise NoCommonCube("path breaks do not share cubes")
+        out.append((i, j, c_prev, c_next, cc.cube_intersection(c_prev, c_next)))
+    return out
+
+
+def ref_tension_residuals(path: sv.PiecewisePath, data) -> list[float]:
+    pts = path._points()
+    segs = path._lengths()
+    out = []
+    for i, j, c_prev, c_next, d in data:
+        idx = [b for b in range(len(pts[i])) if d.mask >> b & 1]
+        out.append(sv.lp_norm([(pts[i - 1][b] - pts[i][b]) / segs[i - 1]
+                               + (pts[j][b] - pts[i][b]) / segs[j - 1] for b in idx], 2.0))
+    return out
+
+
+def ref_submask_norms(vec: list[float], mask: int, p: float) -> dict[int, float]:
+    parts: dict[int, list[float]] = {0: []}
+    for b, t in enumerate(vec):
+        if mask >> b & 1:
+            parts.update({s | 1 << b: a + [t] for s, a in list(parts.items())})
+    return {s: sv.lp_norm(a, p) for s, a in parts.items()}
+
+
+def ref_no_shortcut_margins(complex: cc.CubeComplex, path: sv.PiecewisePath,
+                            data) -> list[float]:
+    p = path.p
+    pts = path._points()
+    out = []
+    for i, j, c_prev, c_next, d in data:
+        ea = c_prev.mask & ~d.mask
+        eb = c_next.mask & ~d.mask
+        nx = ref_submask_norms([s - t for s, t in zip(pts[i - 1], pts[i])], ea, p)
+        ny = ref_submask_norms([s - t for s, t in zip(pts[j], pts[i])], eb, p)
+        worst = math.inf
+        for a2, na2 in nx.items():
+            na1 = nx[ea & ~a2]
+            for b1, nb1 in ny.items():
+                corner_mask = d.mask | b1 | a2
+                if complex.is_cube(CubeRef(d.corner & ~corner_mask, corner_mask)):
+                    worst = min(worst, na1 * ny[eb & ~b1] - na2 * nb1)
+        out.append(worst)
+    return out
+
 class TestEnumerateGalleries:
     def test_single_cube(self, square):
         x = Point.make(0, {0: 0.2, 1: 0.3})
@@ -1575,18 +1634,36 @@ class TestNoShortcut:
 
     @pytest.mark.parametrize("p", [1.05, 2.0, 3.0, 64.0])
     def test_submask_norms_match_lp_norm(self, p):
-        # the margins take each factor norm with lp_norm itself, so it is
-        # lp_norm on the sub-vector to the last bit
+        # the margins take each factor norm of a displacement u - v as
+        # lp_norm of the sub-vector, to the last bit
         rng = np.random.default_rng(71)
         for _ in range(20):
-            vec = rng.uniform(-1.0, 1.0, size=6) * 10.0 ** rng.integers(-8, 1, size=6)
+            u = rng.uniform(-1.0, 1.0, size=6) * 10.0 ** rng.integers(-8, 1, size=6)
+            v = rng.uniform(-1.0, 1.0, size=6) * 10.0 ** rng.integers(-8, 1, size=6)
+            vec = [a - b for a, b in zip(u.tolist(), v.tolist())]
             mask = int(rng.integers(64))
-            norms = sv._submask_norms(vec.tolist(), mask, p)
-            assert len(norms) == 2 ** bin(mask).count("1")
-            for sub, value in norms.items():
-                assert not sub & ~mask
+            norms = {}
+            for sub in range(64):
+                if sub & ~mask:
+                    continue
+                value = sv._submask_norm(norms, u.tolist(), v.tolist(), sub, p)
                 idx = [b for b in range(6) if sub >> b & 1]
-                assert value == (sv.lp_norm(vec[idx], p) if idx else 0.0)
+                assert value == (sv.lp_norm([vec[b] for b in idx], p) if idx else 0.0)
+                assert norms[sub] == value
+            assert len(norms) == 2 ** bin(mask).count("1")
+
+    @pytest.mark.parametrize("p", [1.05, 2.0, 3.0, 64.0])
+    def test_a_one_axis_norm_is_the_absolute_value(self, p):
+        # one entry: lp_norm and the helper both return |d| to the bit, also
+        # outside the range where p = 2 sums plain squares
+        rng = np.random.default_rng(72)
+        mags = [1e-160, 1e160, 1e-300, 1e300, 5e-324, 1.7976931348623157e308, 0.0, 1.0]
+        mags += (rng.uniform(1.0, 2.0, size=200) * 10.0 ** rng.integers(-320, 308, size=200)).tolist()
+        for d in mags:
+            for u, w in ((d, 0.0), (0.0, d), (-d, 0.0)):
+                assert sv.lp_norm([u - w], p) == abs(d)
+                value = sv._submask_norm({}, [0.5, u], [0.25, w], 0b10, p)
+                assert value == abs(d) and math.copysign(1.0, value) == 1.0
 
     def test_breaks_without_a_common_cube_raise(self, corner):
         # the middle break and y lie in no common cube of the corner complex
@@ -1630,6 +1707,112 @@ class TestNoShortcut:
         assert sv.check_zero_tension(g, path) == sv.check_zero_tension(g, distinct)
         assert sv.check_no_shortcut(g, path) == sv.check_no_shortcut(g, distinct)
 
+
+
+def _bits(values: list[float]) -> list[str]:
+    """The floats as hex strings: equal exactly when equal to the bit,
+    the sign of zero included."""
+    return [float.hex(v) for v in values]
+
+
+def _interior_point(cube: CubeRef, rng) -> Point:
+    return Point.make(cube.corner, {h: float(rng.uniform(0.05, 0.95))
+                                    for h in cc.bit_indices(cube.mask)})
+
+
+class TestReferenceCheck:
+    """``check_local_geodesic``'s seams give the reference check's interior
+    data, residuals and margins to the bit, on solved paths and on paths
+    through every break shape (|C - D|, |C' - D|) up to (3, 3)."""
+
+    P = (1.01, 2.0, 3.0, 16.0, 64.0)
+
+    @staticmethod
+    def compare(cx: cc.CubeComplex, path: sv.PiecewisePath, shapes: dict) -> None:
+        data = sv._interior_data(cx, path)
+        ref = ref_interior_data(cx, path)
+        assert data == ref
+        assert _bits(sv._tension_residuals(path, data)) == _bits(ref_tension_residuals(path, ref))
+        assert (_bits(sv._no_shortcut_margins(cx, path, data))
+                == _bits(ref_no_shortcut_margins(cx, path, ref)))
+        for _, _, c_prev, c_next, d in data:
+            shape = (bin(c_prev.mask & ~d.mask).count("1"), bin(c_next.mask & ~d.mask).count("1"))
+            shapes[shape] = shapes.get(shape, 0) + 1
+
+    @pytest.mark.parametrize("name, searched", [
+        ("grid222", False), ("grid333", False), ("long_rectangle", False),
+        ("tree_product", False), ("corner_complex", True), ("staircase5", True),
+        ("square_cube_book", True)])
+    def test_solved_paths_match_the_reference(self, name, searched):
+        make = {"grid333": lambda: cc.grid(3, 3, 3), "tree_product": lambda: tree_product(0),
+                "staircase5": lambda: staircase(5)}.get(name, lambda: fixtures.load_fixture(name))
+        cx = make()
+        rng = np.random.default_rng([97, len(name)])
+        shapes, kinds = {}, set()
+        for _ in range(8):
+            x, y = sample_point(cx, rng), sample_point(cx, rng)
+            for p in self.P:
+                try:
+                    path = sv.geodesic(cx, x, y, p)
+                except LpCubeError:
+                    continue
+                self.compare(cx, path, shapes)
+                if len(path.breaks) > 2:
+                    kinds.add(path.gallery is not None)
+        # products of trees take the schedule's path; the other complexes
+        # search galleries, though a hull that is a product of trees in them
+        # takes the schedule's path too
+        assert searched in kinds
+        if not searched:
+            assert kinds == {False}
+        assert sum(shapes.values()) >= 10
+
+    def test_every_break_shape_matches_the_reference(self):
+        # x in C, z in D = C n C', y in C' for random pairs of cubes that
+        # meet, and likewise along chains of four cubes, at the five
+        # exponents in turn; each cube is drawn by its dimension first, so
+        # that the few cubes of the top dimensions are drawn often, and
+        # (0, 3) needs the 4-cube
+        rng = np.random.default_rng(98)
+
+        def draw(cubes: list[CubeRef]) -> CubeRef:
+            dims = sorted({c.dim for c in cubes})
+            dim = dims[int(rng.integers(len(dims)))]
+            among = [c for c in cubes if c.dim == dim]
+            return among[int(rng.integers(len(among)))]
+
+        shapes = {}
+        k = 0
+        for cx in (cc.grid(2, 2, 2), cc.corner_complex(), staircase(4), cc.hypercube(4)):
+            cubes = cx.all_cubes()
+            meets = {c: [e for e in cubes if cc.cube_intersection(c, e) is not None]
+                     for c in cubes}
+            walks = []
+            for size in [2] * 200 + [4] * 40:
+                walk = [draw(cubes)]
+                while len(walk) < size:
+                    walk.append(draw(meets[walk[-1]]))
+                walks.append(walk)
+            for walk in walks:
+                faces = [cc.cube_intersection(a, b) for a, b in zip(walk, walk[1:])]
+                breaks = tuple(_interior_point(c, rng) for c in (walk[0], *faces, walk[-1]))
+                path = sv.PiecewisePath(cx, self.P[k % len(self.P)], breaks)
+                k += 1
+                self.compare(cx, path, shapes)
+        # through the vertex of two squares of the corner complex, as in
+        # test_normalized_unit_criterion, and of two 3-cubes of grid222
+        corner, g = cc.corner_complex(), cc.grid(2, 2, 2)
+        squares = [c for c in corner.maximal_cubes() if c.mask in (0b11, 0b1100)]
+        solids = [c for c in g.maximal_cubes() if c.dim == 3]
+        for cx, cubes in ((corner, squares), (g, solids)):
+            for a, b in itertools.permutations(cubes, 2):
+                v = cc.cube_intersection(a, b)
+                if v.mask == 0:
+                    for p in self.P:
+                        breaks = (_interior_point(a, rng), Point(v.corner), _interior_point(b, rng))
+                        self.compare(cx, sv.PiecewisePath(cx, p, breaks), shapes)
+        rare = [(a, b) for a in range(4) for b in range(4) if shapes.get((a, b), 0) < 3]
+        assert rare == [], shapes
 
 class TestUniquenessAndLocality:
     def test_projection_law(self, book2):
