@@ -41,9 +41,7 @@ p (see below); on other hulls it is only a start, which a chain solve takes
 nudged off the sides of the faces (``_nudge``).  Before a
 chain is solved from a known chain, that chain is tried as it is
 (``_at_rest``): with its tension below the solve's stopping gate, it is
-accepted as a solved path would be, and nothing is solved.  The search
-checks a lone gallery's start too, whose solved path it would not check, so
-that the caller's own check is a lookup.
+accepted as a solved path would be, and nothing is solved.
 
 The product rule: on a product X_1 x ... x X_k, d_p is the lp norm of the
 factor distances, and the geodesic runs each factor's geodesic at constant
@@ -62,15 +60,13 @@ others when the list also holds G' = G with one cube E inserted between
 consecutive cubes C, C' where E contains C n C': a break on C n C' lies on
 C n E and on E n C', so every chain of G is a chain of G' of the same length,
 and G' is never longer.  The first candidate's start chain is tried as it
-is; if it does not certify, the search goes on through the order.  Once a
-path is solved, a gallery whose face bound exceeds the shortest path solved
-so far is skipped; the bound is taken only then, so a search that certifies
-its first candidate measures no face.  Each other gallery is solved in full,
+is; if it does not certify, each gallery in the order is solved in full,
 from the breaks of a few Newton steps on its start chain; that screen stops
 at the first segment short enough to merge and leaves the merge to the full
 solve.  A converged path that passes ``check_local_geodesic`` (zero tension
 and no shortcut) is a local geodesic, hence by Busemann convexity the
-geodesic, and ends the search.  If no path certifies, ``_select`` takes the
+geodesic, and ends the search.  A lone gallery is solved and its converged
+path returned unchecked.  If no path certifies, ``_select`` takes the
 shortest converged one, and tied galleries must agree.  The certified path
 keeps its report, so the caller's own check of it is a lookup.  The complex
 remembers the last answer, report included, so the same query again (as a
@@ -805,20 +801,6 @@ def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Po
 # -- the geodesic -------------------------------------------------------------
 
 
-def _face_bound(face: CubeRef, xa: list[float], ya: list[float], p: float,
-                l1_factor: float) -> float:
-    """A lower bound on the length of the paths from xa to ya through the face.
-
-    Such a path is at least as long as the lp distances of its ends to the
-    face, and, as in ``distance_lower_bound``, as their l1 distances over
-    ``l1_factor`` = d_max^(1 - 1/p).  The ends lie in [0, 1]^n, so a distance
-    to a face comes from the face's fixed axes alone.
-    """
-    gx, gy = ([0.0 if face.mask >> i & 1 else abs(t - (face.corner >> i & 1))
-               for i, t in enumerate(end)] for end in (xa, ya))
-    return max(lp_norm(gx, p) + lp_norm(gy, p), (sum(gx) + sum(gy)) / l1_factor)
-
-
 def _undominated(galleries: Sequence[Gallery]) -> list[Gallery]:
     """The galleries of the list that no other gallery of the list dominates.
 
@@ -1035,16 +1017,10 @@ def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath
     if pair is not None:
         return PiecewisePath(complex, p, (x, y), Gallery((pair,)))
     galleries = enumerate_galleries(complex, x, y)
+    if len(galleries) == 1:
+        return _select([optimize_breakpoints(complex, galleries[0], x, y, p)])
     n = len(complex.hyperplanes)
     xa, ya = _ambient(x, n), _ambient(y, n)
-    if len(galleries) == 1:
-        lone = galleries[0]
-        # its start is checked like the head's below, so the caller's check is a lookup
-        path = _at_rest(complex, lone, x, y, p,
-                        _cold_chain(complex, x, y, xa, ya, _layout(complex, lone.cubes)))
-        if path is not None and check_local_geodesic(complex, path).all_ok:
-            return path
-        return _select([optimize_breakpoints(complex, lone, x, y, p)])
     key = ("undominated", x.minimal_cube(), y.minimal_cube())
     undominated = complex._solver_cache.get(key)
     if undominated is None:
@@ -1064,27 +1040,14 @@ def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath
     # dominated galleries come last, for when no other path certifies: at
     # large p a dominator's chain solve can stall where theirs does not
     order += [g for g in galleries if g not in start]
-    # a gallery is pruned at its face bound once a path is solved; each face is
-    # measured at most once, on first use.  lb0 never exceeds a solved length;
-    # kept for bench/test_bench.py's geometry.lower_bound span
-    lb0 = distance_lower_bound(complex, x, y, p)
-    l1_factor = max(complex.dimension, 1) ** (1.0 - 1.0 / p)
-    face_bounds: dict[CubeRef, float] = {}
+    # its value decides nothing; the call keeps bench/test_bench.py's lower_bound span
+    distance_lower_bound(complex, x, y, p)
     results: list[PiecewisePath] = []
-    upper = math.inf
     for g in order:
-        if upper < math.inf:
-            faces = _layout(complex, g.cubes)[0]
-            for f in faces:
-                if f not in face_bounds:
-                    face_bounds[f] = _face_bound(f, xa, ya, p, l1_factor)
-            if max([lb0] + [face_bounds[f] for f in faces]) > upper + UNIQUENESS_SUP:
-                continue
         # the screen only seeds the full solve; kept for bench/test_bench.py's coarse_opt span
         rough = optimize_breakpoints(complex, g, x, y, p, max_sweeps=3, init=start.get(g))
         path = optimize_breakpoints(complex, g, x, y, p, init=rough._points()[1:-1])
         results.append(path)
-        upper = min(upper, path.length)
         # a local geodesic is the geodesic (see the module docstring)
         if path.converged and check_local_geodesic(complex, path).all_ok:
             return path

@@ -166,10 +166,25 @@ def test_cold_cases_solve_on_complexes_that_remember_nothing():
     # cases each get a new complex, so the search runs from a cold start
     cases = [case for case in answers.cases() if " cold [77, " in case[0]]
     names = {name for name, *_ in cases}
-    assert len(cases) == len(names) == len({id(cx) for _, cx, *_ in cases}) == 2_000
+    assert len(cases) == len(names) == len({id(cx) for _, cx, *_ in cases}) == 2_720
     assert "grid222 cold [77, 172] p=12.0" in names
     assert {name.split(" cold")[0] for name in names} == {
-        "corner_complex", "grid222", "grid(12,1,0)", "grid333", "trees(7,7)"}
+        "corner_complex", "grid222", "grid(12,1,0)", "grid333", "trees(7,7)",
+        *answers.IRREDUCIBLE}
+
+
+def test_irreducible_cases_search_no_product_of_trees():
+    # the 60 [77, i] pairs on each complex, cold at four exponents and in a
+    # ladder of ten on one complex per product; no hull is a product of
+    # trees, so none is answered from the schedule
+    cases = [case for case in answers.cases() if case[0].startswith(tuple(answers.IRREDUCIBLE))]
+    assert len(cases) == len({name for name, *_ in cases}) == 3 * 60 * (4 + 10)
+    for name, make in answers.IRREDUCIBLE.items():
+        assert not sv._tree_product(make()), name
+        ladder = {id(cx) for case, cx, *_ in cases
+                  if case.startswith(name) and " cold " not in case}
+        assert len(ladder) == 1, name
+    assert {len(make().hyperplanes) for make in answers.IRREDUCIBLE.values()} == {10, 6, 11}
 
 
 def test_corner_to_corner_cases_and_the_solver_case_count():
@@ -178,4 +193,4 @@ def test_corner_to_corner_cases_and_the_solver_case_count():
                                             for grid in ("grid333", "grid555")
                                             for p in (1.5, 2.0, 3.0)]
     assert {len(cx.hyperplanes) for name, cx, *_ in cases if "grid555" in name} == {15}
-    assert sum(1 for _ in answers.cases()) == 16_726
+    assert sum(1 for _ in answers.cases()) == 19_246

@@ -3,7 +3,7 @@
     python3 tools/answers.py dump OUT.json
     python3 tools/answers.py compare A.json B.json
 
-``dump`` runs ``geodesic`` on 16,726 cases and writes, per case, the length
+``dump`` runs ``geodesic`` on 19,246 cases and writes, per case, the length
 and break reprs, the converged flag and the ``check_local_geodesic`` verdict
 and worst residual, computed afresh on a new path with the returned breaks,
 or the type and message of the domain error raised.
@@ -27,7 +27,13 @@ The cases:
   several galleries, so each segment moves on a few of many axes;
 - 150 ``default_rng([91, i])`` pairs on each of the seven bundled fixtures,
   at p in {1.5, 2, 3, 16}, each endpoint (``endpoint``) a vertex, a point
-  of any cube or a point of a maximal cube, as CLI requests give them.
+  of any cube or a point of a maximal cube, as CLI requests give them;
+- the 60 ``default_rng([77, i])`` pairs on each of ``staircase(5)``,
+  corner_complex x path(2) and ``staircase(4)`` x path(3), no product of
+  trees, so each hull is searched: at p in {2, 16, 32, 64}, each on a new
+  complex, and at the ten exponents above, in order on one complex per
+  product.  Its solves at p >= 32 hold most of the set's uncertified
+  answers and typed errors.
 
 It then runs ``geodesic``, ``canonical_decomposition`` and
 ``distance_formula``, in that order and on the same complex, on 600 vertex
@@ -79,6 +85,7 @@ from lpcube.solver import PiecewisePath, check_local_geodesic, geodesic
 
 SWEEP_PS = (1.01, 1.05, 1.5, 2.0, 3.0, 8.0, 12.0, 16.0, 32.0, 64.0)
 COLD_PS = (12.0, 64.0)
+IRREDUCIBLE_COLD_PS = (2.0, 16.0, 32.0, 64.0)
 
 
 def cases():
@@ -127,6 +134,37 @@ def cases():
             x, y = endpoint(cx, rng), endpoint(cx, rng)
             for p in (1.5, 2.0, 3.0, 16.0):
                 yield f"{name} [91, {i}] p={p}", cx, x, y, p
+    for name, make in IRREDUCIBLE.items():
+        cx, ladder = make(), make()
+        for i in range(60):
+            rng = np.random.default_rng([77, i])
+            x, y = sample_point(cx, rng), sample_point(cx, rng)
+            for p in IRREDUCIBLE_COLD_PS:
+                yield f"{name} cold [77, {i}] p={p}", make(), x, y, p
+            for p in SWEEP_PS:
+                yield f"{name} [77, {i}] p={p}", ladder, x, y, p
+
+
+def staircase(k: int) -> CubeComplex:
+    """The vertices (i, j) of grid(k,k,0) with i + j <= k: irreducible (the
+    x hyperplanes are nested, so are the y ones, and x_k does not cross
+    y_1), and its hulls hold many galleries."""
+    g = cc.grid(k, k, 0)
+    low = (1 << k) - 1
+    return CubeComplex(g.hyperplanes, [v for v in g.vertices
+                                       if bin(v & low).count("1") + bin(v >> k).count("1") <= k])
+
+
+def times_path(a: CubeComplex, m: int) -> CubeComplex:
+    """a times a path of m edges, whose hyperplanes p1..pm come after a's."""
+    n = len(a.hyperplanes)
+    return CubeComplex(list(a.hyperplanes) + [f"p{j}" for j in range(1, m + 1)],
+                       [u | ((1 << j) - 1) << n for u in a.vertices for j in range(m + 1)])
+
+
+IRREDUCIBLE = {"staircase(5)": lambda: staircase(5),
+               "corner x path(2)": lambda: times_path(cc.corner_complex(), 2),
+               "staircase(4) x path(3)": lambda: times_path(staircase(4), 3)}
 
 
 def tree_product() -> CubeComplex:
