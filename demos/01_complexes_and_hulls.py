@@ -31,10 +31,13 @@ print("\n=== hulls contain every geodesic between their defining points ===")
 hull = grid.hull_restriction([x, y])
 print("hull of the two diagonal cubes:", hull, "(the whole grid)")
 
-print("\n=== splitting along a shared face ===")
+print("\n=== splitting a hull into its product factors ===")
 book = cc.book_of_squares(2)
 sq1 = book.cube(0, ["spine", "page1"])
 sq2 = book.cube(0, ["spine", "page2"])
-d, yfactor = book.split_hull(sq1, sq2)
-print("two pages share the spine edge:", d)
-print("the complementary factor is a wedge of two edges:", yfactor.complex)
+print("two pages share the spine edge:", cc.cube_intersection(sq1, sq2))
+pages = book.hull_restriction([Point.make(0, {0: 0.5, 1: 0.5}), Point.make(0, {0: 0.5, 2: 0.5})])
+for mask, is_tree in pages.factors():
+    factor = pages.factor(mask)
+    print(f"factor on {', '.join(factor.complex.hyperplanes)}: {factor.complex},",
+          "a tree" if is_tree else "irreducible")

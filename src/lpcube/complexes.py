@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     Disconnected,
-    DisjointCubes,
     NotMedian,
     ParseError,
     ScaleExceeded,
@@ -56,6 +55,13 @@ def side_sets(vertices: Sequence[int], n_bits: int) -> list[int]:
     sides = np.packbits(np.unpackbits(rows, axis=1, count=n_bits, bitorder="little").T,
                         axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in sides]
+
+
+def crosses(a: int, b: int, full: int) -> bool:
+    """Whether two hyperplanes, given by their ``side_sets`` over the
+    vertices ``full``, cross: all four pairs of their sides occur, as in
+    ``missing_square``."""
+    return bool(a & b and a & ~b and ~a & b and full & ~(a | b))
 
 
 def missing_square(edges: Mapping[int, int],
@@ -232,6 +238,7 @@ class CubeComplex:
         self._maximal_cubes: Optional[tuple[CubeRef, ...]] = None
         self._dimension: Optional[int] = None
         self._sides: Optional[list[int]] = None
+        self._factors: Optional[tuple[tuple[int, bool], ...]] = None
         if validate:
             self._validate()
 
@@ -406,18 +413,40 @@ class CubeComplex:
                 CubeComplex(self.hyperplanes, vertices, validate=False)
         return self._hull_cache[key] or self
 
-    def split_hull(self, c1: CubeRef, c2: CubeRef) -> tuple[CubeRef, "SubComplex"]:
-        """Split the hull of two intersecting cubes as (shared cube D) x Y."""
-        if not (self.is_cube(c1) and self.is_cube(c2)):
-            raise ValueError("arguments must be cubes of the complex")
-        d = cube_intersection(c1, c2)
-        if d is None:
-            raise DisjointCubes("cubes do not intersect")
-        hull_vertices = self.convex_hull_vertices(set(c1.corners()) | set(c2.corners()))
-        kept = tuple(bit_indices(_separating(hull_vertices) & ~d.mask))
-        y = CubeComplex([self.hyperplanes[i] for i in kept],
-                        {pick_bits(v, kept) for v in hull_vertices}, validate=False)
-        return d, SubComplex(y, kept)
+    def factors(self) -> tuple[tuple[int, bool], ...]:
+        """One (mask, is_tree) pair per product factor: the classes of the
+        spanned hyperplanes under "does not cross" (see ``solver``), by lowest
+        hyperplane, found on first use.  From the highest down, each heads a
+        class taking in those with a member it does not cross; as members of
+        two classes cross, the class is a tree (no two members cross) if it
+        took in at most one, a tree, and crosses none of that one's members."""
+        if self._factors is None:
+            full = (1 << len(self.vertices)) - 1
+            classes = []    # per class: mask, tree flag, members' side sets
+            for i, a in reversed(list(enumerate(self.side_sets()))):
+                if 0 < a < full:    # a hyperplane that separates some vertices
+                    head = [1 << i, True, [a]]
+                    rest = [head]
+                    for c in classes:
+                        crossed = 0
+                        for b in c[2]:
+                            crossed += crosses(a, b, full)
+                        if crossed == len(c[2]):
+                            rest.append(c)
+                            continue
+                        head[1] = head[0] == 1 << i and c[1] and not crossed
+                        head[0] |= c[0]
+                        head[2] += c[2]
+                    classes = rest
+            self._factors = tuple((mask, tree) for mask, tree, _ in classes)
+        return self._factors
+
+    def factor(self, mask: int) -> "SubComplex":
+        """The factor on the hyperplanes of ``mask``, a mask of ``factors()``."""
+        kept = tuple(bit_indices(mask))
+        return SubComplex(CubeComplex([self.hyperplanes[i] for i in kept],
+                                      {pick_bits(v, kept) for v in self.vertices},
+                                      validate=False), kept)
 
     # -- misc ---------------------------------------------------------------
 
@@ -486,9 +515,8 @@ def pick_bits(v: int, kept: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class SubComplex:
-    """The Y factor of ``split_hull``: a complex on the parent hyperplanes
-    ``kept`` (sub hyperplane index -> parent index) that separate its
-    vertices, less the shared cube's."""
+    """A product factor as ``CubeComplex.factor`` builds it: a complex on
+    the parent hyperplanes ``kept`` (sub hyperplane index -> parent index)."""
 
     complex: CubeComplex
     kept: tuple[int, ...]

@@ -48,11 +48,12 @@ factor distances, and the geodesic runs each factor's geodesic at constant
 speed (Bridson and Haefliger I.5.3 for p = 2; the proof carries over).  The
 factors of a hull are the classes of its hyperplanes under "does not cross"
 (Caprace and Sageev, Rank rigidity for CAT(0) cube complexes, GAFA 2011),
-and a factor is a tree when no two of its hyperplanes cross.  A tree's
-geodesic is its l1 path, so when every factor of the hull of x and y is a
-tree (``_tree_product``), the schedule is the lp geodesic for every p, and
-geodesic() returns its path (``_tree_path``) after ``check_local_geodesic``
-passes it, with no gallery search.  Every other hull is searched whole.
+and a factor is a tree when no two of its hyperplanes cross
+(``CubeComplex.factors()``).  A tree's geodesic is its l1 path, so when
+every factor of the hull of x and y is a tree, the schedule is the lp
+geodesic for every p, and geodesic() returns its path (``_tree_path``)
+after ``check_local_geodesic`` passes it, with no gallery search.  Every
+other hull is searched whole.
 
 geodesic() searches the galleries for a certified path, in one fixed order:
 by the length of their start chain, except that a gallery G comes after all
@@ -821,60 +822,12 @@ def _undominated(galleries: Sequence[Gallery]) -> list[Gallery]:
     return [g for g in galleries if g.cubes not in dominated]
 
 
-def _crosses(a: int, b: int, full: int) -> bool:
-    """Whether two hyperplanes, given by their ``side_sets`` over the
-    vertices ``full``, cross: all four pairs of their sides occur, as in
-    ``missing_square``."""
-    return bool(a & b and a & ~b and ~a & b and full & ~(a | b))
-
-
-def _tree_product(hull: CubeComplex) -> bool:
-    """Whether every product factor of ``hull`` (a median hull, or any
-    complex) is a tree; memoized on it.
-
-    The factors are the classes of the spanned hyperplanes under "does not
-    cross" (see the module docstring), and a factor is a tree when no two of
-    its hyperplanes cross, so every factor is a tree exactly when "does not
-    cross" is transitive.
-    """
-    known = hull._solver_cache.get("tree product")
-    if known is None:
-        known = hull._solver_cache["tree product"] = _trees_only(
-            hull.side_sets(), (1 << len(hull.vertices)) - 1)
-    return known
-
-
-def _trees_only(sides: list[int], full: int) -> bool:
-    """Whether "does not cross" is transitive on the hyperplanes with side
-    sets ``sides`` over the vertices ``full`` that split them.  Each joins
-    the one class whose members it does not cross and must cross every
-    member of every other class; the test stops at the first pair that
-    breaks this."""
-    classes: list[list[int]] = []
-    for a in sides:
-        if not 0 < a < full:            # a hyperplane the vertices all lie on one side of
-            continue
-        home = None
-        for members in classes:
-            cross = _crosses(a, members[0], full)
-            if (not cross and home is not None
-                    or any(_crosses(a, b, full) != cross for b in members[1:])):
-                return False
-            if not cross:
-                home = members
-        if home is None:
-            classes.append([a])
-        else:
-            home.append(a)
-    return True
-
-
 EVENT_TOL = 1e-14   # schedule times closer than this are one event
 
 
 def _tree_path(complex: CubeComplex, x: Point, y: Point, p: float) -> Optional[PiecewisePath]:
     """The path of the l1 crossing schedule from x to y, the lp geodesic on
-    a hull that passes ``_tree_product`` (see the module docstring), if
+    a hull whose ``factors()`` are all trees (see the module docstring), if
     ``check_local_geodesic`` passes it (the report is kept); else None.
 
     Between two of the schedule's start and end times every coordinate
@@ -917,8 +870,8 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
     """The unique lp geodesic from x to y, as a constant-speed piecewise path.
 
     When x and y share no cube and every product factor of their hull is
-    a tree (``_tree_product``), the answer is the path of the l1 crossing
-    schedule (``_tree_path``), which is the geodesic for every p: no
+    a tree (``CubeComplex.factors()``), the answer is the path of the l1
+    crossing schedule (``_tree_path``), which is the geodesic for every p: no
     gallery is enumerated, and the path has none.  If it fails
     ``check_local_geodesic``, the steps below run as on any other hull.
     A path the search certified keeps its ``check_local_geodesic`` report,
@@ -948,7 +901,8 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
     complex.check_point(x)
     complex.check_point(y)
     path = None
-    if complex.minimal_cube_pair(x, y) is None and _tree_product(complex._hull_of((x, y))):
+    if (complex.minimal_cube_pair(x, y) is None
+            and all(tree for _, tree in complex._hull_of((x, y)).factors())):
         path = _tree_path(complex, x, y, p)
     # a remembered path of two breaks lies in one cube, and a schedule path
     # has no gallery: nothing to continue
@@ -1032,7 +986,8 @@ def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath
         layout = _layout(complex, g.cubes)
         start[g] = _nudge(_start_chain(xa, ya, layout, schedule), layout[2])[1:-1]
     order = sorted(start, key=lambda g: (sum(_segments([xa, *start[g], ya], p)[0]), g.cubes))
-    # the first candidate's chain as it is may be the answer, on irreducible hulls too
+    # the first candidate's start chain as it is: dropping this try changes no
+    # answer of tools/answers.py, but it spares the full solves when it certifies
     path = _at_rest(complex, order[0], x, y, p,
                     _start_chain(xa, ya, _layout(complex, order[0].cubes), schedule))
     if path is not None and check_local_geodesic(complex, path).all_ok:
@@ -1044,7 +999,9 @@ def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath
     distance_lower_bound(complex, x, y, p)
     results: list[PiecewisePath] = []
     for g in order:
-        # the screen only seeds the full solve; kept for bench/test_bench.py's coarse_opt span
+        # the full solve starts from the screen's breaks, not from the start
+        # chain, and that start decides the answer's last bits and, at large
+        # p, whether the solve converges and certifies
         rough = optimize_breakpoints(complex, g, x, y, p, max_sweeps=3, init=start.get(g))
         path = optimize_breakpoints(complex, g, x, y, p, init=rough._points()[1:-1])
         results.append(path)

@@ -41,6 +41,29 @@ def book2():
     return cc.book_of_squares(2)
 
 
+def tree_product(seed: int, sizes: tuple[int, int] = (7, 7)) -> cc.CubeComplex:
+    """The product of two random trees of the given edge counts: each new
+    vertex hangs from a random earlier one, so the trees branch.  A vertex
+    of a tree is the set of its edges on the way from the root; a vertex of
+    the product is the pair, one tree's hyperplanes above the other's."""
+    rng = np.random.default_rng([96, seed])
+    trees = []
+    for k in sizes:
+        masks = [0]
+        for i in range(k):
+            masks.append(masks[int(rng.integers(i + 1))] | 1 << i)
+        trees.append(masks)
+    labels = [f"s{i}" for i in range(sizes[0])] + [f"t{i}" for i in range(sizes[1])]
+    return cc.CubeComplex(labels, [u | v << sizes[0] for u in trees[0] for v in trees[1]])
+
+
+def corner_times_path() -> cc.CubeComplex:
+    """corner_complex times a path of two edges: irreducible times a tree."""
+    corner = cc.corner_complex()
+    labels = list(corner.hyperplanes) + ["p0", "p1"]
+    return cc.CubeComplex(labels, [u | v << 4 for u in corner.vertices for v in (0, 1, 3)])
+
+
 class SolveLog:
     """The ``optimize_breakpoints`` calls made through ``lpcube.solver``, as
     ("screen" or "full", gallery) pairs; a screen is a call with ``max_sweeps``."""

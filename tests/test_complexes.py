@@ -14,7 +14,7 @@ from lpcube.complexes import (CubeComplex, CubeRef, Point, _enumerate_cubes, _se
 from lpcube.errors import Disconnected, NotMedian, ParseError, ScaleExceeded
 from lpcube.geometry import distance_lower_bound, lp_norm
 
-from conftest import build_wedge_instance
+from conftest import build_wedge_instance, corner_times_path, tree_product
 
 
 def reference_median_witness(vertices):
@@ -468,51 +468,68 @@ class TestHulls:
             assert hull.vertices < cx.vertices
 
 
+def cube_centre(cube: CubeRef) -> Point:
+    return Point.make(cube.corner, {h: 0.5 for h in bit_indices(cube.mask)})
+
+
 class TestSplitHull:
+    """The hull of two cubes splits into the product factors of
+    ``CubeComplex.factors()``, each built by ``factor``."""
+
     def test_shared_edge(self, book2):
+        # two pages share the spine: the spine times the wedge of two edges
         spine = book2.cube(0, ["spine"])
         sq1 = book2.cube(0, ["spine", "page1"])
         sq2 = book2.cube(0, ["spine", "page2"])
-        d, y = book2.split_hull(sq1, sq2)
-        assert d == spine
-        # Y = wedge of two edges
-        assert len(y.complex.vertices) == 3
-        assert len(y.complex.hyperplanes) == 2
+        assert cube_intersection(sq1, sq2) == spine
+        hull = book2.hull_restriction([cube_centre(sq1), cube_centre(sq2)])
+        assert hull.factors() == ((spine.mask, True), (0b110, True))
+        wedge = hull.factor(0b110).complex
+        assert len(wedge.vertices) == 3
+        assert len(wedge.hyperplanes) == 2
 
     def test_shared_vertex(self, corner):
+        # two squares share a vertex: one irreducible factor, the corner
         c1 = corner.cube(0, ["a1", "a2"])
         c2 = corner.cube(0, ["b1", "b2"])
-        d, y = corner.split_hull(c1, c2)
-        assert d.mask == 0
-        assert len(y.complex.vertices) == 8
+        assert cube_intersection(c1, c2).mask == 0
+        hull = corner.hull_restriction([cube_centre(c1), cube_centre(c2)])
+        assert hull.factors() == ((0b1111, False),)
+        assert len(hull.factor(0b1111).complex.vertices) == 8
 
     def test_two_cubes_sharing_square(self):
+        # the shared square's two hyperplanes are factors, and so is the x path
         g = cc.grid(2, 1, 1)
         cb1 = g.cube(0, ["x1", "y1", "z1"])
         cb2 = g.cube(1, ["x2", "y1", "z1"])
-        d, y = g.split_hull(cb1, cb2)
+        d = cube_intersection(cb1, cb2)
         assert d.dim == 2
-        assert len(y.complex.hyperplanes) == 2
-        assert len(y.complex.vertices) == 3
+        hull = g.hull_restriction([cube_centre(cb1), cube_centre(cb2)])
+        assert hull.factors() == ((0b0011, True), (0b0100, True), (0b1000, True))
+        assert d.mask == 0b1100
+        xpath = hull.factor(0b0011).complex
+        assert len(xpath.hyperplanes) == 2
+        assert len(xpath.vertices) == 3
 
     def test_product_law(self, book2):
-        # d(x,y)^p = d_D(pi_D x, pi_D y)^p + d_Y(pi_Y x, pi_Y y)^p on the hull
+        # d_p(x, y) is the lp norm of the factors' d_p of the projections: on
+        # book2 up to p = 64, and on four complexes with one irreducible
+        # factor or none
         from lpcube import solver as sv
-        sq1 = book2.cube(0, ["spine", "page1"])
-        sq2 = book2.cube(0, ["spine", "page2"])
-        d, y = book2.split_hull(sq1, sq2)
+        subjects = [(book2, (1.5, 2.0, 3.0, 64.0))] + [
+            (cx, (1.5, 2.0, 3.0)) for cx in (cc.square_cube_book(), corner_times_path(),
+                                             cc.grid(2, 1, 1), tree_product(1, (5, 4)))]
         rng = np.random.default_rng(9)
-        n = len(book2.hyperplanes)
-        for p in (1.5, 2.0, 3.0, 64.0):
-            for _ in range(8):
-                a = sample_point(book2, rng)
-                b = sample_point(book2, rng)
-                total = sv.distance(book2, a, b, p)
-                da = np.abs(a.ambient(n)[0] - b.ambient(n)[0])  # spine coordinate
-                ya = y.project_point(a)
-                yb = y.project_point(b)
-                dy = sv.distance(y.complex, ya, yb, p)
-                assert abs(total - (da ** p + dy ** p) ** (1 / p)) < 1e-9
+        for cx, ps in subjects:
+            factors = [cx.factor(mask) for mask, _ in cx.factors()]
+            for p in ps:
+                for _ in range(8):
+                    a = sample_point(cx, rng)
+                    b = sample_point(cx, rng)
+                    total = sv.distance(cx, a, b, p)
+                    parts = [sv.distance(f.complex, f.project_point(a), f.project_point(b), p)
+                             for f in factors]
+                    assert abs(total - lp_norm(parts, p)) < 1e-9
 
 
 class TestGenerators:

@@ -46,6 +46,19 @@ class TestCanonicalDecomposition:
         dec = dc.canonical_decomposition(corner, x, 0, y, 2.0)
         assert dec.k == 1
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_ratios_closer_than_merge_tol_are_one_factor(self, corner, p):
+        # the ratios a1/b1 = 0.5 and a2/b2 = 0.5 + gap: the geodesic crosses
+        # the corner square either way, and its two steps are one factor
+        # when gap is below MERGE_TOL (1e-7), two when it is above
+        x = Point.make(0, {0: 0.2, 1: 0.3})
+        for gap, a_factors, b_factors in ((6e-8, (0b0011,), (0b1100,)),
+                                          (2e-7, (0b0001, 0b0010), (0b0100, 0b1000))):
+            y = Point.make(0, {2: 0.4, 3: 0.3 / (0.5 + gap)})
+            assert len(sv.geodesic(corner, x, y, p).breaks) == 4
+            dec = dc.canonical_decomposition(corner, x, 0, y, p)
+            assert (dec.a_factors, dec.b_factors) == (a_factors, b_factors)
+
     def test_ratios_strictly_increase(self):
         for seed in range(40):
             cx, x, v, y, _ = build_wedge_instance(seed)

@@ -18,7 +18,7 @@ from lpcube.errors import (DisjointCubes, LpCubeError, NoCommonCube, NoConvergen
                            ScaleExceeded, UniquenessViolation)
 from lpcube.solver import RESIDUAL_TOL, SHORT, _phi, _segments, _units
 
-from conftest import build_wedge_instance
+from conftest import build_wedge_instance, corner_times_path, tree_product
 
 
 def scb_break_root(p):
@@ -70,22 +70,6 @@ def staircase(k: int) -> cc.CubeComplex:
     low = (1 << k) - 1
     steps = lambda v: bin(v & low).count("1") + bin(v >> k).count("1")
     return cc.CubeComplex(g.hyperplanes, [v for v in g.vertices if steps(v) <= k])
-
-
-def tree_product(seed: int, sizes: tuple[int, int] = (7, 7)) -> cc.CubeComplex:
-    """The product of two random trees of the given edge counts: each new
-    vertex hangs from a random earlier one, so the trees branch.  A vertex
-    of a tree is the set of its edges on the way from the root; a vertex of
-    the product is the pair, one tree's hyperplanes above the other's."""
-    rng = np.random.default_rng([96, seed])
-    trees = []
-    for k in sizes:
-        masks = [0]
-        for i in range(k):
-            masks.append(masks[int(rng.integers(i + 1))] | 1 << i)
-        trees.append(masks)
-    labels = [f"s{i}" for i in range(sizes[0])] + [f"t{i}" for i in range(sizes[1])]
-    return cc.CubeComplex(labels, [u | v << sizes[0] for u in trees[0] for v in trees[1]])
 
 
 def grid_coordinates(cx: cc.CubeComplex) -> Callable[[Point], np.ndarray]:
@@ -819,7 +803,7 @@ class TestGeodesic:
                 y = sample_point(cx, rng)
                 path = sv.geodesic(cx, x, y, 2.0)
                 if (cx.minimal_cube_pair(x, y) is None
-                        and sv._tree_product(cx.hull_restriction([x, y]))):
+                        and all(tree for _, tree in cx.hull_restriction([x, y]).factors())):
                     assert path.gallery is None
                     continue
                 checked += 1
@@ -1072,11 +1056,11 @@ class TestStartChain:
         assert multi >= 20
 
 
-def brute_tree_product(cx: cc.CubeComplex) -> bool:
-    """Reference for ``_tree_product``: the components of the graph that
-    joins two spanned hyperplanes when they do not cross (some pair of
-    their sides never occurs) must each be pairwise non-crossing, and the
-    vertices as many as the product of the trees they span."""
+def brute_factors(cx: cc.CubeComplex) -> tuple[tuple[int, bool], ...]:
+    """Reference for ``CubeComplex.factors()``: the components of the graph
+    that joins two spanned hyperplanes when they do not cross (some pair of
+    their sides never occurs), by lowest hyperplane, each as its mask and
+    whether no two of its hyperplanes cross (a tree)."""
     verts = list(cx.vertices)
     spanned = {h for h in range(len(cx.hyperplanes))
                if 0 < sum(v >> h & 1 for v in verts) < len(verts)}
@@ -1094,15 +1078,9 @@ def brute_tree_product(cx: cc.CubeComplex) -> bool:
             spanned -= joined
             stack += joined
         components.append(component)
-    return (all(not cross(i, j) for c in components for i, j in itertools.combinations(c, 2))
-            and len(verts) == math.prod(len(c) + 1 for c in components))
-
-
-def corner_times_path() -> cc.CubeComplex:
-    """corner_complex times a path of two edges: irreducible times a tree."""
-    corner = cc.corner_complex()
-    labels = list(corner.hyperplanes) + ["p0", "p1"]
-    return cc.CubeComplex(labels, [u | v << 4 for u in corner.vertices for v in (0, 1, 3)])
+    return tuple((sum(1 << h for h in c), all(not cross(i, j)
+                                              for i, j in itertools.combinations(c, 2)))
+                 for c in sorted(components, key=min))
 
 
 def random_tree(seed: int, edges: int = 12) -> cc.CubeComplex:
@@ -1129,14 +1107,28 @@ class TestTreeProduct:
 
     @pytest.mark.parametrize("name", list(PRODUCTS) + list(IRREDUCIBLE))
     def test_the_product_test_matches_the_brute_force_reference(self, name):
-        # on the whole complex, and on the hulls of random pairs of points
+        # factors() on the whole complex and on the hulls of random pairs of
+        # points: the reference partition, kept on the complex, and the
+        # vertices the product of the factors' (a tree's: one more than its
+        # hyperplanes)
         cx = {**self.PRODUCTS, **self.IRREDUCIBLE}[name]()
-        assert sv._tree_product(cx) == brute_tree_product(cx) == (name in self.PRODUCTS)
+        assert all(tree for _, tree in cx.factors()) == (name in self.PRODUCTS)
         rng = np.random.default_rng(98)
-        for _ in range(20):
-            hull = cx.hull_restriction([sample_point(cx, rng), sample_point(cx, rng)])
-            assert sv._tree_product(hull) == brute_tree_product(hull)
-            assert hull._solver_cache["tree product"] == brute_tree_product(hull)
+        hulls = [cx] + [cx.hull_restriction([sample_point(cx, rng), sample_point(cx, rng)])
+                        for _ in range(20)]
+        for hull in hulls:
+            assert hull.factors() == brute_factors(hull)
+            assert hull.factors() is hull.factors()
+            sizes = {mask: len(hull.factor(mask).complex.vertices) for mask, _ in hull.factors()}
+            assert len(hull.vertices) == math.prod(sizes.values())
+            for mask, tree in hull.factors():
+                assert not tree or sizes[mask] == bin(mask).count("1") + 1
+
+    def test_factors_of_two_products(self):
+        # corner_complex x path(2): the corner's four hyperplanes, then the
+        # path's two; the product of two trees of seven edges each
+        assert corner_times_path().factors() == ((0b1111, False), (0b110000, True))
+        assert tree_product(0).factors() == ((0x7f, True), (0x3f80, True))
 
     def test_an_irreducible_factor_takes_the_search(self, solve_log):
         # corner_complex times a path, far corner to far corner: the hull is
@@ -1765,24 +1757,23 @@ class TestReferenceCheck:
 
 class TestUniquenessAndLocality:
     def test_projection_law(self, book2):
-        # in the split D x Y, projections of the geodesic are geodesics
-        from lpcube import solver
-        sq1 = book2.cube(0, ["spine", "page1"])
-        sq2 = book2.cube(0, ["spine", "page2"])
-        d, ysub = book2.split_hull(sq1, sq2)
+        # book2 is the spine times the wedge of the two pages, and the
+        # geodesic projects to a geodesic of each factor
+        assert book2.factors() == ((0b001, True), (0b110, True))
+        factors = [book2.factor(mask) for mask, _ in book2.factors()]
         rng = np.random.default_rng(80)
         for p in (1.5, 2.0, 3.0):
             x = sample_point(book2, rng)
             y = sample_point(book2, rng)
             path = sv.geodesic(book2, x, y, p)
-            # Y-projection: polyline through the projected breaks
-            ybreaks = [ysub.project_point(b) for b in path.breaks]
-            proj_len = 0.0
-            ny = len(ysub.complex.hyperplanes)
-            for a, b in zip(ybreaks, ybreaks[1:]):
-                proj_len += sv.lp_norm(a.ambient(ny) - b.ambient(ny), p)
-            d_proj = sv.distance(ysub.complex, ybreaks[0], ybreaks[-1], p)
-            assert abs(proj_len - d_proj) < 1e-8
+            for f in factors:
+                # the polyline through the projected breaks
+                fbreaks = [f.project_point(b) for b in path.breaks]
+                n = len(f.complex.hyperplanes)
+                proj_len = sum(sv.lp_norm(a.ambient(n) - b.ambient(n), p)
+                               for a, b in zip(fbreaks, fbreaks[1:]))
+                d_proj = sv.distance(f.complex, fbreaks[0], fbreaks[-1], p)
+                assert abs(proj_len - d_proj) < 1e-8
 
     def test_three_cube_restarts_agree(self, scb):
         # strict convexity: random restarts converge to one optimum

@@ -175,16 +175,19 @@ def test_cold_cases_solve_on_complexes_that_remember_nothing():
 
 def test_irreducible_cases_search_no_product_of_trees():
     # the 60 [77, i] pairs on each complex, cold at four exponents and in a
-    # ladder of ten on one complex per product; no hull is a product of
-    # trees, so none is answered from the schedule
+    # ladder of ten on one complex per product; each complex has a factor
+    # that is no tree, so no whole-complex hull is answered from the schedule
     cases = [case for case in answers.cases() if case[0].startswith(tuple(answers.IRREDUCIBLE))]
     assert len(cases) == len({name for name, *_ in cases}) == 3 * 60 * (4 + 10)
     for name, make in answers.IRREDUCIBLE.items():
-        assert not sv._tree_product(make()), name
+        assert not all(tree for _, tree in make().factors()), name
         ladder = {id(cx) for case, cx, *_ in cases
                   if case.startswith(name) and " cold " not in case}
         assert len(ladder) == 1, name
     assert {len(make().hyperplanes) for make in answers.IRREDUCIBLE.values()} == {10, 6, 11}
+    # the path of each "x path" product is a tree factor
+    for name, path in (("corner x path(2)", 0b11 << 4), ("staircase(4) x path(3)", 0b111 << 8)):
+        assert (path, True) in answers.IRREDUCIBLE[name]().factors(), name
 
 
 def test_corner_to_corner_cases_and_the_solver_case_count():
