@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -140,6 +139,20 @@ def cube_intersection(a: CubeRef, b: CubeRef) -> Optional[CubeRef]:
     return CubeRef(corner & ~mask, mask)
 
 
+class _kept:
+    """A value found on first read and kept in the instance dict under the
+    method's name, where later reads find it before this non-data
+    descriptor; unlike ``cached_property`` it takes no lock."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.fn(obj))
+
+
 @dataclass(frozen=True)
 class Point:
     """Location in a complex: base vertex plus fractional hyperplane coordinates.
@@ -167,7 +180,7 @@ class Point:
             canon[h] = t
         return Point(base, tuple(sorted(canon.items())))
 
-    @cached_property
+    @_kept
     def coord_mask(self) -> int:
         """The hyperplanes of the coordinates, as a mask; found on first use
         and kept in the instance dict, outside the fields, so it takes no
@@ -194,9 +207,12 @@ def point_from_ambient(vec: Sequence[float], cube: CubeRef) -> Point:
 
     The vector must describe a location inside ``cube``; values within
     SNAP_TOL of an integer side are snapped onto it, which re-bases the point.
+    ``cube`` must be canonical (``corner & mask == 0``, as every CubeRef the
+    package builds is), so the coordinates kept are canonical as they come,
+    without ``Point.make``; a NaN on a free axis raises ValueError, as there.
     """
     base = cube.corner
-    coords = {}
+    coords = []
     for i in range(len(vec)):
         bit = 1 << i
         if not cube.mask & bit:
@@ -209,8 +225,10 @@ def point_from_ambient(vec: Sequence[float], cube: CubeRef) -> Point:
         if t >= 1.0 - SNAP_TOL:
             base |= bit
             continue
-        coords[i] = t
-    return Point.make(base, coords)
+        if t != t:
+            raise ValueError(f"coordinate for hyperplane {i} must lie in (0,1), got {t}")
+        coords.append((i, t))
+    return Point(base, tuple(coords))
 
 
 class CubeComplex:

@@ -97,6 +97,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .complexes import (
+    SNAP_TOL,
     CubeComplex,
     CubeRef,
     Point,
@@ -155,6 +156,7 @@ class PiecewisePath:
     breaks: tuple[Point, ...]
     gallery: Optional[Gallery] = None
     converged: bool = True
+    # the ambient breaks: derived on first use, or kept by ``_tree_path``
     _pts: Optional[list[list[float]]] = field(default=None, init=False, repr=False,
                                               compare=False)
     _nus: Optional[list[float]] = field(default=None, init=False, repr=False, compare=False)
@@ -541,11 +543,11 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
     return res <= gate, None
 
 
-def _schedule(complex: CubeComplex, x: Point, y: Point, xa: list[float],
+def _schedule(hull: CubeComplex, xa: list[float],
               ya: list[float]) -> dict[int, tuple[float, float]]:
-    """The l1 crossing schedule from x to y: per hyperplane h with
-    xa[h] != ya[h], the times (start, end) in [0, 1] during which coordinate
-    h moves, linearly, from xa[h] to ya[h].
+    """The l1 crossing schedule from xa to ya in their hull (``_hull_of``):
+    per hyperplane h with xa[h] != ya[h], the times (start, end) in [0, 1]
+    during which coordinate h moves, linearly, from xa[h] to ya[h].
 
     In the hull, a separating hyperplane j that does not cross h is crossed
     before h when no vertex lies on y's side of h and x's side of j, and
@@ -559,7 +561,6 @@ def _schedule(complex: CubeComplex, x: Point, y: Point, xa: list[float],
     the hull: two sides are missing together when their bitsets share no
     vertex.
     """
-    hull = complex._hull_of((x, y))
     full = (1 << len(hull.vertices)) - 1
     # per moving coordinate: (h, the hull vertices on x's side of h, those on
     # y's side, its l1 length)
@@ -767,7 +768,8 @@ def _cold_chain(complex: CubeComplex, x: Point, y: Point, xa: list[float], ya: l
     """The ``_start_chain`` through one gallery's ``_layout``, on its own
     ``_schedule``."""
     # breaks on vertices (a vertex wedge's lone gallery) have nothing to place
-    return _start_chain(xa, ya, layout, _schedule(complex, x, y, xa, ya) if any(layout[2]) else {})
+    schedule = _schedule(complex._hull_of((x, y)), xa, ya) if any(layout[2]) else {}
+    return _start_chain(xa, ya, layout, schedule)
 
 
 def optimize_breakpoints(complex: CubeComplex, gallery: Gallery, x: Point, y: Point,
@@ -825,10 +827,12 @@ def _undominated(galleries: Sequence[Gallery]) -> list[Gallery]:
 EVENT_TOL = 1e-14   # schedule times closer than this are one event
 
 
-def _tree_path(complex: CubeComplex, x: Point, y: Point, p: float) -> Optional[PiecewisePath]:
+def _tree_path(complex: CubeComplex, hull: CubeComplex, x: Point, y: Point,
+               p: float) -> Optional[PiecewisePath]:
     """The path of the l1 crossing schedule from x to y, the lp geodesic on
-    a hull whose ``factors()`` are all trees (see the module docstring), if
-    ``check_local_geodesic`` passes it (the report is kept); else None.
+    their hull when its ``factors()`` are all trees (see the module
+    docstring), if ``check_local_geodesic`` passes it (the report is kept);
+    else None.
 
     Between two of the schedule's start and end times every coordinate
     moves linearly, so the breaks are the schedule's points at those times.
@@ -836,11 +840,13 @@ def _tree_path(complex: CubeComplex, x: Point, y: Point, p: float) -> Optional[P
     once, whose times rounding set apart).  It sits at the middle of its
     times, where ``_start_chain`` puts a break between one wall's end and
     the next one's start, and a coordinate that starts or ends there takes
-    its end value exactly.  A break equal to the one before is written once.
+    its end value exactly.  Each break's Point is written straight from its
+    vector, snapped as ``point_from_ambient`` snaps it, and the path keeps
+    those vectors.  A break equal to the one before is written once.
     """
     n = len(complex.hyperplanes)
     xa, ya = _ambient(x, n), _ambient(y, n)
-    schedule = _schedule(complex, x, y, xa, ya)
+    schedule = _schedule(hull, xa, ya)
     times = sorted({0.0, 1.0, *itertools.chain.from_iterable(schedule.values())})
     # the runs of times that are one event, and each time's run; the runs
     # at 0 and 1 are x and y
@@ -850,7 +856,7 @@ def _tree_path(complex: CubeComplex, x: Point, y: Point, p: float) -> Optional[P
             runs.append([])
         runs[-1].append(t)
         event[t] = len(runs) - 1
-    breaks = [x]
+    breaks, pts = [x], [xa]
     for k, run in enumerate(runs[1:-1], 1):
         lam = 0.5 * (run[0] + run[-1])
         vec = xa[:]
@@ -859,10 +865,24 @@ def _tree_path(complex: CubeComplex, x: Point, y: Point, p: float) -> Optional[P
                 vec[h] = ya[h]
             elif event[start] < k:
                 vec[h] += (ya[h] - vec[h]) * ((lam - start) / (end - start))
-        breaks.append(point_from_ambient(vec, CubeRef(0, (1 << n) - 1)))
-    breaks.append(y)
-    # a break that snapped onto the one before is written once
-    path = PiecewisePath(complex, p, tuple(b for a, b in zip([None, *breaks], breaks) if b != a))
+        base, coords = 0, []
+        for h, t in enumerate(vec):
+            if SNAP_TOL < t < 1.0 - SNAP_TOL:
+                coords.append((h, t))
+            elif t > 0.5:
+                vec[h], base = 1.0, base | 1 << h
+            else:
+                vec[h] = 0.0
+        point = Point(base, tuple(coords))
+        # a break that snapped onto the one before is written once
+        if point != breaks[-1]:
+            breaks.append(point)
+            pts.append(vec)
+    if y != breaks[-1]:
+        breaks.append(y)
+        pts.append(ya)
+    path = PiecewisePath(complex, p, tuple(breaks))
+    path._keep("_pts", pts)
     return path if check_local_geodesic(complex, path).all_ok else None
 
 
@@ -901,9 +921,10 @@ def geodesic(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePat
     complex.check_point(x)
     complex.check_point(y)
     path = None
-    if (complex.minimal_cube_pair(x, y) is None
-            and all(tree for _, tree in complex._hull_of((x, y)).factors())):
-        path = _tree_path(complex, x, y, p)
+    if complex.minimal_cube_pair(x, y) is None:
+        hull = complex._hull_of((x, y))
+        if all(tree for _, tree in hull.factors()):
+            path = _tree_path(complex, hull, x, y, p)
     # a remembered path of two breaks lies in one cube, and a schedule path
     # has no gallery: nothing to continue
     if (path is None and last is not None and last[0][:2] == (x, y) and len(last[1]) > 2
@@ -980,7 +1001,7 @@ def _search(complex: CubeComplex, x: Point, y: Point, p: float) -> PiecewisePath
     if undominated is None:
         undominated = complex._solver_cache[key] = _undominated(galleries)
     # the order and the screens take the chains nudged, as a chain solve starts
-    schedule = _schedule(complex, x, y, xa, ya)
+    schedule = _schedule(complex._hull_of((x, y)), xa, ya)
     start = {}
     for g in undominated:
         layout = _layout(complex, g.cubes)

@@ -610,6 +610,71 @@ class TestPoints:
             back = cc.point_from_ambient(vec, p.minimal_cube())
             assert back == p
 
+    @staticmethod
+    def reference_point_from_ambient(vec, cube):
+        """``point_from_ambient`` built through ``Point.make``: the reference
+        that its direct construction of the canonical Point is pinned to."""
+        base = cube.corner
+        coords = {}
+        for i in range(len(vec)):
+            bit = 1 << i
+            if not cube.mask & bit:
+                if vec[i] > 0.5:
+                    base |= bit
+                continue
+            t = float(vec[i])
+            if t <= cc.SNAP_TOL:
+                continue
+            if t >= 1.0 - cc.SNAP_TOL:
+                base |= bit
+                continue
+            coords[i] = t
+        return Point.make(base, coords)
+
+    def test_point_from_ambient_matches_the_point_make_reference(self):
+        # random vectors in random cubes of the seven fixtures and grid(3,3,3),
+        # free values drawn among the snap bands and the sides as well as
+        # inside, fixed values on both sides of 0.5, as lists and as arrays
+        rng = np.random.default_rng(33)
+        tol = cc.SNAP_TOL
+        free_values = [0.0, 1.0, 0.5 * tol, tol, 1.0 - tol, 1.0 - 0.5 * tol,
+                       2.0 * tol, 1.0 - 2.0 * tol, -0.0, 1e-300]
+        fixed_values = [0.0, 1.0, 0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), 0.25, 0.75]
+        complexes = [fixtures.load_fixture(name) for name in fixtures.NAMES] + [cc.grid(3, 3, 3)]
+        snapped = kept = 0
+        for cx in complexes:
+            cubes = cx.all_cubes()
+            n = len(cx.hyperplanes)
+            for _ in range(60):
+                cube = cubes[int(rng.integers(len(cubes)))]
+                vec = [float(free_values[int(rng.integers(len(free_values)))])
+                       if cube.mask >> i & 1 and rng.random() < 0.5 else
+                       float(rng.random()) if cube.mask >> i & 1 else
+                       float(fixed_values[int(rng.integers(len(fixed_values)))])
+                       for i in range(n)]
+                for given in (vec, np.array(vec)):
+                    new = cc.point_from_ambient(given, cube)
+                    old = self.reference_point_from_ambient(given, cube)
+                    assert new == old and repr(new) == repr(old), (cube, vec)
+                    assert [(h, t.hex()) for h, t in new.coords] == \
+                        [(h, t.hex()) for h, t in old.coords]
+                    assert all(type(t) is float for _, t in new.coords)
+                snapped += sum(cube.mask >> i & 1 and 0.0 < t <= tol for i, t in enumerate(vec))
+                kept += len(new.coords)
+        assert snapped > 50 and kept > 200
+
+    @pytest.mark.parametrize("vec", [[float("nan"), 0.5], np.array([0.25, float("nan")])])
+    def test_point_from_ambient_rejects_nan_on_a_free_axis(self, vec):
+        cube = CubeRef(0, 0b11)
+        with pytest.raises(ValueError):
+            self.reference_point_from_ambient(vec, cube)
+        with pytest.raises(ValueError):
+            cc.point_from_ambient(vec, cube)
+        # on a fixed axis a NaN is not > 0.5, in both: the side stays 0
+        fixed = CubeRef(0, 0b01)
+        assert cc.point_from_ambient([0.5, float("nan")], fixed) == \
+            self.reference_point_from_ambient([0.5, float("nan")], fixed) == Point(0, ((0, 0.5),))
+
     @pytest.mark.parametrize("obj", [
         {"vertex": -1},
         {"vertex": 99},

@@ -726,7 +726,7 @@ class TestGeodesic:
                 dominated = {g for g, _ in brute_dominated(galleries)}
                 n = len(cx.hyperplanes)
                 xa, ya = x.ambient(n).tolist(), y.ambient(n).tolist()
-                schedule = sv._schedule(cx, x, y, xa, ya)
+                schedule = sv._schedule(cx._hull_of((x, y)), xa, ya)
                 first = sorted((g.cubes for g in galleries if g.cubes not in dominated),
                                key=lambda c: (sum(sv._segments(sv._nudge(
                                    sv._start_chain(xa, ya, sv._layout(cx, c), schedule),
@@ -975,7 +975,7 @@ class TestStartChain:
         for _ in range(40):
             x, y = sample_point(cx, rng), sample_point(cx, rng)
             xa, ya = x.ambient(n).tolist(), y.ambient(n).tolist()
-            schedule = sv._schedule(cx, x, y, xa, ya)
+            schedule = sv._schedule(cx._hull_of((x, y)), xa, ya)
             assert set(schedule) == {h for h in range(n) if xa[h] != ya[h]}
             d = sum(abs(t - s) for s, t in zip(xa, ya))
             for start, end in schedule.values():
@@ -1204,6 +1204,51 @@ class TestTreeProduct:
         assert all(a != b for a, b in zip(path.breaks, path.breaks[1:]))
         report = sv.check_local_geodesic(cx, sv.PiecewisePath(cx, p, path.breaks))
         assert report.all_ok and report.worst_residual <= 1e-12
+
+    @pytest.mark.parametrize("make, extra", [
+        (lambda: cc.grid(2, 2, 2), ()), (lambda: cc.grid(3, 3, 3), ()),
+        (lambda: cc.grid(12, 1, 0), ()), (lambda: tree_product(0), (34,)),
+    ], ids=["grid222", "grid333", "long_rectangle", "trees0"])
+    def test_the_kept_ambient_breaks_are_the_derived_ones(self, make, extra):
+        # a schedule path keeps the snapped vectors it wrote its breaks from;
+        # they, and all that is read from them, equal to the bit what a new
+        # path with the same breaks derives (the near-equal-event pairs of
+        # the test above among them: long_rectangle [77, 4], trees0 [77, 34]);
+        # where x and y share a coordinate, it is also moved to within
+        # SNAP_TOL of 0 or of 1 in both, so that every break snaps it
+        hexes = lambda values: [float(t).hex() for t in values]
+        cx = make()
+        n = len(cx.hyperplanes)
+        snapped = 0
+        for i in (*range(10), *extra):
+            rng = np.random.default_rng([77, i])
+            x, y = sample_point(cx, rng), sample_point(cx, rng)
+            if cx.minimal_cube_pair(x, y) is not None:
+                continue
+            pairs = [(x, y)]
+            shared = x.coord_mask & y.coord_mask
+            for band in (0.4 * cc.SNAP_TOL, 1.0 - 0.4 * cc.SNAP_TOL) if shared else ():
+                h = (shared & -shared).bit_length() - 1
+                pairs.append(tuple(Point(q.base, tuple((k, band if k == h else t)
+                                                       for k, t in q.coords)) for q in (x, y)))
+                snapped += 1
+            for (x, y), p in itertools.product(pairs, (1.01, 2.0, 3.0, 64.0)):
+                path = sv.geodesic(make(), x, y, p)
+                assert path.gallery is None and path._pts is not None
+                assert [hexes(v) for v in path._points()] == \
+                    [hexes(sv._ambient(b, n)) for b in path.breaks], (i, p)
+                fresh = sv.PiecewisePath(path.complex, p, path.breaks)
+                assert path.length.hex() == fresh.length.hex()
+                data = sv._interior_data(cx, path)
+                for read in (sv._tension_residuals, lambda pa, d: sv._no_shortcut_margins(
+                        cx, pa, d)):
+                    assert hexes(read(path, data)) == hexes(read(fresh, data)), (i, p)
+                assert sv.check_local_geodesic(path.complex, fresh) == path._report[1]
+                for k in range(1, 10):
+                    a, b = path.evaluate(k / 10), fresh.evaluate(k / 10)
+                    assert a == b and [(h, t.hex()) for h, t in a.coords] == \
+                        [(h, t.hex()) for h, t in b.coords], (i, p, k)
+        assert snapped >= 2
 
     def test_a_schedule_path_that_fails_its_check_falls_back_to_the_search(self, monkeypatch):
         # the remembered answer at p = 2 is a schedule path, which has no
