@@ -151,10 +151,10 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
     (I - u g^T)/|d|_p with g = s |u|^(p-1); the length Hessian has the same
     blocks scaled by (p-1) |u|^(p-2), which is what makes a plain Newton step
     on the length crawl for large p.  Where the tension step does not descend,
-    a Levenberg-Marquardt step on the Hessian is taken instead, its damping
-    grown by cut-back steps and shrunk by full ones.  Both systems are built
-    only on the moving free coordinates and solved by ``_eliminate``; a
-    singular one counts as a failed step.  A coordinate is held where it
+    a Newton step on the Hessian, with a ridge of 1e-12 of its largest
+    diagonal entry, is taken instead.  Both systems are built only on the
+    moving free coordinates and solved by ``_eliminate``; a singular one
+    counts as a failed step.  A coordinate is held where it
     sits on a side of its face box with the length gradient pointing out.
     A backtracking search projects each step into the face boxes and takes
     the first trial that shortens the path (or, where the length is flat to
@@ -176,7 +176,6 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
     nu, diffs = _segments(chain, p)
     unit = _units(nu, diffs)
     res = _tension(axes, unit)
-    damp = 0.0
     for _ in range(max_iter):
         length = sum(nu)
         short = [s for s, (a, m) in enumerate(zip(nu, mergeable)) if m and a < SHORT * length]
@@ -196,13 +195,10 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
             return ((1.0 if a == b else 0.0) - unit[s][a] * phi[s][b]) * inv[s]
 
         g_in = [grad[c] for c in moving]
-        s_in = None
-        if damp == 0.0:
-            s_in = _eliminate(_chain_matrix(rows, blk),
-                              [unit[j + 1][i] - unit[j][i] for j, i in rows])
-            if s_in is not None and not (all(map(math.isfinite, s_in))
-                                         and sum([g * t for g, t in zip(g_in, s_in)]) < 0.0):
-                s_in = None
+        s_in = _eliminate(_chain_matrix(rows, blk), [unit[j + 1][i] - unit[j][i] for j, i in rows])
+        if s_in is not None and not (all(map(math.isfinite, s_in))
+                                     and sum([g * t for g, t in zip(g_in, s_in)]) < 0.0):
+            s_in = None
         if s_in is None:
             curv = [[(p - 1.0) * max(abs(t), 1e-12) ** (p - 2.0) for t in u] for u in unit]
             hess = _chain_matrix(rows, lambda s, a, b: curv[s][a] * blk(s, a, b))
@@ -210,7 +206,7 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
                     for row, col in zip(hess, zip(*hess))]
             scale = max([abs(hess[r][r]) for r in range(len(rows))] + [1e-12])
             for r in range(len(rows)):
-                hess[r][r] += (damp + 1e-12) * scale
+                hess[r][r] += 1e-12 * scale
             s_in = _eliminate(hess, [-g for g in g_in])
             if s_in is None:
                 s_in = [-g / scale for g in g_in]
@@ -229,8 +225,6 @@ def _newton_chain(chain: list[list[float]], axes: list[list[int]], p: float, max
         else:
             put(v)
             return res <= RESIDUAL_TOL, None
-        # a full step that was accepted earns trust; a cut-back step loses it
-        damp = (0.0 if damp < 1e-3 else 0.25 * damp) if alpha == 1.0 else max(4.0 * damp, 1e-2)
         nu, unit = nu_t, _units(nu_t, diffs)
         res = _tension(axes, unit)
     return res <= gate, None
@@ -497,8 +491,8 @@ class TestNewtonChain:
 
     def test_singular_tension_system_takes_the_lm_step(self, monkeypatch):
         # refuse every tension system (the Jacobian is not symmetric at
-        # p = 3): each step falls back to the Levenberg-Marquardt system on
-        # the symmetrized length Hessian, which reaches the same geodesic.
+        # p = 3): each step falls back to the system of the symmetrized
+        # length Hessian, which reaches the same geodesic.
         # corner_complex is no product of trees, so its chain starts off the
         # geodesic; want is solved on another instance, which the solve of
         # got cannot remember
@@ -522,25 +516,26 @@ class TestNewtonChain:
         assert abs(got.length - want.length) <= 1e-10
         assert sv.check_local_geodesic(corner, got, tol=1e-8).all_ok
 
-    @pytest.mark.parametrize("mergeable", [True, False])
-    def test_null_segment(self, grid222, mergeable):
+    def test_null_segment(self, grid222):
         # breaks 1 and 2 start coincident, as a merge hands them to the split:
         # segment 2 has length 0, no direction and no block in the Newton
-        # systems.  Mergeable, it is handed back untouched; otherwise the
-        # solve pulls the breaks apart to the optimum of the full gallery
-        full = sv.optimize_breakpoints(grid222, sv.Gallery(COALESCE_CUBES),
-                                       COALESCE_X, COALESCE_Y, 1.5)
+        # systems.  Mergeable, it is handed back untouched
         chain, axes = null_segment_chain(grid222)
         start = [row[:] for row in chain]
-        out = sv._newton_chain(chain, axes, 1.5, sv.NEWTON_CAP, [False, False, mergeable, False])
-        nu = sv._segments(chain, 1.5)[0]
-        if mergeable:
-            assert out == (False, 2)
-            assert chain == start
-        else:
-            assert out == (True, None)
-            assert nu[2] > 1e-3
-            assert abs(sum(nu) - full.length) <= 1e-10
+        out = sv._newton_chain(chain, axes, 1.5, sv.NEWTON_CAP, [False, False, True, False])
+        assert out == (False, 2)
+        assert chain == start
+
+    def test_merge_stands_when_no_split_shortens(self, grid222, monkeypatch):
+        # with a split that finds no shortening step, the merge of the two
+        # close breaks of the COALESCE gallery stands: the solve converges on
+        # the gallery with the cube between them dropped, one break fewer
+        monkeypatch.setattr(sv, "_split", lambda chain, s, split, p: chain)
+        path = sv.optimize_breakpoints(grid222, sv.Gallery(COALESCE_CUBES),
+                                       COALESCE_X, COALESCE_Y, 1.5)
+        assert path.converged
+        assert len(path.breaks) == 4
+        assert abs(path.length - 3.1659255704954026) <= 1e-12
 
 
 class TestGeodesic:
@@ -686,6 +681,16 @@ class TestGeodesic:
         path = sv.geodesic(corner, x, y, 64.0)
         assert len(path.gallery.cubes) == 2
         assert sv.check_local_geodesic(corner, path, tol=1e-8).all_ok
+
+    def test_cold_corner_pair_certifies_at_p64(self):
+        # from a cold start the search certifies a path of 4 breaks.  A new
+        # complex, which remembers no answer
+        corner = cc.corner_complex()
+        rng = np.random.default_rng([77, 141])
+        x, y = sample_point(corner, rng), sample_point(corner, rng)
+        path = sv.geodesic(corner, x, y, 64.0)
+        assert sv.check_local_geodesic(corner, path, tol=1e-8).all_ok
+        assert abs(path.length - 1.0548136734501248) <= 1e-12
 
     def test_solved_galleries_follow_the_fixed_order(self, solve_log):
         # one order: the undominated galleries by start-chain length, then

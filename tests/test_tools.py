@@ -89,7 +89,36 @@ def test_summary_lists_verdict_transitions_and_the_certified_length_change(tmp_p
     assert lines[4:] == [
         "verdict transitions:",
         "  p=64.0: 1 certified -> uncertified, 1 typed errors -> certified",
-        "largest relative length change, both certified: 1.78e-16 (grid222 [77, 0] p=2.0)"]
+        "largest relative length change, both certified: 1.78e-16 (grid222 [77, 0] p=2.0)",
+        "lost certificate: grid222 [77, 2] p=64.0"]
+
+
+def test_summary_names_lost_certificates_and_longer_certified_lengths(tmp_path, capsys):
+    def certified(length, ok=True):
+        return {"length": length, "breaks": [], "converged": True, "certified": ok,
+                "worst_residual": "0.0"}
+
+    left = {"a [77, 0] p=2.0": certified("1.0"),
+            "b [77, 1] p=32.0": certified("2.0"),
+            "c [77, 2] p=64.0": certified("3.0"),
+            "d [77, 3] p=64.0": certified("4.0"),
+            "e [77, 4] p=64.0": certified("5.0"),
+            "f [77, 5] p=64.0": certified("6.0", ok=False),
+            "g [77, 6] p=64.0": certified("7.0")}
+    right = {"a [77, 0] p=2.0": certified("1.0000000000000002"),     # longer by 2.2e-16
+             "b [77, 1] p=32.0": certified("2.00000001"),            # longer by 5e-9
+             "c [77, 2] p=64.0": certified("2.5"),                   # shorter
+             "d [77, 3] p=64.0": certified("4.0", ok=False),
+             "e [77, 4] p=64.0": {"error": "UniquenessViolation", "message": "m"},
+             "f [77, 5] p=64.0": certified("6.5"),
+             "g [77, 6] p=64.0": certified("7.0")}
+    assert _compare(tmp_path, left, right) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines()[-3:] == ["lost certificate: d [77, 3] p=64.0",
+                                     "lost certificate: e [77, 4] p=64.0",
+                                     "longer: b [77, 1] p=32.0: 2.0 -> 2.00000001"]
+    # only the lines for the cases that differ go to stdout, as before
+    assert "g [77, 6]" not in out and "f [77, 5] p=64.0:" in out
 
 
 @pytest.mark.parametrize("extra_on_left", [True, False])

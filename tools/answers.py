@@ -56,7 +56,9 @@ dump (certified, uncertified and typed-error answers) and the largest
 relative length change between cases that both dumps answer.  Then, per
 exponent, it counts the cases whose verdict (certified, uncertified, typed
 error) changes, by transition, and gives the largest relative length change
-between cases that both dumps certify.  A change
+between cases that both dumps certify.  Last it names each case that the
+first dump certifies and the second does not, and each case both certify
+whose length in the second is longer by more than 1e-12 relative.  A change
 that claims to keep every answer runs ``dump`` in a checkout of its parent
 and in its own and ``compare``s the two; each dump solves with the ``src``
 next to the script.
@@ -313,6 +315,22 @@ def largest_length_change(left: dict, right: dict,
     return worst, where
 
 
+def regressions(left: dict, right: dict) -> list[str]:
+    """The cases certified in ``left`` and not in ``right``, then those both
+    certify where ``right``'s length is longer by more than 1e-12 relative,
+    as lines "lost certificate: NAME" and "longer: NAME: LEFT -> RIGHT"."""
+    lost, longer = [], []
+    for name in sorted(left.keys() & right.keys()):
+        a, b = verdict(left[name]), verdict(right[name])
+        if a == "certified" and b != "certified":
+            lost.append(f"lost certificate: {name}")
+        elif a == b == "certified":
+            la, lb = left[name]["length"], right[name]["length"]
+            if float(lb) > float(la) * (1 + 1e-12):
+                longer.append(f"longer: {name}: {la} -> {lb}")
+    return lost + longer
+
+
 def compare(a: str, b: str) -> int:
     with open(a) as f:
         left = json.load(f)
@@ -334,6 +352,8 @@ def compare(a: str, b: str) -> int:
     change, where = largest_length_change(left, right, certified=True)
     print(f"largest relative length change, both certified: {change:.3g}"
           + (f" ({where})" if where else ""), file=sys.stderr)
+    for line in regressions(left, right):
+        print(line, file=sys.stderr)
     return 1 if differ else 0
 
 
